@@ -7,20 +7,21 @@ from .config import ROLE_P_SAL_MAX, QuantConfig
 from .errors import (BinqError, DomainError, FormatError, IoError,
                      OptimizationError, TruncationError, ValidationError)
 from .partitioner import LayerPartition, PartitionSpec, compute_cutoffs, partition
-from .pipeline import (QuantizedLayer, quantize_layer, quantize_model,
-                       reconstruct, reconstruction_error, relative_error)
+from .pipeline import (quantize_layer, quantize_model, reconstruct,
+                       reconstruction_error, relative_error)
 from .salient_quantizer import (SalientQuant, adaptive_levels, assign_codes,
                                 fit_rowwise, level_grid, quantize_salient)
 from .saliency_optimizer import (ObjectiveEval, brent_minimize,
                                  evaluate_objective, hybrid_quantize,
-                                 optimize_saliency, sweep_thresholds)
-from .tensor_store import (AttentionTensor, ManifestEntry, ModelManifest, Role,
-                           WeightMatrix, read_artifact, read_attention,
-                           read_manifest, read_tensor, write_artifact,
-                           write_attention, write_tensor)
+                                 optimize_saliency, score_layer,
+                                 sweep_thresholds)
+from .tensor_store import (AttentionTensor, ManifestEntry, ModelManifest,
+                           QuantizedLayer, Role, WeightMatrix, read_artifact,
+                           read_attention, read_manifest, read_tensor,
+                           write_artifact, write_attention, write_tensor)
 from .token_pruner import (PruneDecision, layer_lambda, prune_decisions,
                            retain_mask, retained_count, validate_scores)
-from .unsalient_binarizer import BinarizedSubset, binarize_subset, subset_error
+from .unsalient_binarizer import binarize_unsalient
 from .weight_stats import (GaussianFit, Histogram, default_bin_count,
                            fit_gaussian, histogram, kl_discrete, kl_divergence,
                            probit)

@@ -16,11 +16,11 @@ from .errors import DomainError, TruncationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import QuantConfig
-    from .pipeline import QuantizedLayer
+    from .tensor_store import QuantizedLayer
 
 # Window-table decoding needs 2**max_code_length entries; Huffman depth is
 # bounded by n_groups - 1, so this caps the group count at 21.
-_MAX_CODE_LEN = 20
+MAX_CODE_LEN = 20
 
 
 def max_partitions(l_i_max: int) -> int:
@@ -109,8 +109,8 @@ class CodeBook:
         if freqs.size == 0 or np.any(freqs < 0) or freqs.sum() <= 0:
             raise DomainError("frequencies must be nonnegative with a positive sum")
         lengths = _huffman_lengths(freqs)
-        if lengths.max(initial=0) > _MAX_CODE_LEN:
-            raise DomainError(f"code lengths exceed {_MAX_CODE_LEN} bits; "
+        if lengths.max(initial=0) > MAX_CODE_LEN:
+            raise DomainError(f"code lengths exceed {MAX_CODE_LEN} bits; "
                               "too many groups or too skewed frequencies")
         solo = int(np.argmax(freqs)) if lengths.max(initial=0) == 0 else None
         return cls(lengths=tuple(int(x) for x in lengths),
@@ -133,27 +133,6 @@ class CodeBook:
             raise DomainError(f"{n_groups} groups do not fit in {width}-bit codes")
         return cls.from_lengths([width] * n_groups)
 
-    @classmethod
-    def with_default_group(cls, freqs) -> "CodeBook":
-        """Escape-style code: the most frequent group costs a single bit and
-        every other group pays a 1-bit escape plus a Huffman code over the rest."""
-        freqs = np.asarray(freqs, dtype=np.float64)
-        if freqs.size < 2 or np.any(freqs < 0) or freqs.sum() <= 0:
-            raise DomainError("default-group codebook needs >= 2 groups")
-        default = int(np.argmax(freqs))
-        rest = np.delete(freqs, default)
-        if rest.sum() <= 0:
-            return cls.from_frequencies(freqs)
-        rest_lengths = _huffman_lengths(rest)
-        lengths = np.zeros(freqs.size, dtype=np.int64)
-        other_syms = [s for s in range(freqs.size) if s != default]
-        for sym, f, l in zip(other_syms, rest, rest_lengths):
-            if f > 0:
-                # A lone non-default group needs no subcode beyond the escape bit.
-                lengths[sym] = 1 + l if l > 0 else 1
-        lengths[default] = 1
-        return cls.from_lengths(lengths)
-
     @property
     def n_groups(self) -> int:
         return len(self.lengths)
@@ -161,20 +140,6 @@ class CodeBook:
     @property
     def max_length(self) -> int:
         return max(self.lengths)
-
-    def is_prefix_free(self) -> bool:
-        bits = [(format(c, f"0{l}b") if l else "") for c, l in zip(self.codes, self.lengths)]
-        coded = [b for b in bits if b]
-        for i, a in enumerate(coded):
-            for j, b in enumerate(coded):
-                if i != j and b.startswith(a):
-                    return False
-        return True
-
-    def average_length(self, freqs) -> float:
-        freqs = np.asarray(freqs, dtype=np.float64)
-        probs = freqs / freqs.sum()
-        return float(np.sum(probs * np.asarray(self.lengths)))
 
     def encoded_bits(self, counts) -> int:
         """Exact payload bits for a stream with the given per-group counts."""
@@ -276,16 +241,6 @@ def unpack_stream(data: bytes, codebook: CodeBook, count: int) -> np.ndarray:
             f"stream of {nbits} bits ends before symbol {count} is complete")
     out[:] = sym_at[starts]
     return out
-
-
-def stream_entropy_bits(counts) -> float:
-    """Shannon information content of a label stream, in bits."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    probs = counts[counts > 0] / total
-    return float(-np.sum(counts[counts > 0] * np.log2(probs)))
 
 
 @dataclass(frozen=True)

@@ -33,18 +33,11 @@ def _write_rows(path, header, rows):
             out.close()
 
 
-def _load_layer(entry):
-    matrix = tensor_store.read_tensor(entry.path)
-    matrix.name = entry.name
-    matrix.role = entry.role
-    return matrix
-
-
 def cmd_analyze(args) -> int:
     manifest = tensor_store.read_manifest(args.manifest)
     rows = []
     for entry in manifest.entries:
-        matrix = _load_layer(entry)
+        matrix = entry.load()
         fit = weight_stats.fit_gaussian(matrix)
         bins = weight_stats.default_bin_count(matrix.m, matrix.n)
         hist = weight_stats.histogram(matrix, bins)
@@ -131,7 +124,7 @@ def cmd_sweep(args) -> int:
         raise DomainError("no thresholds given")
     rows = []
     for entry in manifest.entries:
-        matrix = _load_layer(entry)
+        matrix = entry.load()
         fit = weight_stats.fit_gaussian(matrix)
         for ev in sweep_thresholds(matrix, fit, thresholds, QuantConfig()):
             rows.append([entry.name, f"{ev.p_sal:.8g}", f"{ev.j:.8g}"])

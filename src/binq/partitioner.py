@@ -1,8 +1,11 @@
 """Quantile-based split of a layer into one salient and N disjoint unsalient subsets.
 
-Cutoffs are z-scores of cumulative Gaussian quantiles applied to |w| around
-the layer mean, so each unsalient subset targets an equal share of the mass
-and the salient set holds the distribution tails.
+Cutoffs are z-scores of cumulative Gaussian quantiles; each element's
+uncentered |w| is compared with mu + sigma*z, where mu and sigma are the
+layer's fitted mean and standard deviation. For a layer with mean near zero
+each unsalient subset then targets an equal share of the mass and the
+salient set holds the distribution tails; a nonzero mean shifts the realized
+fractions away from those targets.
 """
 
 from dataclasses import dataclass
@@ -54,12 +57,6 @@ class LayerPartition:
 
     def salient_mask(self) -> np.ndarray:
         return self.labels == self.salient_label
-
-    def subset_mask(self, k: int) -> np.ndarray:
-        """Boolean mask of unsalient subset k (1-based)."""
-        if not 1 <= k <= self.n_uns:
-            raise DomainError(f"subset index {k} outside 1..{self.n_uns}")
-        return self.labels == (k - 1)
 
     def counts(self) -> np.ndarray:
         """Element count per group, unsalient subsets first, salient last."""

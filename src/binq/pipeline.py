@@ -1,24 +1,21 @@
 """Per-layer and per-model orchestration of the hybrid quantization pipeline.
 
 Each layer runs: Gaussian fit, optional saliency search, quantile partition,
-salient 2-bit quantization, per-subset binarization, and reconstruction.
+salient 2-bit quantization, shell binarization, and reconstruction.
 Layers are processed independently in manifest order so artifacts are
 deterministic.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from . import bit_packer, tensor_store
+from . import bit_packer
 from .config import QuantConfig
-from .errors import BinqError, DomainError, ValidationError
-from .salient_quantizer import SalientQuant
-from .saliency_optimizer import (evaluate_objective, hybrid_quantize,
-                                 optimize_saliency)
-from .tensor_store import ModelManifest, Role, WeightMatrix, read_tensor
-from .unsalient_binarizer import BinarizedSubset
+from .errors import BinqError, DomainError
+from .saliency_optimizer import hybrid_quantize, optimize_saliency, score_layer
+from .tensor_store import ModelManifest, QuantizedLayer, WeightMatrix
 from .weight_stats import fit_gaussian
 
 # Columns of the per-layer error CSV, consumed by downstream plotting.
@@ -26,121 +23,24 @@ ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
 
 
-@dataclass
-class QuantizedLayer:
-    """Everything needed to reconstruct one quantized layer.
-
-    labels is the group-index matrix (unsalient subsets 0..n_uns-1, salient
-    = n_uns); each element belongs to exactly one group, so the salient and
-    unsalient reconstructions have disjoint supports that cover the matrix.
-    """
-
-    name: str
-    role: Role
-    m: int
-    n: int
-    labels: np.ndarray
-    salient: SalientQuant
-    subsets: list[BinarizedSubset]
-    p_sal_used: float
-    p_sal_max: float
-    config: QuantConfig
-
-    def validate(self):
-        cfg = self.config
-        if self.labels.shape != (self.m, self.n):
-            raise ValidationError(f"layer {self.name!r}: label shape mismatch")
-        counts = np.bincount(self.labels.ravel(), minlength=cfg.n_uns + 1)
-        if counts.size > cfg.n_uns + 1:
-            raise ValidationError(f"layer {self.name!r}: label outside group range")
-        if self.salient.scales.shape != (self.m,):
-            raise ValidationError(f"layer {self.name!r}: need one scale per row")
-        if self.salient.codes.size != counts[cfg.n_uns]:
-            raise ValidationError(f"layer {self.name!r}: salient code count mismatch")
-        if self.salient.centers.size != 2 ** cfg.n_bits:
-            raise ValidationError(f"layer {self.name!r}: center table size mismatch")
-        if len(self.subsets) != cfg.n_uns:
-            raise ValidationError(f"layer {self.name!r}: expected {cfg.n_uns} subsets")
-        for k, sub in enumerate(self.subsets, start=1):
-            if sub.index != k:
-                raise ValidationError(f"layer {self.name!r}: subset order broken")
-            if sub.scale < 0.0:
-                raise ValidationError(f"layer {self.name!r}: negative subset scale")
-            if sub.signs.size != counts[k - 1]:
-                raise ValidationError(f"layer {self.name!r}: sign count mismatch "
-                                      f"in subset {k}")
-        if not 0.0 <= self.p_sal_used <= 1.0:
-            raise ValidationError(f"layer {self.name!r}: invalid p_sal_used")
-
-    def sign_stream(self) -> np.ndarray:
-        """All unsalient sign bits in row-major matrix order (True = +1)."""
-        flat = self.labels.ravel()
-        sub_labels = flat[flat < self.config.n_uns]
-        out = np.empty(sub_labels.size, dtype=bool)
-        for sub in self.subsets:
-            out[sub_labels == sub.index - 1] = sub.signs
-        return out
-
-
-def _reconstruct_f64(layer: QuantizedLayer) -> np.ndarray:
-    out = np.zeros((layer.m, layer.n), dtype=np.float64)
-    sal_mask = layer.labels == layer.config.n_uns
-    rows = np.nonzero(sal_mask)[0]
-    if rows.size:
-        scales = layer.salient.scales.astype(np.float64)
-        out[sal_mask] = scales[rows] * layer.salient.centers[layer.salient.codes]
-    for sub in layer.subsets:
-        mask = layer.labels == sub.index - 1
-        out[mask] = sub.scale * np.where(sub.signs, 1.0, -1.0)
-    return out
-
-
 def reconstruct(layer: QuantizedLayer) -> WeightMatrix:
     """Dense reconstruction of a quantized layer."""
     return WeightMatrix(name=layer.name, role=layer.role,
-                        data=_reconstruct_f64(layer).astype(np.float32))
+                        data=layer.dense().astype(np.float32))
 
 
 def reconstruction_error(matrix: WeightMatrix, layer: QuantizedLayer) -> float:
     """Squared Frobenius error between a matrix and its reconstruction."""
-    diff = matrix.data.astype(np.float64) - _reconstruct_f64(layer)
+    diff = matrix.data.astype(np.float64) - layer.dense()
     return float(np.sum(np.square(diff)))
 
 
 def relative_error(matrix: WeightMatrix, layer: QuantizedLayer) -> float:
     """Frobenius error of the reconstruction relative to the matrix norm."""
-    denom = float(np.sum(np.square(matrix.data.astype(np.float64))))
+    denom = matrix.squared_norm()
     if denom == 0.0:
         return 0.0
     return math.sqrt(reconstruction_error(matrix, layer) / denom)
-
-
-def _quantize_with_eval(matrix: WeightMatrix, config: QuantConfig,
-                        cap_override: float | None = None):
-    matrix.require_finite()
-    if matrix.m < 1 or matrix.n < 1:
-        raise DomainError(f"layer {matrix.name!r} is empty")
-    cap = config.resolve_p_sal_max(matrix.role, cap_override)
-    cfg = replace(config, p_sal_max=cap)
-    fit = fit_gaussian(matrix)
-    denom = float(np.sum(np.square(matrix.data.astype(np.float64))))
-
-    if denom == 0.0 or fit.sigma == 0.0:
-        p_used = 0.0
-    elif cfg.optimize_saliency:
-        p_used = optimize_saliency(matrix, fit, cfg)
-    else:
-        p_used = cap
-
-    part, salq, subsets = hybrid_quantize(matrix, fit, p_used, cfg)
-    layer = QuantizedLayer(name=matrix.name, role=matrix.role, m=matrix.m,
-                           n=matrix.n, labels=part.labels, salient=salq,
-                           subsets=subsets, p_sal_used=part.spec.p_sal,
-                           p_sal_max=cap, config=cfg)
-    evaluation = None
-    if denom > 0.0:
-        evaluation = evaluate_objective(matrix, fit, part.spec.p_sal, cfg)
-    return layer, evaluation
 
 
 def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
@@ -151,8 +51,22 @@ def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
     cap. All-zero and constant layers degenerate to a single binarized group
     without error.
     """
-    layer, _ = _quantize_with_eval(matrix, config or QuantConfig(), cap_override)
-    return layer
+    config = config or QuantConfig()
+    matrix.require_finite()
+    if matrix.m < 1 or matrix.n < 1:
+        raise DomainError(f"layer {matrix.name!r} is empty")
+    cap = config.resolve_p_sal_max(matrix.role, cap_override)
+    cfg = replace(config, p_sal_max=cap)
+    fit = fit_gaussian(matrix)
+
+    # An all-zero matrix has sigma 0 too.
+    if fit.sigma == 0.0:
+        p_used = 0.0
+    elif cfg.optimize_saliency:
+        p_used = optimize_saliency(matrix, fit, cfg)
+    else:
+        p_used = cap
+    return hybrid_quantize(matrix, fit, p_used, cfg)
 
 
 def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):
@@ -168,10 +82,10 @@ def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):
     rows = []
     for entry in manifest.entries:
         try:
-            matrix = read_tensor(entry.path)
-            matrix.name = entry.name
-            matrix.role = entry.role
-            layer, evaluation = _quantize_with_eval(matrix, config, entry.p_sal_max)
+            matrix = entry.load()
+            layer = quantize_layer(matrix, config, entry.p_sal_max)
+            denom = matrix.squared_norm()
+            j = score_layer(matrix, layer, denom).j if denom > 0.0 else 0.0
             report = bit_packer.storage_report(layer)
         except (BinqError, ValueError) as exc:
             raise type(exc)(f"layer {entry.name!r}: {exc}") from exc
@@ -182,16 +96,8 @@ def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):
             "m": layer.m,
             "n": layer.n,
             "p_sal_used": layer.p_sal_used,
-            "J": evaluation.j if evaluation else 0.0,
+            "J": j,
             "relative_error": relative_error(matrix, layer),
             "bits_per_weight": report.bits_per_weight,
         })
     return layers, bit_packer.aggregate_reports(reports), rows
-
-
-def write_artifact(layers, path):
-    tensor_store.write_artifact(layers, path)
-
-
-def read_artifact(path):
-    return tensor_store.read_artifact(path)

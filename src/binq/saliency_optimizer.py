@@ -16,8 +16,9 @@ import numpy as np
 from .config import QuantConfig
 from .errors import DomainError, OptimizationError
 from .partitioner import partition
-from .salient_quantizer import quantize_salient, salient_residual, store_scalar
-from .unsalient_binarizer import binarize_subset, subset_error
+from .salient_quantizer import quantize_salient, store_scales
+from .tensor_store import QuantizedLayer
+from .unsalient_binarizer import binarize_unsalient
 from .weight_stats import GaussianFit
 
 _GOLDEN = 0.3819660112501051
@@ -35,37 +36,55 @@ class ObjectiveEval:
     denom: float
 
 
-def hybrid_quantize(matrix, fit: GaussianFit, p_sal: float, config: QuantConfig):
+def hybrid_quantize(matrix, fit: GaussianFit, p_sal: float,
+                    config: QuantConfig) -> QuantizedLayer:
     """Partition at a fixed salient share and quantize both branches.
 
-    Subset scalars are rounded to the configured storage width, matching
+    Shell scalars are rounded to the configured storage width, matching
     what an artifact would hold, so residuals are storage-faithful.
     """
     part = partition(matrix, fit, p_sal, config.n_uns)
-    salq = quantize_salient(matrix, part, config)
-    subsets = []
-    for k in range(1, config.n_uns + 1):
-        sub = binarize_subset(matrix, part, k)
-        sub.scale = store_scalar(sub.scale, config.scale_width)
-        subsets.append(sub)
-    return part, salq, subsets
+    scalars, signs = binarize_unsalient(matrix, part)
+    return QuantizedLayer(name=matrix.name, role=matrix.role, m=matrix.m,
+                          n=matrix.n, labels=part.labels,
+                          salient=quantize_salient(matrix, part, config),
+                          scalars=store_scales(scalars, config.scale_width),
+                          signs=signs, p_sal_used=part.spec.p_sal,
+                          p_sal_max=config.resolve_p_sal_max(matrix.role),
+                          config=config)
+
+
+def score_layer(matrix, layer: QuantizedLayer, denom: float) -> ObjectiveEval:
+    """Objective of a quantized layer: its residual over denom = ||W||^2.
+
+    The residual of each group is summed over its members in row-major order.
+    """
+    sq = np.square(matrix.data.astype(np.float64) - layer.dense()).ravel()
+    labels = layer.labels.ravel()
+    res = [float(np.sum(np.compress(labels == k, sq)))
+           for k in range(layer.config.n_uns + 1)]
+    sal_res, uns_res = res[-1], tuple(res[:-1])
+    return ObjectiveEval(p_sal=layer.p_sal_used, j=(sal_res + sum(uns_res)) / denom,
+                         salient_residual=sal_res, unsalient_residuals=uns_res,
+                         denom=denom)
 
 
 def evaluate_objective(matrix, fit: GaussianFit, p_sal: float,
-                       config: QuantConfig) -> ObjectiveEval:
-    """Normalized reconstruction error of the full hybrid pipeline at p_sal."""
+                       config: QuantConfig, denom: float | None = None) -> ObjectiveEval:
+    """Normalized reconstruction error of the full hybrid pipeline at p_sal.
+
+    denom is the matrix's squared norm; a caller that evaluates one matrix
+    many times passes it in so it is computed once.
+    """
     p_cap = config.resolve_p_sal_max(matrix.role)
     if not 0.0 <= p_sal <= p_cap:
         raise DomainError(f"p_sal={p_sal} outside [0, {p_cap}]")
-    denom = float(np.sum(np.square(matrix.data.astype(np.float64))))
+    if denom is None:
+        denom = matrix.squared_norm()
     if denom == 0.0:
         raise DomainError("objective undefined for an all-zero matrix")
-    part, salq, subsets = hybrid_quantize(matrix, fit, p_sal, config)
-    sal_res = salient_residual(matrix, part, salq)
-    uns_res = tuple(subset_error(matrix, part, s) for s in subsets)
-    total = sal_res + sum(uns_res)
-    return ObjectiveEval(p_sal=p_sal, j=total / denom, salient_residual=sal_res,
-                         unsalient_residuals=uns_res, denom=denom)
+    layer = hybrid_quantize(matrix, fit, p_sal, config)
+    return replace(score_layer(matrix, layer, denom), p_sal=p_sal)
 
 
 def _checked_eval(f, x: float) -> float:
@@ -162,12 +181,13 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
     if fit.sigma == 0.0:
         return 0.0
 
+    denom = matrix.squared_norm()
     cache: dict[float, float] = {}
 
     def j_of(p: float) -> float:
         key = round(min(max(p, 0.0), p_cap), 6)
         if key not in cache:
-            cache[key] = evaluate_objective(matrix, fit, key, config).j
+            cache[key] = evaluate_objective(matrix, fit, key, config, denom).j
         return cache[key]
 
     x_int, f_int = brent_minimize(j_of, 0.0, p_cap, tol=1e-4 * p_cap, max_iters=50)
@@ -180,10 +200,11 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
 
 def sweep_thresholds(matrix, fit: GaussianFit, thresholds, config: QuantConfig):
     """Objective evaluated directly at each saliency threshold (no search)."""
+    denom = matrix.squared_norm()
     out = []
     for t in thresholds:
         if not 0.0 < t < 1.0:
             raise DomainError(f"threshold {t} outside (0, 1)")
         cfg = replace(config, p_sal_max=t)
-        out.append(evaluate_objective(matrix, fit, t, cfg))
+        out.append(evaluate_objective(matrix, fit, t, cfg, denom))
     return out

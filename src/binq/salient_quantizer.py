@@ -31,16 +31,14 @@ class SalientQuant:
     alpha: float
 
 
-def fit_rowwise(matrix, part: LayerPartition, iters: int, atol: float = 0.0,
-                collect_residuals: bool = False):
+def fit_rowwise(matrix, part: LayerPartition, iters: int, atol: float = 0.0):
     """Alternate row-scale and clipped-relaxation updates on the salient members.
 
     Returns (scales, relaxed) where relaxed holds one value in [-1, 1] per
     salient member in row-major order. Rows whose relaxed row has zero energy
     keep scale 0 and their members stay at relaxed value 0. atol > 0 stops
     early once no row scale moves by more than atol (the updates are then at
-    a fixed point for all practical purposes). With collect_residuals the
-    per-iteration squared residuals are returned as a third element.
+    a fixed point for all practical purposes).
     """
     if iters < 1:
         raise DomainError(f"iters must be >= 1, got {iters}")
@@ -50,7 +48,6 @@ def fit_rowwise(matrix, part: LayerPartition, iters: int, atol: float = 0.0,
     w = matrix.data[mask].astype(np.float64)
     relaxed = np.sign(w)
     scales = np.zeros(m, dtype=np.float64)
-    residuals: list[float] = []
 
     for _ in range(iters):
         prev = scales
@@ -63,13 +60,9 @@ def fit_rowwise(matrix, part: LayerPartition, iters: int, atol: float = 0.0,
         relaxed = np.where(active,
                            np.clip(w / np.where(active, row_scale, 1.0), -1.0, 1.0),
                            relaxed)
-        if collect_residuals:
-            residuals.append(float(np.sum(np.square(w - row_scale * relaxed))))
         if atol > 0.0 and (scales.size == 0 or np.max(np.abs(scales - prev)) < atol):
             break
 
-    if collect_residuals:
-        return scales, relaxed, residuals
     return scales, relaxed
 
 
@@ -91,13 +84,16 @@ def level_grid(mu: float, sigma: float, n_bits: int, alpha: float):
 
 
 def adaptive_levels(relaxed: np.ndarray, n_bits: int, alpha: float):
-    """Level grid anchored at the mean/std of the nonzero relaxed values."""
+    """Level grid anchored at the mean/std of the nonzero relaxed values.
+
+    Returns (levels, centers, mu_b, sigma_b).
+    """
     nonzero = relaxed[relaxed != 0.0]
     if nonzero.size == 0:
         raise DomainError("adaptive levels need at least one nonzero relaxed value")
     mu_b = float(np.mean(nonzero))
     sigma_b = float(np.std(nonzero))
-    return level_grid(mu_b, sigma_b, n_bits, alpha)
+    return (*level_grid(mu_b, sigma_b, n_bits, alpha), mu_b, sigma_b)
 
 
 def assign_codes(relaxed: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -117,10 +113,6 @@ def store_scales(values: np.ndarray, width: int) -> np.ndarray:
     raise DomainError(f"unsupported scale width {width}")
 
 
-def store_scalar(value: float, width: int) -> float:
-    return float(store_scales(np.asarray([value]), width)[0])
-
-
 def quantize_salient(matrix, part: LayerPartition, config: QuantConfig) -> SalientQuant:
     """Full salient path: row-wise fit, adaptive levels, code assignment.
 
@@ -134,10 +126,7 @@ def quantize_salient(matrix, part: LayerPartition, config: QuantConfig) -> Salie
     """
     _, relaxed = fit_rowwise(matrix, part, iters=config.iters, atol=config.fit_atol)
     if relaxed.size and np.any(relaxed != 0.0):
-        _, centers = adaptive_levels(relaxed, config.n_bits, config.alpha)
-        nonzero = relaxed[relaxed != 0.0]
-        mu_b = float(np.mean(nonzero))
-        sigma_b = float(np.std(nonzero))
+        _, centers, mu_b, sigma_b = adaptive_levels(relaxed, config.n_bits, config.alpha)
     else:
         centers = np.zeros(2 ** config.n_bits, dtype=np.float64)
         mu_b = sigma_b = 0.0
@@ -154,14 +143,3 @@ def quantize_salient(matrix, part: LayerPartition, config: QuantConfig) -> Salie
     return SalientQuant(scales=store_scales(scales, config.scale_width),
                         codes=codes, centers=centers,
                         mu_b=mu_b, sigma_b=sigma_b, alpha=config.alpha)
-
-
-def salient_residual(matrix, part: LayerPartition, quant: SalientQuant) -> float:
-    """Squared reconstruction error over the salient members."""
-    mask = part.salient_mask()
-    rows = np.nonzero(mask)[0]
-    w = matrix.data[mask].astype(np.float64)
-    if w.size == 0:
-        return 0.0
-    approx = quant.scales.astype(np.float64)[rows] * quant.centers[quant.codes]
-    return float(np.sum(np.square(w - approx)))

@@ -30,7 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bit_packer
-from .errors import FormatError, IoError, TruncationError, ValidationError
+from .config import QuantConfig
+from .errors import (DomainError, FormatError, IoError, TruncationError,
+                     ValidationError)
+from .salient_quantizer import SalientQuant
 
 TENSOR_MAGIC = b"BVW1"
 ARTIFACT_MAGIC = b"BVQ1"
@@ -85,6 +88,10 @@ class WeightMatrix:
         if not np.all(np.isfinite(self.data)):
             raise ValueError(f"tensor {self.name!r} contains non-finite values")
 
+    def squared_norm(self) -> float:
+        """Squared Frobenius norm, accumulated in float64."""
+        return float(np.sum(np.square(self.data.astype(np.float64))))
+
 
 @dataclass
 class AttentionTensor:
@@ -131,6 +138,13 @@ class ManifestEntry:
     path: Path
     role: Role
     p_sal_max: float | None = None
+
+    def load(self) -> WeightMatrix:
+        """Read the entry's tensor under the manifest's layer name and role."""
+        matrix = read_tensor(self.path)
+        matrix.name = self.name
+        matrix.role = self.role
+        return matrix
 
 
 @dataclass
@@ -279,6 +293,70 @@ def _validate_tensor_header(path):
 
 # --- quantized artifacts ----------------------------------------------------
 
+@dataclass
+class QuantizedLayer:
+    """Everything needed to reconstruct one quantized layer, as a .bvq layer holds it.
+
+    labels is the group-index matrix (unsalient shells 0..n_uns-1, salient
+    = n_uns); each element belongs to exactly one group, so the salient and
+    unsalient reconstructions have disjoint supports that cover the matrix.
+    scalars holds one nonnegative scalar per shell at the stored scale width;
+    signs holds one bool per unsalient element in row-major order (True =
+    +1), which is the packed sign stream. An unsalient element reconstructs
+    as scalars[label] times its sign, a salient one from `salient`.
+    """
+
+    name: str
+    role: Role
+    m: int
+    n: int
+    labels: np.ndarray
+    salient: SalientQuant
+    scalars: np.ndarray
+    signs: np.ndarray
+    p_sal_used: float
+    p_sal_max: float
+    config: QuantConfig
+
+    def validate(self):
+        cfg = self.config
+        if self.labels.shape != (self.m, self.n):
+            raise ValidationError(f"layer {self.name!r}: label shape mismatch")
+        counts = np.bincount(self.labels.ravel(), minlength=cfg.n_uns + 1)
+        if counts.size > cfg.n_uns + 1:
+            raise ValidationError(f"layer {self.name!r}: label outside group range")
+        if self.salient.scales.shape != (self.m,):
+            raise ValidationError(f"layer {self.name!r}: need one scale per row")
+        if self.salient.codes.size != counts[cfg.n_uns]:
+            raise ValidationError(f"layer {self.name!r}: salient code count mismatch")
+        if self.salient.centers.size != 2 ** cfg.n_bits:
+            raise ValidationError(f"layer {self.name!r}: center table size mismatch")
+        if self.scalars.shape != (cfg.n_uns,):
+            raise ValidationError(f"layer {self.name!r}: expected {cfg.n_uns} scalars")
+        if np.any(self.scalars < 0.0):
+            raise ValidationError(f"layer {self.name!r}: negative shell scalar")
+        if self.signs.size != self.labels.size - counts[cfg.n_uns]:
+            raise ValidationError(f"layer {self.name!r}: sign count mismatch")
+        if not 0.0 <= self.p_sal_used <= 1.0:
+            raise ValidationError(f"layer {self.name!r}: invalid p_sal_used")
+
+    def dense(self) -> np.ndarray:
+        """float64 reconstruction of the layer.
+
+        The shell scalars are gathered by label in one pass and signed; the
+        salient values are then written over their positions.
+        """
+        salient = self.labels == self.config.n_uns
+        positive = np.ones(self.labels.shape, dtype=bool)
+        positive[~salient] = self.signs
+        out = np.append(self.scalars.astype(np.float64), 0.0)[self.labels]
+        out *= 2.0 * positive - 1.0
+        rows = np.repeat(np.arange(self.m), np.count_nonzero(salient, axis=1))
+        sal = self.salient
+        out[salient] = sal.scales.astype(np.float64)[rows] * sal.centers[sal.codes]
+        return out
+
+
 def _pack_scales(values: np.ndarray, width: int) -> bytes:
     dt = "<f2" if width == 16 else "<f4"
     return np.asarray(values).astype(dt, copy=False).tobytes()
@@ -290,8 +368,6 @@ def _blob(data: bytes) -> bytes:
 
 def write_artifact(layers, path):
     """Serialize quantized layers to a .bvq file (lossless round trip)."""
-    from .pipeline import QuantizedLayer  # deferred: pipeline imports this module
-
     chunks = [ARTIFACT_MAGIC, struct.pack("<HI", FORMAT_VERSION, len(layers))]
     for layer in layers:
         if not isinstance(layer, QuantizedLayer):
@@ -310,8 +386,7 @@ def write_artifact(layers, path):
         chunks.append(struct.pack("<dd", sal.mu_b, sal.sigma_b))
         chunks.append(sal.centers.astype("<f8").tobytes())
         chunks.append(_pack_scales(sal.scales, cfg.scale_width))
-        scalars = np.array([s.scale for s in layer.subsets], dtype=np.float64)
-        chunks.append(_pack_scales(scalars, cfg.scale_width))
+        chunks.append(_pack_scales(layer.scalars, cfg.scale_width))
 
         book = bit_packer.layer_codebook(layer)
         chunks.append(bytes(book.lengths))
@@ -319,17 +394,32 @@ def write_artifact(layers, path):
         chunks.append(_blob(bit_packer.pack_stream(layer.labels.ravel(), book)))
         code_book = bit_packer.CodeBook.fixed(2 ** cfg.n_bits, cfg.n_bits)
         chunks.append(_blob(bit_packer.pack_stream(sal.codes, code_book)))
-        chunks.append(_blob(np.packbits(layer.sign_stream()).tobytes()))
+        chunks.append(_blob(np.packbits(layer.signs).tobytes()))
     _write_bytes(path, b"".join(chunks))
 
 
-def read_artifact(path) -> list:
-    """Parse a .bvq file back into QuantizedLayer values."""
-    from .pipeline import QuantizedLayer
-    from .config import QuantConfig
-    from .salient_quantizer import SalientQuant
-    from .unsalient_binarizer import BinarizedSubset
+def _index_codebook(lengths: list[int], solo: int | None, origin: str):
+    """Codebook of a stored group-index stream, checked before any decoding.
 
+    The writer stores either a complete Huffman code over the n_uns + 1
+    groups, whose depth is at most n_uns (and MAX_CODE_LEN), or all-zero
+    lengths with a solo group in range. Anything else would decode to
+    garbage or ask for a decode table of 2**length entries.
+    """
+    depth = min(len(lengths) - 1, bit_packer.MAX_CODE_LEN)
+    if solo is None:
+        valid = (0 < max(lengths) <= depth
+                 and sum(1 << (depth - l) for l in lengths if l) == 1 << depth)
+    else:
+        valid = max(lengths) == 0 and solo < len(lengths)
+    if not valid:
+        raise FormatError(f"{origin}: invalid group codebook (lengths {lengths}, "
+                          f"solo {solo})")
+    return bit_packer.CodeBook.from_lengths(lengths, solo=solo)
+
+
+def read_artifact(path) -> list:
+    """Parse a .bvq file back into QuantizedLayer values, each validated."""
     reader = _Reader(_read_bytes(path), str(path))
     _check_magic(reader, ARTIFACT_MAGIC)
     (layer_count,) = reader.unpack("I")
@@ -341,9 +431,17 @@ def read_artifact(path) -> list:
          optimize, p_sal_max, p_sal_used) = reader.unpack("BQQBBBBdHBdd")
         if role_code not in _ROLE_FROM_CODE:
             raise FormatError(f"{path}: unknown role code {role_code}")
-        cfg = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=None,
-                          alpha=alpha, iters=iters, scale_width=scale_width,
-                          l_i_max=l_i_max, optimize_saliency=bool(optimize))
+        try:
+            cfg = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=None,
+                              alpha=alpha, iters=iters, scale_width=scale_width,
+                              l_i_max=l_i_max, optimize_saliency=bool(optimize))
+        except DomainError as exc:
+            raise FormatError(f"{path}: layer {name!r}: {exc}") from exc
+        # Every weight costs at least one stored bit: an index code, a sign
+        # or a salient code. Checked before any (m, n)-sized allocation.
+        if m * n > 8 * (len(reader.buf) - reader.pos):
+            raise TruncationError(f"{path}: layer {name!r} declares {m}x{n} weights, "
+                                  f"more than the remaining bytes can hold")
         mu_b, sigma_b = reader.unpack("dd")
         centers = reader.array("f8", 2 ** n_bits)
         scale_dt = "f2" if scale_width == 16 else "f4"
@@ -352,14 +450,13 @@ def read_artifact(path) -> list:
 
         lengths = list(reader.take(n_uns + 1))
         (solo,) = reader.unpack("B")
-        book = bit_packer.CodeBook.from_lengths(
-            lengths, solo=None if solo == 0xFF else solo)
+        book = _index_codebook(lengths, None if solo == 0xFF else solo,
+                               f"{path}: layer {name!r}")
         (index_len,) = reader.unpack("Q")
         labels = bit_packer.unpack_stream(reader.take(index_len), book, m * n)
         labels = labels.astype(np.int8).reshape(m, n)
 
-        counts = np.bincount(labels.ravel(), minlength=n_uns + 1)
-        salient_count = int(counts[n_uns])
+        salient_count = int(np.count_nonzero(labels == n_uns))
         (codes_len,) = reader.unpack("Q")
         code_book = bit_packer.CodeBook.fixed(2 ** n_bits, n_bits)
         codes = bit_packer.unpack_stream(reader.take(codes_len), code_book,
@@ -372,17 +469,17 @@ def read_artifact(path) -> list:
         signs = np.unpackbits(np.frombuffer(sign_bytes, dtype=np.uint8),
                               count=sign_count).astype(bool)
 
-        flat_labels = labels.ravel()
-        sub_labels = flat_labels[flat_labels < n_uns]
-        subsets = [BinarizedSubset(index=k, scale=float(scalars[k - 1]),
-                                   signs=signs[sub_labels == k - 1])
-                   for k in range(1, n_uns + 1)]
         salient = SalientQuant(scales=scales, codes=codes, centers=centers,
                                mu_b=mu_b, sigma_b=sigma_b, alpha=alpha)
-        layers.append(QuantizedLayer(name=name, role=_ROLE_FROM_CODE[role_code],
-                                     m=m, n=n, labels=labels, salient=salient,
-                                     subsets=subsets, p_sal_used=p_sal_used,
-                                     p_sal_max=p_sal_max, config=cfg))
+        layer = QuantizedLayer(name=name, role=_ROLE_FROM_CODE[role_code],
+                               m=m, n=n, labels=labels, salient=salient,
+                               scalars=scalars, signs=signs, p_sal_used=p_sal_used,
+                               p_sal_max=p_sal_max, config=cfg)
+        try:
+            layer.validate()
+        except ValidationError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        layers.append(layer)
     reader.done()
     return layers
 

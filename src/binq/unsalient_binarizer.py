@@ -1,46 +1,29 @@
-"""Closed-form 1-bit binarization of the unsalient subsets.
+"""Closed-form 1-bit binarization of the unsalient shells.
 
-Each subset is represented by its sign pattern and a single nonnegative
-scalar; for signs fixed to sign(w) the squared error is minimized exactly
+Each shell is represented by one nonnegative scalar times the signs of its
+members; for signs fixed to sign(w) the squared error is minimized exactly
 by the mean absolute value of the members.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError
 from .partitioner import LayerPartition
 
 
-@dataclass
-class BinarizedSubset:
-    """One unsalient subset: scalar times +/-1 signs on its member positions.
+def binarize_unsalient(matrix, part: LayerPartition):
+    """Optimal scalar per unsalient shell and the sign of every unsalient element.
 
-    Signs follow row-major traversal of the member positions so packing is
-    reproducible. True encodes +1 (the sign of an exact zero weight).
+    Returns (scalars, signs). scalars[k] is the mean |w| over the members of
+    shell k (label k) in row-major order, or 0 for an empty shell. signs
+    holds one bool per unsalient element in row-major order; True encodes +1
+    (the sign of an exact zero weight).
     """
-
-    index: int          # 1-based subset id
-    scale: float        # >= 0
-    signs: np.ndarray   # bool, one per member
-
-
-def binarize_subset(matrix, part: LayerPartition, k: int) -> BinarizedSubset:
-    """Optimal sign pattern and scalar for unsalient subset k.
-
-    An empty subset yields scale 0 with no signs, which is a valid result.
-    """
-    members = matrix.data[part.subset_mask(k)].astype(np.float64)
-    signs = members >= 0.0
-    scale = float(np.mean(np.abs(members))) if members.size else 0.0
-    return BinarizedSubset(index=k, scale=scale, signs=signs)
-
-
-def subset_error(matrix, part: LayerPartition, binarized: BinarizedSubset) -> float:
-    """Frobenius-squared residual of the binarized subset over its members."""
-    members = matrix.data[part.subset_mask(binarized.index)].astype(np.float64)
-    if members.size != binarized.signs.size:
-        raise DomainError("binarized subset does not match this partition")
-    approx = binarized.scale * np.where(binarized.signs, 1.0, -1.0)
-    return float(np.sum(np.square(members - approx)))
+    labels = part.labels.ravel()
+    magnitudes = np.abs(matrix.data).ravel()
+    scalars = np.zeros(part.n_uns, dtype=np.float64)
+    for k in range(part.n_uns):
+        # np.compress picks the same elements as a boolean index, faster.
+        members = np.compress(labels == k, magnitudes).astype(np.float64)
+        if members.size:
+            scalars[k] = np.mean(members)
+    return scalars, (matrix.data >= 0.0).ravel()[labels < part.n_uns]

@@ -48,6 +48,24 @@ def straddling_outlier_matrix(seed, shape=(96, 96), sigma=0.02, frac=0.03,
     return WeightMatrix(name=name, role=role, data=data.astype(np.float32))
 
 
+def rowwise_residuals(matrix, part, iters):
+    """Squared salient residual of the row-wise fit after iterations 1..iters.
+
+    With atol = 0 fit_rowwise is deterministic, so a fit run for k
+    iterations holds the state after iteration k of any longer run.
+    """
+    from binq.salient_quantizer import fit_rowwise
+
+    mask = part.salient_mask()
+    rows = np.nonzero(mask)[0]
+    w = matrix.data[mask].astype(np.float64)
+    out = []
+    for k in range(1, iters + 1):
+        scales, relaxed = fit_rowwise(matrix, part, iters=k)
+        out.append(float(np.sum(np.square(w - scales[rows] * relaxed))))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

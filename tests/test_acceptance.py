@@ -19,11 +19,11 @@ from binq import (QuantConfig, Role, WeightMatrix, quantize_layer,
 from binq.bit_packer import (CodeBook, max_partitions, pack_stream,
                              storage_report, unpack_stream)
 from binq.partitioner import partition
-from binq.salient_quantizer import fit_rowwise, level_grid
+from binq.salient_quantizer import level_grid
 from binq.saliency_optimizer import evaluate_objective, optimize_saliency, sweep_thresholds
 from binq.token_pruner import layer_lambda, retain_mask, validate_scores
 from binq.weight_stats import fit_gaussian, probit
-from conftest import outlier_matrix, straddling_outlier_matrix
+from conftest import outlier_matrix, rowwise_residuals, straddling_outlier_matrix
 from test_tensor_store import layers_equal
 from test_token_pruner import language_tensor, vision_tensor
 
@@ -57,7 +57,7 @@ def test_criterion_02_partition_count_formula():
 
 def test_criterion_03_binarization_optimality_oracle():
     from binq.partitioner import LayerPartition, PartitionSpec
-    from binq.unsalient_binarizer import binarize_subset, subset_error
+    from binq.unsalient_binarizer import binarize_unsalient
 
     start = time.perf_counter()
     rng = np.random.default_rng(42)
@@ -70,9 +70,9 @@ def test_criterion_03_binarization_optimality_oracle():
         spec = PartitionSpec(p_sal=0.0, n_uns=1, z_cutoffs=(7.0,), mu=0.0,
                              sigma=1.0)
         part = LayerPartition(labels=np.zeros((1, size), np.int8), spec=spec)
-        sub = binarize_subset(mat, part, 1)
-        closed = subset_error(mat, part, sub)
+        scalars, positive = binarize_unsalient(mat, part)
         w = mat.data.astype(np.float64).ravel()
+        closed = float(np.sum((w - scalars[0] * np.where(positive, 1.0, -1.0)) ** 2))
         best = math.inf
         for signs in itertools.product((-1.0, 1.0), repeat=size):
             b = np.asarray(signs)
@@ -98,8 +98,7 @@ def test_criterion_04_rowwise_fit_monotone_residual():
         spec = PartitionSpec(p_sal=1.0, n_uns=1, z_cutoffs=(0.0,), mu=0.0,
                              sigma=1.0)
         part = LayerPartition(labels=np.ones((32, 32), np.int8), spec=spec)
-        _, _, residuals = fit_rowwise(mat, part, iters=15,
-                                      collect_residuals=True)
+        residuals = rowwise_residuals(mat, part, 15)
         for a, b in zip(residuals, residuals[1:]):
             if b > a * (1 + 1e-12) + 1e-15:
                 violations += 1

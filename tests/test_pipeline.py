@@ -1,11 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from binq import (DomainError, QuantConfig, Role, WeightMatrix, quantize_layer,
-                  quantize_model, read_manifest, reconstruct,
-                  reconstruction_error, relative_error, write_tensor)
+from binq import (DomainError, ModelManifest, QuantConfig, Role, WeightMatrix,
+                  quantize_layer, quantize_model, read_manifest, reconstruct,
+                  reconstruction_error, relative_error, write_artifact,
+                  write_tensor)
 from binq.bit_packer import storage_report
 from binq.saliency_optimizer import evaluate_objective
 from binq.weight_stats import fit_gaussian
@@ -87,7 +89,7 @@ class TestQuantizeLayer:
         counts = np.bincount(layer.labels.ravel(), minlength=6)
         assert counts.sum() == 40 * 40
         assert layer.salient.codes.size == counts[5]
-        assert sum(s.signs.size for s in layer.subsets) == counts[:5].sum()
+        assert layer.signs.size == counts[:5].sum()
 
     def test_budget_not_exceeded(self):
         mat = gaussian_matrix(6, shape=(128, 128), sigma=0.02)
@@ -188,3 +190,35 @@ class TestQuantConfigValidation:
     def test_rejects_bad_alpha(self):
         with pytest.raises(DomainError):
             QuantConfig(alpha=0.0)
+
+
+def test_golden_artifact_and_objective(tmp_path):
+    """Artifact digest and error-CSV objectives of a seeded 3-layer set.
+
+    The heavy-tailed layer is searched (interior optimum), the biased one is
+    pinned to its cap with the search off, and the constant one degenerates
+    to a single shell. Frozen values; any change to the arithmetic or the
+    file format shows here.
+    """
+    rng = np.random.default_rng(2024)
+    specs = [("heavy", "vision",
+              WeightMatrix("heavy", Role.VISION,
+                           0.02 * rng.standard_t(5, (48, 64)))),
+             ("plain", "language",
+              WeightMatrix("plain", Role.LANGUAGE,
+                           0.02 * (0.5 + rng.standard_normal((32, 48))))),
+             ("flat", "adaptor",
+              WeightMatrix("flat", Role.ADAPTOR, np.full((8, 16), 0.25)))]
+    entries = read_manifest(build_manifest(tmp_path, specs)).entries
+    layers, rows = [], []
+    for entry, search in zip(entries, (True, False, True)):
+        got, _, got_rows = quantize_model(ModelManifest([entry]),
+                                          QuantConfig(optimize_saliency=search))
+        layers += got
+        rows += got_rows
+    path = tmp_path / "golden.bvq"
+    write_artifact(layers, path)
+    assert [r["p_sal_used"] for r in rows] == [0.02128, 0.01, 0.0]
+    assert [r["J"] for r in rows] == [0.02965584063898835, 0.031770632309324004, 0.0]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "eaf59a567f129e832fd0d03809c8864f57752c9d824822b0b35af172cc57b3ed")

@@ -6,15 +6,23 @@ import pytest
 from binq import DomainError, QuantConfig, Role, WeightMatrix
 from binq.partitioner import LayerPartition, PartitionSpec, partition
 from binq.salient_quantizer import (adaptive_levels, assign_codes, fit_rowwise,
-                                    level_grid, quantize_salient,
-                                    salient_residual)
+                                    level_grid, quantize_salient)
 from binq.weight_stats import fit_gaussian
-from conftest import gaussian_matrix, outlier_matrix
+from conftest import gaussian_matrix, outlier_matrix, rowwise_residuals
 
 # Exact evaluations of the exponential level mapping at alpha = 1.4:
 # 1.4*e - 1 and 1.4*sqrt(e) - 1.
 LEVEL_OUTER = 2.805594559842663
 LEVEL_INNER = 1.3082097789801792
+
+
+def salient_residual(mat, part, quant):
+    """Squared reconstruction error over the salient members."""
+    mask = part.salient_mask()
+    rows = np.nonzero(mask)[0]
+    w = mat.data[mask].astype(np.float64)
+    approx = quant.scales.astype(np.float64)[rows] * quant.centers[quant.codes]
+    return float(np.sum(np.square(w - approx)))
 
 
 def all_salient(values):
@@ -49,7 +57,7 @@ class TestFitRowwise:
 
     def test_two_six_residual_decreases(self):
         mat, part = all_salient([2.0, 6.0])
-        _, _, residuals = fit_rowwise(mat, part, iters=4, collect_residuals=True)
+        residuals = rowwise_residuals(mat, part, 4)
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
         assert residuals[1] < residuals[0]
 
@@ -72,7 +80,7 @@ class TestFitRowwise:
     def test_monotone_residual_random(self, rng):
         for _ in range(10):
             mat, part = all_salient(rng.normal(0, 1, (16, 16)).astype(np.float32))
-            _, _, res = fit_rowwise(mat, part, iters=10, collect_residuals=True)
+            res = rowwise_residuals(mat, part, 10)
             assert all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(res, res[1:]))
 
     def test_empty_salient_set(self):
@@ -112,8 +120,9 @@ class TestAdaptiveLevels:
 
     def test_stats_from_nonzero_members(self):
         relaxed = np.array([0.0, 0.0, -1.0, 1.0])
-        levels, centers = adaptive_levels(relaxed, 2, 1.4)
+        levels, _, mu_b, sigma_b = adaptive_levels(relaxed, 2, 1.4)
         # nonzero values {-1, 1}: mean 0, population std 1
+        assert (mu_b, sigma_b) == (0.0, 1.0)
         assert levels == pytest.approx(
             [-LEVEL_OUTER, -LEVEL_INNER, 0.0, LEVEL_INNER, LEVEL_OUTER], abs=1e-12)
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -27,12 +28,8 @@ def layers_equal(a, b):
         return False
     if (sa.mu_b, sa.sigma_b, sa.alpha) != (sb.mu_b, sb.sigma_b, sb.alpha):
         return False
-    for x, y in zip(a.subsets, b.subsets):
-        if x.index != y.index or x.scale != y.scale:
-            return False
-        if not np.array_equal(x.signs, y.signs):
-            return False
-    return True
+    return (np.array_equal(a.scalars, b.scalars)
+            and np.array_equal(a.signs, b.signs))
 
 
 class TestTensorRoundTrip:
@@ -182,6 +179,83 @@ class TestArtifactRoundTrip:
         write_artifact([layer], path)
         (back,) = read_artifact(path)
         assert layers_equal(layer, back)
+
+
+def _fields_offset(layer):
+    """Byte offset of the first layer's fixed fields (role, m, n, n_uns, ...)."""
+    return 4 + 2 + 4 + 2 + len(layer.name.encode())
+
+
+def _code_length_offset(layer):
+    """Byte offset of the first layer's group code lengths in a .bvq file."""
+    cfg = layer.config
+    return (_fields_offset(layer) + struct.calcsize("<BQQBBBBdHBdd") + 16
+            + 8 * 2 ** cfg.n_bits + cfg.scale_width // 8 * (layer.m + cfg.n_uns))
+
+
+def _corrupt_length(byte):
+    def corrupt(raw, layer):
+        raw[_code_length_offset(layer)] = byte
+    return corrupt
+
+
+def _break_kraft(raw, layer):
+    # Every group one bit long: six one-bit codes cannot be prefix-free.
+    off = _code_length_offset(layer)
+    raw[off:off + layer.config.n_uns + 1] = bytes([1] * (layer.config.n_uns + 1))
+
+
+def _corrupt_solo(raw, layer):
+    raw[_code_length_offset(layer) + layer.config.n_uns + 1] = 9
+
+
+def _negative_scalar(raw, layer):
+    off = _code_length_offset(layer) - 2 * layer.config.n_uns
+    raw[off:off + 2] = np.array([-1.0], "<f2").tobytes()
+
+
+def _zero_shells(raw, layer):
+    raw[_fields_offset(layer) + struct.calcsize("<BQQ")] = 0
+
+
+def _huge_columns(raw, layer):
+    # A solo-coded layer stores no index bits, so only the declared size
+    # says how many labels to materialize.
+    off = _fields_offset(layer) + struct.calcsize("<BQ")
+    raw[off:off + 8] = struct.pack("<Q", 2 ** 37)
+
+
+# (how the file is damaged, whether the layer is constant): a constant layer
+# stores all-zero code lengths and a solo group.
+MALFORMED = {
+    "code_length_60": (_corrupt_length(60), False),
+    "code_length_30": (_corrupt_length(30), False),
+    "kraft_violated": (_break_kraft, False),
+    "solo_out_of_range": (_corrupt_solo, True),
+    "negative_scalar": (_negative_scalar, False),
+    "zero_shells": (_zero_shells, False),
+    "huge_columns": (_huge_columns, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_artifact_rejected(tmp_path, capsys, case):
+    from binq.cli import main
+    corrupt, constant = MALFORMED[case]
+    if constant:
+        mat = WeightMatrix("c", Role.LANGUAGE, np.full((8, 8), 2.0, np.float32))
+    else:
+        mat = outlier_matrix(1, shape=(16, 16), frac=0.02, magnitude=6.0)
+    layer = quantize_layer(mat)
+    path = tmp_path / "m.bvq"
+    write_artifact([layer], path)
+    raw = bytearray(path.read_bytes())
+    corrupt(raw, layer)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        read_artifact(path)
+    assert main(["report", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 class TestAttentionRoundTrip:

@@ -5,7 +5,7 @@ import pytest
 
 from binq import Role, WeightMatrix
 from binq.partitioner import partition
-from binq.unsalient_binarizer import binarize_subset, subset_error
+from binq.unsalient_binarizer import binarize_unsalient
 from binq.weight_stats import fit_gaussian
 
 
@@ -17,6 +17,12 @@ def single_subset(values):
     spec = PartitionSpec(p_sal=0.0, n_uns=1, z_cutoffs=(7.0,), mu=0.0, sigma=1.0)
     part = LayerPartition(labels=np.zeros(mat.data.shape, np.int8), spec=spec)
     return mat, part
+
+
+def binarized_error(mat, scale, signs):
+    """Squared error of scale * (+/-1 signs) against a one-subset matrix."""
+    w = mat.data.astype(np.float64).ravel()
+    return float(np.sum(np.square(w - scale * np.where(signs, 1.0, -1.0))))
 
 
 def exhaustive_best(values):
@@ -35,49 +41,49 @@ def exhaustive_best(values):
 class TestBinarizeSubset:
     def test_exactly_representable(self):
         mat, part = single_subset([3.0, 3.0, 3.0])
-        sub = binarize_subset(mat, part, 1)
-        assert sub.scale == pytest.approx(3.0)
-        assert np.all(sub.signs)
-        assert subset_error(mat, part, sub) == pytest.approx(0.0, abs=1e-12)
+        (scale,), signs = binarize_unsalient(mat, part)
+        assert scale == pytest.approx(3.0)
+        assert np.all(signs)
+        assert binarized_error(mat, scale, signs) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_three(self):
         mat, part = single_subset([1.0, 3.0])
-        sub = binarize_subset(mat, part, 1)
-        assert sub.scale == pytest.approx(2.0)
-        assert list(sub.signs) == [True, True]
-        assert subset_error(mat, part, sub) == pytest.approx(2.0, abs=1e-10)
+        (scale,), signs = binarize_unsalient(mat, part)
+        assert scale == pytest.approx(2.0)
+        assert list(signs) == [True, True]
+        assert binarized_error(mat, scale, signs) == pytest.approx(2.0, abs=1e-10)
         # scalar grid + all four sign patterns confirm the minimum
         grid = np.arange(0.0, 5.0, 1e-4)[:, None]
         w = np.array([1.0, 3.0])
         best = np.inf
-        for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
-            errs = np.sum((w[None, :] - grid * np.array(signs)) ** 2, axis=1)
+        for pattern in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
+            errs = np.sum((w[None, :] - grid * np.array(pattern)) ** 2, axis=1)
             best = min(best, float(errs.min()))
-        assert subset_error(mat, part, sub) <= best + 1e-9
+        assert binarized_error(mat, scale, signs) <= best + 1e-9
 
     def test_symmetric_pair(self):
         mat, part = single_subset([-2.0, 2.0])
-        sub = binarize_subset(mat, part, 1)
-        assert sub.scale == pytest.approx(2.0)
-        assert list(sub.signs) == [False, True]
-        assert subset_error(mat, part, sub) == pytest.approx(0.0, abs=1e-12)
+        (scale,), signs = binarize_unsalient(mat, part)
+        assert scale == pytest.approx(2.0)
+        assert list(signs) == [False, True]
+        assert binarized_error(mat, scale, signs) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_member_sign_convention(self):
         mat, part = single_subset([0.0, 1.0])
-        sub = binarize_subset(mat, part, 1)
-        assert list(sub.signs) == [True, True]
-        assert sub.scale == pytest.approx(0.5)
+        (scale,), signs = binarize_unsalient(mat, part)
+        assert list(signs) == [True, True]
+        assert scale == pytest.approx(0.5)
 
     def test_empty_subset(self):
         mat = WeightMatrix("t", Role.LANGUAGE,
                            np.array([[1e-3, 10.0, -10.0, 1e-3]], np.float32))
         fit = fit_gaussian(mat)
         part = partition(mat, fit, 0.0, 3)
-        empty = [k for k in range(1, 4) if part.subset_mask(k).sum() == 0]
+        empty = [k for k in range(3) if np.sum(part.labels == k) == 0]
         assert empty, "construction should leave a hole in the middle subsets"
-        sub = binarize_subset(mat, part, empty[0])
-        assert sub.scale == 0.0
-        assert sub.signs.size == 0
+        scalars, signs = binarize_unsalient(mat, part)
+        assert scalars[empty[0]] == 0.0
+        assert signs.size == np.sum(part.labels < 3)
 
     def test_optimality_oracle(self):
         rng = np.random.default_rng(99)
@@ -85,8 +91,8 @@ class TestBinarizeSubset:
             size = rng.integers(1, 13)
             values = rng.normal(0, 1, size)
             mat, part = single_subset(values)
-            sub = binarize_subset(mat, part, 1)
-            closed = subset_error(mat, part, sub)
+            (scale,), signs = binarize_unsalient(mat, part)
+            closed = binarized_error(mat, scale, signs)
             stored = mat.data.astype(np.float64).ravel()
             assert closed <= exhaustive_best(stored) + 1e-9
 
@@ -95,22 +101,23 @@ class TestBinarizeSubset:
         for _ in range(20):
             values = rng.normal(0, 2, rng.integers(2, 40))
             mat, part = single_subset(values)
-            sub = binarize_subset(mat, part, 1)
+            (scale,), signs = binarize_unsalient(mat, part)
             w = mat.data.astype(np.float64).ravel()
-            identity = float(np.sum(w * w) - sub.scale ** 2 * w.size)
-            assert subset_error(mat, part, sub) == pytest.approx(identity, abs=1e-8)
+            identity = float(np.sum(w * w) - scale ** 2 * w.size)
+            assert binarized_error(mat, scale, signs) == pytest.approx(identity, abs=1e-8)
 
     def test_scale_equivariance(self):
         values = [0.5, -1.5, 2.5, -0.25]
         mat, part = single_subset(values)
-        sub = binarize_subset(mat, part, 1)
+        (scale,), signs = binarize_unsalient(mat, part)
         scaled, part2 = single_subset([4 * v for v in values])
-        sub2 = binarize_subset(scaled, part2, 1)
-        assert sub2.scale == pytest.approx(4 * sub.scale, rel=1e-12)
-        assert np.array_equal(sub.signs, sub2.signs)
+        (scale2,), signs2 = binarize_unsalient(scaled, part2)
+        assert scale2 == pytest.approx(4 * scale, rel=1e-12)
+        assert np.array_equal(signs, signs2)
 
     def test_scale_nonnegative(self, rng):
         for _ in range(20):
             values = rng.normal(-3, 1, 10)
             mat, part = single_subset(values)
-            assert binarize_subset(mat, part, 1).scale >= 0.0
+            (scale,), _ = binarize_unsalient(mat, part)
+            assert scale >= 0.0
