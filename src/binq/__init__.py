@@ -11,7 +11,7 @@ from .pipeline import (quantize_layer, quantize_model, reconstruct,
                        reconstruction_error, relative_error)
 from .salient_quantizer import (SalientQuant, adaptive_levels, assign_codes,
                                 fit_rowwise, level_grid, quantize_salient)
-from .saliency_optimizer import (ObjectiveEval, brent_minimize,
+from .saliency_optimizer import (LayerObjective, ObjectiveEval, brent_minimize,
                                  evaluate_objective, hybrid_quantize,
                                  optimize_saliency, score_layer,
                                  sweep_thresholds)

@@ -283,13 +283,13 @@ def layer_codebook(layer: "QuantizedLayer") -> CodeBook:
     return CodeBook.from_frequencies(counts)
 
 
-def storage_report(layer: "QuantizedLayer", config: "QuantConfig" = None) -> StorageReport:
+def storage_report(layer: "QuantizedLayer") -> StorageReport:
     """Storage accounting for a quantized layer.
 
     Realized sizes are derived arithmetically from group counts and code
     lengths, which matches the artifact writer byte for byte.
     """
-    cfg = config if config is not None else layer.config
+    cfg = layer.config
     weights = layer.m * layer.n
     p_cap = layer.p_sal_max
     l_b, l_a, l_i, l_model = storage_budget(layer.m, layer.n, cfg, p_cap)

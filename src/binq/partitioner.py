@@ -30,10 +30,6 @@ class PartitionSpec:
     mu: float
     sigma: float
 
-    @property
-    def p_uns(self) -> float:
-        return (1.0 - self.p_sal) / self.n_uns
-
 
 @dataclass
 class LayerPartition:
@@ -58,10 +54,6 @@ class LayerPartition:
     def salient_mask(self) -> np.ndarray:
         return self.labels == self.salient_label
 
-    def counts(self) -> np.ndarray:
-        """Element count per group, unsalient subsets first, salient last."""
-        return np.bincount(self.labels.ravel(), minlength=self.n_uns + 1)
-
 
 def compute_cutoffs(p_sal: float, n_uns: int) -> list[float]:
     """z-scores bounding the unsalient subsets for a given salient share.
@@ -81,6 +73,13 @@ def compute_cutoffs(p_sal: float, n_uns: int) -> list[float]:
     return cutoffs
 
 
+def magnitude_thresholds(fit: GaussianFit, cutoffs) -> np.ndarray:
+    """Group bounds mu + sigma*z on uncentered |w|; none (inf) for a zero-sigma fit."""
+    if fit.sigma == 0.0:
+        return np.full(len(cutoffs), np.inf)
+    return fit.mu + fit.sigma * np.asarray(cutoffs, dtype=np.float64)
+
+
 def partition(matrix, fit: GaussianFit, p_sal: float, n_uns: int) -> LayerPartition:
     """Label every element of the matrix with its magnitude group.
 
@@ -91,15 +90,11 @@ def partition(matrix, fit: GaussianFit, p_sal: float, n_uns: int) -> LayerPartit
     single unsalient group with the salient share forced to 0.
     """
     if fit.sigma == 0.0:
-        spec = PartitionSpec(p_sal=0.0, n_uns=n_uns,
-                             z_cutoffs=tuple(compute_cutoffs(0.0, n_uns)),
-                             mu=fit.mu, sigma=0.0)
-        return LayerPartition(labels=np.zeros(matrix.data.shape, dtype=np.int8), spec=spec)
-
+        p_sal = 0.0
     cutoffs = compute_cutoffs(p_sal, n_uns)
-    thresholds = fit.mu + fit.sigma * np.asarray(cutoffs, dtype=np.float64)
     magnitudes = np.abs(matrix.data.astype(np.float64))
-    labels = np.digitize(magnitudes, thresholds, right=True).astype(np.int8)
+    labels = np.digitize(magnitudes, magnitude_thresholds(fit, cutoffs),
+                         right=True).astype(np.int8)
     spec = PartitionSpec(p_sal=p_sal, n_uns=n_uns, z_cutoffs=tuple(cutoffs),
                          mu=fit.mu, sigma=fit.sigma)
     return LayerPartition(labels=labels, spec=spec)

@@ -97,7 +97,7 @@ def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):
             "n": layer.n,
             "p_sal_used": layer.p_sal_used,
             "J": j,
-            "relative_error": relative_error(matrix, layer),
+            "relative_error": math.sqrt(j),
             "bits_per_weight": report.bits_per_weight,
         })
     return layers, bit_packer.aggregate_reports(reports), rows

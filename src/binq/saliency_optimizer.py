@@ -5,7 +5,7 @@ layer's squared Frobenius norm. A bounded Brent search (parabolic steps
 with golden-section fallback) minimizes J over [0, p_sal_max]; because the
 quantile cutoffs move in discrete steps J need not be unimodal, so the
 search result is additionally compared against both interval endpoints and
-the overall best is returned.
+the overall best is returned. An evaluation builds no layer (`LayerObjective`).
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import QuantConfig
 from .errors import DomainError, OptimizationError
-from .partitioner import partition
+from .partitioner import compute_cutoffs, magnitude_thresholds, partition
 from .salient_quantizer import quantize_salient, store_scales
 from .tensor_store import QuantizedLayer
 from .unsalient_binarizer import binarize_unsalient
@@ -45,9 +45,11 @@ def hybrid_quantize(matrix, fit: GaussianFit, p_sal: float,
     """
     part = partition(matrix, fit, p_sal, config.n_uns)
     scalars, signs = binarize_unsalient(matrix, part)
+    mask = part.salient_mask()
+    salient = quantize_salient(np.nonzero(mask)[0], matrix.data[mask].astype(np.float64),
+                               matrix.m, config)
     return QuantizedLayer(name=matrix.name, role=matrix.role, m=matrix.m,
-                          n=matrix.n, labels=part.labels,
-                          salient=quantize_salient(matrix, part, config),
+                          n=matrix.n, labels=part.labels, salient=salient,
                           scalars=store_scales(scalars, config.scale_width),
                           signs=signs, p_sal_used=part.spec.p_sal,
                           p_sal_max=config.resolve_p_sal_max(matrix.role),
@@ -69,22 +71,62 @@ def score_layer(matrix, layer: QuantizedLayer, denom: float) -> ObjectiveEval:
                          denom=denom)
 
 
-def evaluate_objective(matrix, fit: GaussianFit, p_sal: float,
-                       config: QuantConfig, denom: float | None = None) -> ObjectiveEval:
-    """Normalized reconstruction error of the full hybrid pipeline at p_sal.
+class LayerObjective:
+    """The objective of one layer at any salient share p in [0, p_sal_max].
 
-    denom is the matrix's squared norm; a caller that evaluates one matrix
-    many times passes it in so it is computed once.
+    |w| is taken once and the salient tail at the cap (row, value and |w| of
+    each element above its cutoff) gathered once. At p the shells are picked
+    from |w| and the salient members from the tail, both in row-major order,
+    so each residual is summed exactly as `score_layer` sums it on the layer
+    `hybrid_quantize` would build.
     """
-    p_cap = config.resolve_p_sal_max(matrix.role)
-    if not 0.0 <= p_sal <= p_cap:
-        raise DomainError(f"p_sal={p_sal} outside [0, {p_cap}]")
-    if denom is None:
-        denom = matrix.squared_norm()
-    if denom == 0.0:
-        raise DomainError("objective undefined for an all-zero matrix")
-    layer = hybrid_quantize(matrix, fit, p_sal, config)
-    return replace(score_layer(matrix, layer, denom), p_sal=p_sal)
+
+    def __init__(self, matrix, fit: GaussianFit, config: QuantConfig):
+        self.denom = matrix.squared_norm()
+        if self.denom == 0.0:
+            raise DomainError("objective undefined for an all-zero matrix")
+        self.matrix, self.fit, self.config = matrix, fit, config
+        self.p_cap = config.resolve_p_sal_max(matrix.role)
+        self.mag = np.abs(matrix.data, dtype=np.float64)
+        cap_cut = magnitude_thresholds(fit, compute_cutoffs(self.p_cap, config.n_uns))[-1]
+        self.tail = self._gather_tail(cap_cut)
+
+    def _gather_tail(self, cut: float):
+        mask = self.mag > cut
+        return cut, np.nonzero(mask)[0], self.matrix.data[mask].astype(np.float64), self.mag[mask]
+
+    def __call__(self, p_sal: float) -> ObjectiveEval:
+        if not 0.0 <= p_sal <= self.p_cap:
+            raise DomainError(f"p_sal={p_sal} outside [0, {self.p_cap}]")
+        t = magnitude_thresholds(self.fit, compute_cutoffs(p_sal, self.config.n_uns))
+        if t[-1] < self.tail[0]:  # the cutoffs fall with p only up to rounding
+            self.tail = self._gather_tail(t[-1])
+        mag = self.mag.ravel()
+        labels = sum((mag > cut).view(np.int8) for cut in t)  # as `partition` labels
+        shells = [np.compress(labels == k, mag) for k in range(self.config.n_uns)]
+        means = np.array([s.sum() / max(s.size, 1) for s in shells])  # 0 for an empty shell
+        scalars = store_scales(means, self.config.scale_width).astype(np.float64)
+        uns_res = tuple(float(np.sum(np.square(s - a))) for s, a in zip(shells, scalars))
+        _, rows, w, tail_mag = self.tail
+        keep = tail_mag > t[-1]
+        rows, w = np.compress(keep, rows), np.compress(keep, w)
+        sal = quantize_salient(rows, w, self.matrix.m, self.config)
+        approx = sal.scales.astype(np.float64)[rows] * sal.centers[sal.codes]
+        sal_res = float(np.sum(np.square(w - approx)))
+        return ObjectiveEval(p_sal=p_sal, j=(sal_res + sum(uns_res)) / self.denom,
+                             salient_residual=sal_res, unsalient_residuals=uns_res,
+                             denom=self.denom)
+
+
+def evaluate_objective(matrix, fit: GaussianFit, p_sal: float, config: QuantConfig,
+                       objective: LayerObjective | None = None) -> ObjectiveEval:
+    """Normalized residual of the layer `hybrid_quantize` would build at p_sal.
+
+    A caller that evaluates one layer at many shares passes its `LayerObjective`.
+    """
+    if objective is None:
+        objective = LayerObjective(matrix, fit, config)
+    return objective(p_sal)
 
 
 def _checked_eval(f, x: float) -> float:
@@ -171,9 +213,10 @@ def brent_minimize(f, lo: float, hi: float, tol: float, max_iters: int,
 def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
     """Best salient share in [0, p_sal_max] under the normalized objective.
 
-    Evaluations are memoized on the share rounded to 1e-6. The Brent result
-    is compared against both endpoints, so the returned share is never worse
-    than either bound; ties prefer the smaller (cheaper) share.
+    The layer's `LayerObjective` is built once; every evaluation calls it and
+    is memoized on the share rounded to 1e-6. The Brent result is compared
+    against both endpoints, so the returned share is never worse than either
+    bound; ties prefer the smaller (cheaper) share.
     """
     p_cap = config.resolve_p_sal_max(matrix.role)
     if not 0.0 < p_cap < 1.0:
@@ -181,13 +224,13 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
     if fit.sigma == 0.0:
         return 0.0
 
-    denom = matrix.squared_norm()
+    objective = LayerObjective(matrix, fit, config)
     cache: dict[float, float] = {}
 
     def j_of(p: float) -> float:
         key = round(min(max(p, 0.0), p_cap), 6)
         if key not in cache:
-            cache[key] = evaluate_objective(matrix, fit, key, config, denom).j
+            cache[key] = evaluate_objective(matrix, fit, key, config, objective).j
         return cache[key]
 
     x_int, f_int = brent_minimize(j_of, 0.0, p_cap, tol=1e-4 * p_cap, max_iters=50)
@@ -200,11 +243,10 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
 
 def sweep_thresholds(matrix, fit: GaussianFit, thresholds, config: QuantConfig):
     """Objective evaluated directly at each saliency threshold (no search)."""
-    denom = matrix.squared_norm()
-    out = []
     for t in thresholds:
         if not 0.0 < t < 1.0:
             raise DomainError(f"threshold {t} outside (0, 1)")
-        cfg = replace(config, p_sal_max=t)
-        out.append(evaluate_objective(matrix, fit, t, cfg, denom))
-    return out
+    if not thresholds:
+        return []
+    objective = LayerObjective(matrix, fit, replace(config, p_sal_max=max(thresholds)))
+    return [objective(t) for t in thresholds]

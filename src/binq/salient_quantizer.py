@@ -12,7 +12,6 @@ import numpy as np
 
 from .config import QuantConfig
 from .errors import DomainError
-from .partitioner import LayerPartition
 
 
 @dataclass
@@ -31,21 +30,18 @@ class SalientQuant:
     alpha: float
 
 
-def fit_rowwise(matrix, part: LayerPartition, iters: int, atol: float = 0.0):
+def fit_rowwise(rows: np.ndarray, w: np.ndarray, m: int, iters: int, atol: float = 0.0):
     """Alternate row-scale and clipped-relaxation updates on the salient members.
 
-    Returns (scales, relaxed) where relaxed holds one value in [-1, 1] per
-    salient member in row-major order. Rows whose relaxed row has zero energy
-    keep scale 0 and their members stay at relaxed value 0. atol > 0 stops
-    early once no row scale moves by more than atol (the updates are then at
-    a fixed point for all practical purposes).
+    rows[i] and w[i] are the row and float64 value of the i-th member, in
+    row-major order of the (m, n) layer. Returns (scales, relaxed) where
+    relaxed holds one value in [-1, 1] per member. Rows whose relaxed row
+    has zero energy keep scale 0 and their members stay at relaxed value 0.
+    atol > 0 stops early once no row scale moves by more than atol (the
+    updates are then at a fixed point for all practical purposes).
     """
     if iters < 1:
         raise DomainError(f"iters must be >= 1, got {iters}")
-    m = matrix.data.shape[0]
-    mask = part.salient_mask()
-    rows = np.nonzero(mask)[0]
-    w = matrix.data[mask].astype(np.float64)
     relaxed = np.sign(w)
     scales = np.zeros(m, dtype=np.float64)
 
@@ -113,8 +109,9 @@ def store_scales(values: np.ndarray, width: int) -> np.ndarray:
     raise DomainError(f"unsupported scale width {width}")
 
 
-def quantize_salient(matrix, part: LayerPartition, config: QuantConfig) -> SalientQuant:
-    """Full salient path: row-wise fit, adaptive levels, code assignment.
+def quantize_salient(rows: np.ndarray, w: np.ndarray, m: int,
+                     config: QuantConfig) -> SalientQuant:
+    """Salient path on members gathered as `fit_rowwise` takes them: fit, levels, codes.
 
     After codes are assigned, each row scale is refitted once with the same
     exact update the relaxation loop uses, now against the discrete center
@@ -124,7 +121,7 @@ def quantize_salient(matrix, part: LayerPartition, config: QuantConfig) -> Salie
     what an artifact would hold. An empty salient set yields zero scales,
     no codes, and a degenerate all-zero center table.
     """
-    _, relaxed = fit_rowwise(matrix, part, iters=config.iters, atol=config.fit_atol)
+    _, relaxed = fit_rowwise(rows, w, m, iters=config.iters, atol=config.fit_atol)
     if relaxed.size and np.any(relaxed != 0.0):
         _, centers, mu_b, sigma_b = adaptive_levels(relaxed, config.n_bits, config.alpha)
     else:
@@ -132,10 +129,6 @@ def quantize_salient(matrix, part: LayerPartition, config: QuantConfig) -> Salie
         mu_b = sigma_b = 0.0
     codes = assign_codes(relaxed, centers)
 
-    m = matrix.data.shape[0]
-    mask = part.salient_mask()
-    rows = np.nonzero(mask)[0]
-    w = matrix.data[mask].astype(np.float64)
     quantized = centers[codes]
     num = np.bincount(rows, weights=w * quantized, minlength=m)
     den = np.bincount(rows, weights=quantized * quantized, minlength=m)

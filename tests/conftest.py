@@ -48,6 +48,12 @@ def straddling_outlier_matrix(seed, shape=(96, 96), sigma=0.02, frac=0.03,
     return WeightMatrix(name=name, role=role, data=data.astype(np.float32))
 
 
+def salient_members(matrix, part):
+    """(rows, values, m) of a partition's salient members, as the fit takes them."""
+    mask = part.salient_mask()
+    return np.nonzero(mask)[0], matrix.data[mask].astype(np.float64), matrix.m
+
+
 def rowwise_residuals(matrix, part, iters):
     """Squared salient residual of the row-wise fit after iterations 1..iters.
 
@@ -56,12 +62,10 @@ def rowwise_residuals(matrix, part, iters):
     """
     from binq.salient_quantizer import fit_rowwise
 
-    mask = part.salient_mask()
-    rows = np.nonzero(mask)[0]
-    w = matrix.data[mask].astype(np.float64)
+    rows, w, m = salient_members(matrix, part)
     out = []
     for k in range(1, iters + 1):
-        scales, relaxed = fit_rowwise(matrix, part, iters=k)
+        scales, relaxed = fit_rowwise(rows, w, m, iters=k)
         out.append(float(np.sum(np.square(w - scales[rows] * relaxed))))
     return out
 

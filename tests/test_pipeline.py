@@ -49,6 +49,23 @@ class TestQuantizeLayer:
         assert reconstruction_error(mat, layer) == pytest.approx(numerator,
                                                                  rel=1e-12)
 
+    def test_search_off_builds_no_objective(self, monkeypatch):
+        import binq.saliency_optimizer as so
+
+        built = []
+        real = so.LayerObjective
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(so, "LayerObjective", counting)
+        mat = outlier_matrix(5, shape=(32, 48), frac=0.02, magnitude=6.0)
+        quantize_layer(mat, QuantConfig(optimize_saliency=False))
+        assert built == []
+        quantize_layer(mat)
+        assert len(built) == 1
+
     def test_error_dominance_over_zero_share(self):
         for seed in range(3):
             mat = outlier_matrix(seed, shape=(48, 48), frac=0.02, magnitude=6.0)

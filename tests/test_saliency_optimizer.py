@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from binq import DomainError, OptimizationError, QuantConfig, Role, WeightMatrix
-from binq.saliency_optimizer import (brent_minimize, evaluate_objective,
-                                     optimize_saliency, sweep_thresholds)
-from binq.weight_stats import fit_gaussian
+from binq.partitioner import compute_cutoffs, magnitude_thresholds
+from binq.saliency_optimizer import (LayerObjective, brent_minimize, evaluate_objective,
+                                     hybrid_quantize, optimize_saliency, score_layer,
+                                     sweep_thresholds)
+from binq.weight_stats import GaussianFit, fit_gaussian
 from conftest import gaussian_matrix, outlier_matrix, straddling_outlier_matrix
 
 
@@ -175,3 +177,91 @@ class TestSweep:
         mat = gaussian_matrix(0)
         with pytest.raises(DomainError):
             sweep_thresholds(mat, fit_gaussian(mat), [0.0], QuantConfig())
+
+
+def tied_layer(k, p_sal=0.02, n_uns=5):
+    """Layer and fit (mu = 0) whose k-th cutoff at p_sal equals some |w| exactly."""
+    z = compute_cutoffs(p_sal, n_uns)[k]
+    v = np.float32(0.02 * z)
+    while (float(v) / z) * z != float(v):
+        v = np.nextafter(v, np.float32(1.0))
+    data = (0.02 * np.random.default_rng(40 + k).standard_normal((48, 64))).astype(np.float32)
+    data.ravel()[::5] = v
+    data.ravel()[1::10] = -v
+    fit = GaussianFit(mu=0.0, sigma=float(v) / z, count=data.size)
+    assert magnitude_thresholds(fit, compute_cutoffs(p_sal, n_uns))[k] == float(v)
+    return WeightMatrix("tied", Role.VISION, data), fit
+
+
+def objective_cases():
+    rng = np.random.default_rng(77)
+    heavy = 0.02 * rng.standard_t(5, (64, 96))
+    zeros = heavy.copy()
+    zeros[rng.random(zeros.shape) < 0.25] = 0.0
+    layers = {
+        "gaussian": (0.02 * rng.standard_normal((64, 96)), QuantConfig(p_sal_max=0.05)),
+        "student_t": (heavy, QuantConfig(p_sal_max=0.05)),
+        "biased": (0.02 * (0.5 + rng.standard_normal((96, 64))), QuantConfig(p_sal_max=0.05)),
+        "zeros": (zeros, QuantConfig(p_sal_max=0.05)),
+        "constant": (np.full((8, 16), -0.3), QuantConfig(p_sal_max=0.05)),
+        "n_uns_1": (0.02 * rng.standard_normal((64, 96)), QuantConfig(n_uns=1, p_sal_max=0.05)),
+        "scale_width_32": (heavy, QuantConfig(scale_width=32, p_sal_max=0.05)),
+    }
+    for name, (data, cfg) in layers.items():
+        mat = WeightMatrix(name, Role.VISION, data)
+        yield pytest.param(mat, fit_gaussian(mat), cfg, (0.0, 0.017, 0.05), id=name)
+    for k in (0, 4):  # innermost cutoff, salient cutoff
+        mat, fit = tied_layer(k)
+        yield pytest.param(mat, fit, QuantConfig(p_sal_max=0.05), (0.0, 0.02, 0.05),
+                           id=f"tie_at_cutoff_{k}")
+
+
+class TestLayerObjective:
+    @pytest.mark.parametrize("mat, fit, config, shares", objective_cases())
+    def test_matches_scored_layer(self, mat, fit, config, shares):
+        objective = LayerObjective(mat, fit, config)
+        for p in shares:
+            got = objective(p)
+            want = score_layer(mat, hybrid_quantize(mat, fit, p, config), mat.squared_norm())
+            # Bitwise: the search must take the path the full pipeline takes.
+            assert got.p_sal == p
+            assert got.denom == want.denom
+            assert got.salient_residual == want.salient_residual
+            assert len(got.unsalient_residuals) == config.n_uns
+            assert got.unsalient_residuals == want.unsalient_residuals
+            assert got.j == want.j
+
+    def test_tail_regathered_when_a_cutoff_falls_below_it(self):
+        mat = outlier_matrix(6, shape=(48, 48), frac=0.02, magnitude=6.0)
+        fit, config = fit_gaussian(mat), QuantConfig(p_sal_max=0.05)
+        objective = LayerObjective(mat, fit, config)
+        objective.tail = objective._gather_tail(np.inf)  # holds no member
+        want = score_layer(mat, hybrid_quantize(mat, fit, 0.03, config), mat.squared_norm())
+        assert objective(0.03).salient_residual == want.salient_residual > 0.0
+
+
+def seeded_layer(seed, stream, role, shape, biased):
+    """A layer drawn as the benchmark draws its model layers (scale 0.02)."""
+    rng = np.random.default_rng([seed, stream])
+    data = 0.5 + rng.standard_normal(shape) if biased else rng.standard_t(5, size=shape)
+    return WeightMatrix(f"s{seed}.{stream}", role, (0.02 * data).astype(np.float32))
+
+
+@pytest.mark.parametrize("seed, stream, role, shape, biased, p_star", [
+    (11, 2, Role.VISION, (512, 256), True, 0.012043),
+    (201, 2, Role.VISION, (512, 256), True, 0.012768),
+    (201, 6, Role.LANGUAGE, (256, 512), False, 0.00367),
+    (11, 9, Role.LANGUAGE, (512, 128), False, 0.01),
+    (111, 0, Role.VISION, (384, 512), False, 0.015419),
+    (121, 3, Role.VISION, (256, 512), False, 0.035781),
+])
+def test_golden_optimal_share(seed, stream, role, shape, biased, p_star):
+    """Searched shares frozen from the full re-quantizing objective.
+
+    The search path follows every rounding of J: shell residuals summed in
+    sorted order (off by about 1e-16 relative) move the optimum of the two
+    heavy-tailed vision layers, and a prefix-sum closed form (S2 - 2aS1 +
+    na^2) moves more. The 1% cap binds the fourth layer.
+    """
+    mat = seeded_layer(seed, stream, role, shape, biased)
+    assert optimize_saliency(mat, fit_gaussian(mat), QuantConfig()) == p_star

@@ -8,7 +8,7 @@ from binq.partitioner import LayerPartition, PartitionSpec, partition
 from binq.salient_quantizer import (adaptive_levels, assign_codes, fit_rowwise,
                                     level_grid, quantize_salient)
 from binq.weight_stats import fit_gaussian
-from conftest import gaussian_matrix, outlier_matrix, rowwise_residuals
+from conftest import gaussian_matrix, outlier_matrix, rowwise_residuals, salient_members
 
 # Exact evaluations of the exponential level mapping at alpha = 1.4:
 # 1.4*e - 1 and 1.4*sqrt(e) - 1.
@@ -39,19 +39,19 @@ def all_salient(values):
 class TestFitRowwise:
     def test_constant_row_fixed_point(self):
         mat, part = all_salient([4.0, 4.0, 4.0])
-        scales, relaxed = fit_rowwise(mat, part, iters=1)
+        scales, relaxed = fit_rowwise(*salient_members(mat, part), iters=1)
         assert scales[0] == pytest.approx(4.0)
         assert np.allclose(relaxed, 1.0)
-        scales5, relaxed5 = fit_rowwise(mat, part, iters=5)
+        scales5, relaxed5 = fit_rowwise(*salient_members(mat, part), iters=5)
         assert scales5[0] == pytest.approx(4.0)
         assert np.allclose(relaxed5, 1.0)
 
     def test_two_six_hand_run(self):
         mat, part = all_salient([2.0, 6.0])
-        scales, relaxed = fit_rowwise(mat, part, iters=1)
+        scales, relaxed = fit_rowwise(*salient_members(mat, part), iters=1)
         assert scales[0] == pytest.approx(4.0)
         assert relaxed == pytest.approx([0.5, 1.0])
-        scales2, relaxed2 = fit_rowwise(mat, part, iters=2)
+        scales2, relaxed2 = fit_rowwise(*salient_members(mat, part), iters=2)
         assert scales2[0] == pytest.approx(5.6)
         assert relaxed2 == pytest.approx([2.0 / 5.6, 1.0])
 
@@ -67,14 +67,14 @@ class TestFitRowwise:
         labels = np.array([[1, 1], [0, 0]], dtype=np.int8)
         spec = PartitionSpec(p_sal=0.5, n_uns=1, z_cutoffs=(0.0,), mu=0.0, sigma=1.0)
         part = LayerPartition(labels=labels, spec=spec)
-        scales, relaxed = fit_rowwise(mat, part, iters=3)
+        scales, relaxed = fit_rowwise(*salient_members(mat, part), iters=3)
         assert scales[1] == 0.0
         assert scales[0] == pytest.approx(5.0)
 
     def test_relaxation_containment(self, rng):
         mat, part = all_salient(rng.normal(0, 3, (8, 16)).astype(np.float32))
         for iters in (1, 3, 7):
-            _, relaxed = fit_rowwise(mat, part, iters=iters)
+            _, relaxed = fit_rowwise(*salient_members(mat, part), iters=iters)
             assert np.all(relaxed >= -1.0) and np.all(relaxed <= 1.0)
 
     def test_monotone_residual_random(self, rng):
@@ -86,7 +86,7 @@ class TestFitRowwise:
     def test_empty_salient_set(self):
         mat = gaussian_matrix(0, shape=(8, 8))
         part = partition(mat, fit_gaussian(mat), 0.0, 2)
-        scales, relaxed = fit_rowwise(mat, part, iters=2)
+        scales, relaxed = fit_rowwise(*salient_members(mat, part), iters=2)
         assert np.all(scales == 0.0)
         assert relaxed.size == 0
 
@@ -159,14 +159,14 @@ class TestQuantizeSalient:
         config = QuantConfig(alpha=alpha, p_sal_max=0.5)
         c = 2.0
         mat, part = all_salient(np.tile([-c, c], (4, 3)).astype(np.float32))
-        quant = quantize_salient(mat, part, config)
+        quant = quantize_salient(*salient_members(mat, part), config)
         res = salient_residual(mat, part, quant)
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_salient_set(self):
         mat = gaussian_matrix(1, shape=(8, 8))
         part = partition(mat, fit_gaussian(mat), 0.0, 2)
-        quant = quantize_salient(mat, part, QuantConfig(p_sal_max=0.5))
+        quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.5))
         assert quant.codes.size == 0
         assert np.all(np.asarray(quant.scales, dtype=np.float64) == 0.0)
         assert salient_residual(mat, part, quant) == 0.0
@@ -174,7 +174,7 @@ class TestQuantizeSalient:
     def test_code_range(self):
         mat = outlier_matrix(3, shape=(64, 64), frac=0.05, magnitude=6.0, spread=2.0)
         part = partition(mat, fit_gaussian(mat), 0.05, 5)
-        quant = quantize_salient(mat, part, QuantConfig(p_sal_max=0.05))
+        quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.05))
         assert quant.codes.min() >= 0
         assert quant.codes.max() <= 3
 
@@ -186,7 +186,7 @@ class TestQuantizeSalient:
                                  magnitude=6.0, spread=2.0)
             fit = fit_gaussian(mat)
             part = partition(mat, fit, 0.05, 5)
-            quant = quantize_salient(mat, part, QuantConfig(p_sal_max=0.05))
+            quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.05))
             res2 = salient_residual(mat, part, quant)
             members = mat.data[part.salient_mask()].astype(np.float64)
             a1 = np.abs(members).mean()
@@ -198,7 +198,7 @@ class TestQuantizeSalient:
         mat = gaussian_matrix(0, shape=(64, 64))
         fit = fit_gaussian(mat)
         part = partition(mat, fit, 0.05, 5)
-        quant = quantize_salient(mat, part, QuantConfig(p_sal_max=0.05))
+        quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.05))
         res2 = salient_residual(mat, part, quant)
         members = mat.data[part.salient_mask()].astype(np.float64)
         a1 = np.abs(members).mean()
@@ -209,7 +209,7 @@ class TestQuantizeSalient:
         # All salient members equal: sigma_b = 0, every center collapses to
         # mu_b = 1 and reconstruction is exact.
         mat, part = all_salient([3.0, 3.0, 3.0, 3.0])
-        quant = quantize_salient(mat, part, QuantConfig(p_sal_max=0.5))
+        quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.5))
         assert quant.sigma_b == 0.0
         assert np.all(quant.centers == quant.mu_b)
         assert salient_residual(mat, part, quant) == pytest.approx(0.0, abs=1e-12)
@@ -219,11 +219,11 @@ class TestQuantizeSalient:
                              magnitude=5.0, spread=1.0)
         fit = fit_gaussian(mat)
         part = partition(mat, fit, 0.05, 5)
-        q1 = quantize_salient(mat, part, QuantConfig(p_sal_max=0.05))
+        q1 = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.05))
         scaled = WeightMatrix("t", Role.LANGUAGE, mat.data * np.float32(2.0))
         fit2 = fit_gaussian(scaled)
         part2 = partition(scaled, fit2, 0.05, 5)
-        q2 = quantize_salient(scaled, part2, QuantConfig(p_sal_max=0.05))
+        q2 = quantize_salient(*salient_members(scaled, part2), QuantConfig(p_sal_max=0.05))
         assert np.array_equal(q1.codes, q2.codes)
         assert np.allclose(np.asarray(q2.scales, np.float64),
                            2.0 * np.asarray(q1.scales, np.float64))
