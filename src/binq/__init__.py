@@ -7,8 +7,7 @@ from .config import ROLE_P_SAL_MAX, QuantConfig
 from .errors import (BinqError, DomainError, FormatError, IoError,
                      OptimizationError, TruncationError, ValidationError)
 from .partitioner import LayerPartition, PartitionSpec, compute_cutoffs, partition
-from .pipeline import (quantize_layer, quantize_model, reconstruct,
-                       reconstruction_error, relative_error)
+from .pipeline import quantize_layer, quantize_model, reconstruct, reconstruction_error
 from .salient_quantizer import (SalientQuant, adaptive_levels, assign_codes,
                                 fit_rowwise, level_grid, quantize_salient)
 from .saliency_optimizer import (LayerObjective, ObjectiveEval, brent_minimize,

@@ -80,6 +80,14 @@ def magnitude_thresholds(fit: GaussianFit, cutoffs) -> np.ndarray:
     return fit.mu + fit.sigma * np.asarray(cutoffs, dtype=np.float64)
 
 
+def magnitude_labels(magnitudes: np.ndarray, thresholds) -> np.ndarray:
+    """Label = number of (ascending) thresholds |w| exceeds; a tie goes to the lower group."""
+    labels = np.zeros(magnitudes.shape, dtype=np.int8)
+    for t in thresholds:
+        labels += (magnitudes > t).view(np.int8)
+    return labels
+
+
 def partition(matrix, fit: GaussianFit, p_sal: float, n_uns: int) -> LayerPartition:
     """Label every element of the matrix with its magnitude group.
 
@@ -92,9 +100,8 @@ def partition(matrix, fit: GaussianFit, p_sal: float, n_uns: int) -> LayerPartit
     if fit.sigma == 0.0:
         p_sal = 0.0
     cutoffs = compute_cutoffs(p_sal, n_uns)
-    magnitudes = np.abs(matrix.data.astype(np.float64))
-    labels = np.digitize(magnitudes, magnitude_thresholds(fit, cutoffs),
-                         right=True).astype(np.int8)
+    labels = magnitude_labels(np.abs(matrix.data, dtype=np.float64),
+                              magnitude_thresholds(fit, cutoffs))
     spec = PartitionSpec(p_sal=p_sal, n_uns=n_uns, z_cutoffs=tuple(cutoffs),
                          mu=fit.mu, sigma=fit.sigma)
     return LayerPartition(labels=labels, spec=spec)

@@ -35,14 +35,6 @@ def reconstruction_error(matrix: WeightMatrix, layer: QuantizedLayer) -> float:
     return float(np.sum(np.square(diff)))
 
 
-def relative_error(matrix: WeightMatrix, layer: QuantizedLayer) -> float:
-    """Frobenius error of the reconstruction relative to the matrix norm."""
-    denom = matrix.squared_norm()
-    if denom == 0.0:
-        return 0.0
-    return math.sqrt(reconstruction_error(matrix, layer) / denom)
-
-
 def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
                    cap_override: float | None = None) -> QuantizedLayer:
     """Quantize one layer: fit, saliency search, partition, hybrid quantize.

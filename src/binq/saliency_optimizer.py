@@ -15,10 +15,10 @@ import numpy as np
 
 from .config import QuantConfig
 from .errors import DomainError, OptimizationError
-from .partitioner import compute_cutoffs, magnitude_thresholds, partition
+from .partitioner import compute_cutoffs, magnitude_labels, magnitude_thresholds, partition
 from .salient_quantizer import quantize_salient, store_scales
 from .tensor_store import QuantizedLayer
-from .unsalient_binarizer import binarize_unsalient
+from .unsalient_binarizer import binarize_unsalient, shell_scalars
 from .weight_stats import GaussianFit
 
 _GOLDEN = 0.3819660112501051
@@ -87,13 +87,14 @@ class LayerObjective:
             raise DomainError("objective undefined for an all-zero matrix")
         self.matrix, self.fit, self.config = matrix, fit, config
         self.p_cap = config.resolve_p_sal_max(matrix.role)
-        self.mag = np.abs(matrix.data, dtype=np.float64)
+        self.mag = np.abs(matrix.data, dtype=np.float64).ravel()
         cap_cut = magnitude_thresholds(fit, compute_cutoffs(self.p_cap, config.n_uns))[-1]
         self.tail = self._gather_tail(cap_cut)
 
     def _gather_tail(self, cut: float):
         mask = self.mag > cut
-        return cut, np.nonzero(mask)[0], self.matrix.data[mask].astype(np.float64), self.mag[mask]
+        values = np.compress(mask, self.matrix.data).astype(np.float64)
+        return cut, np.flatnonzero(mask) // self.matrix.n, values, np.compress(mask, self.mag)
 
     def __call__(self, p_sal: float) -> ObjectiveEval:
         if not 0.0 <= p_sal <= self.p_cap:
@@ -101,12 +102,9 @@ class LayerObjective:
         t = magnitude_thresholds(self.fit, compute_cutoffs(p_sal, self.config.n_uns))
         if t[-1] < self.tail[0]:  # the cutoffs fall with p only up to rounding
             self.tail = self._gather_tail(t[-1])
-        mag = self.mag.ravel()
-        labels = sum((mag > cut).view(np.int8) for cut in t)  # as `partition` labels
-        shells = [np.compress(labels == k, mag) for k in range(self.config.n_uns)]
-        means = np.array([s.sum() / max(s.size, 1) for s in shells])  # 0 for an empty shell
-        scalars = store_scales(means, self.config.scale_width).astype(np.float64)
-        uns_res = tuple(float(np.sum(np.square(s - a))) for s, a in zip(shells, scalars))
+        labels, width = magnitude_labels(self.mag, t), self.config.scale_width
+        uns_res = tuple(float(np.sum(np.square(s - float(store_scales(a, width)))))
+                        for s, a in shell_scalars(self.mag, labels, self.config.n_uns))
         _, rows, w, tail_mag = self.tail
         keep = tail_mag > t[-1]
         rows, w = np.compress(keep, rows), np.compress(keep, w)
@@ -122,10 +120,12 @@ def evaluate_objective(matrix, fit: GaussianFit, p_sal: float, config: QuantConf
                        objective: LayerObjective | None = None) -> ObjectiveEval:
     """Normalized residual of the layer `hybrid_quantize` would build at p_sal.
 
-    A caller that evaluates one layer at many shares passes its `LayerObjective`.
+    A caller evaluating many shares passes the `LayerObjective` built from these arguments.
     """
     if objective is None:
         objective = LayerObjective(matrix, fit, config)
+    elif objective.matrix is not matrix or (objective.fit, objective.config) != (fit, config):
+        raise DomainError("objective was built for another layer, fit or config")
     return objective(p_sal)
 
 
@@ -243,6 +243,7 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
 
 def sweep_thresholds(matrix, fit: GaussianFit, thresholds, config: QuantConfig):
     """Objective evaluated directly at each saliency threshold (no search)."""
+    thresholds = [float(t) for t in thresholds]
     for t in thresholds:
         if not 0.0 < t < 1.0:
             raise DomainError(f"threshold {t} outside (0, 1)")

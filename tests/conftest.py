@@ -48,6 +48,13 @@ def straddling_outlier_matrix(seed, shape=(96, 96), sigma=0.02, frac=0.03,
     return WeightMatrix(name=name, role=role, data=data.astype(np.float32))
 
 
+def relative_error(matrix, layer):
+    """Frobenius error of a layer's reconstruction relative to the matrix norm."""
+    from binq import reconstruction_error
+
+    return float(np.sqrt(reconstruction_error(matrix, layer) / matrix.squared_norm()))
+
+
 def salient_members(matrix, part):
     """(rows, values, m) of a partition's salient members, as the fit takes them."""
     mask = part.salient_mask()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from binq import (QuantConfig, Role, WeightMatrix, quantize_layer,
-                  read_artifact, relative_error, write_artifact)
+                  read_artifact, write_artifact)
 from binq.bit_packer import (CodeBook, max_partitions, pack_stream,
                              storage_report, unpack_stream)
 from binq.partitioner import partition
@@ -23,7 +23,8 @@ from binq.salient_quantizer import level_grid
 from binq.saliency_optimizer import evaluate_objective, optimize_saliency, sweep_thresholds
 from binq.token_pruner import layer_lambda, retain_mask, validate_scores
 from binq.weight_stats import fit_gaussian, probit
-from conftest import outlier_matrix, rowwise_residuals, straddling_outlier_matrix
+from conftest import (outlier_matrix, relative_error, rowwise_residuals,
+                      straddling_outlier_matrix)
 from test_tensor_store import layers_equal
 from test_token_pruner import language_tensor, vision_tensor
 

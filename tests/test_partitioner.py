@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from binq import DomainError, Role, WeightMatrix
-from binq.partitioner import compute_cutoffs, partition
-from binq.weight_stats import fit_gaussian, probit
+from binq.partitioner import (compute_cutoffs, magnitude_labels, magnitude_thresholds,
+                              partition)
+from binq.weight_stats import GaussianFit, fit_gaussian, probit
 from conftest import gaussian_matrix
 
 
@@ -95,6 +96,17 @@ class TestPartition:
         fit = fit_gaussian(mat)  # mu=0 sigma=1
         part = partition(mat, fit, 0.0, 1)
         assert np.all(part.labels == 0)
+
+    def test_labels_match_digitize(self):
+        # magnitude_labels replaced np.digitize(right=True); ties included.
+        fit = GaussianFit(mu=0.0, sigma=0.5, count=0)
+        t = magnitude_thresholds(fit, compute_cutoffs(0.03, 5))
+        mag = np.abs(np.random.default_rng(8).standard_normal(4000))
+        mag[::7] = np.resize(t, mag[::7].size)
+        mag[1::9] = 0.0
+        want = np.digitize(mag, t, right=True)
+        assert np.array_equal(magnitude_labels(mag, t), want)
+        assert magnitude_labels(mag, np.full(5, np.inf)).max() == 0
 
     def test_statistical_fractions_five_subsets(self):
         rng = np.random.default_rng(13)

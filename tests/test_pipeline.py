@@ -6,12 +6,11 @@ import pytest
 
 from binq import (DomainError, ModelManifest, QuantConfig, Role, WeightMatrix,
                   quantize_layer, quantize_model, read_manifest, reconstruct,
-                  reconstruction_error, relative_error, write_artifact,
-                  write_tensor)
+                  reconstruction_error, write_artifact, write_tensor)
 from binq.bit_packer import storage_report
 from binq.saliency_optimizer import evaluate_objective
 from binq.weight_stats import fit_gaussian
-from conftest import gaussian_matrix, outlier_matrix
+from conftest import gaussian_matrix, outlier_matrix, relative_error
 
 
 def onebit_relative_error(mat):

@@ -109,6 +109,16 @@ class TestEvaluateObjective:
             evaluate_objective(mat, fit_gaussian(mat), 0.5,
                                QuantConfig(p_sal_max=0.05))
 
+    def test_objective_of_another_layer_rejected(self):
+        mat, other = gaussian_matrix(3), gaussian_matrix(4)
+        fit, config = fit_gaussian(mat), QuantConfig(p_sal_max=0.05)
+        objective = LayerObjective(mat, fit, config)
+        assert evaluate_objective(mat, fit, 0.02, config, objective) == objective(0.02)
+        for args in ((other, fit, config), (mat, fit_gaussian(other), config),
+                     (mat, fit, QuantConfig(p_sal_max=0.04))):
+            with pytest.raises(DomainError):
+                evaluate_objective(*args[:2], 0.02, args[2], objective)
+
     def test_composition_matches_components(self):
         mat = outlier_matrix(5, shape=(48, 48), frac=0.02, magnitude=5.0)
         fit = fit_gaussian(mat)
@@ -172,6 +182,14 @@ class TestSweep:
         js /= 5
         assert js[1] < js[0]
         assert abs(js[2] - js[1]) < js[0] - js[1]
+
+    def test_any_iterable_of_thresholds(self):
+        mat = gaussian_matrix(1)
+        fit = fit_gaussian(mat)
+        want = sweep_thresholds(mat, fit, [0.01, 0.05], QuantConfig())
+        for thresholds in (np.array([0.01, 0.05]), (t for t in (0.01, 0.05))):
+            assert sweep_thresholds(mat, fit, thresholds, QuantConfig()) == want
+        assert sweep_thresholds(mat, fit, np.array([]), QuantConfig()) == []
 
     def test_invalid_threshold(self):
         mat = gaussian_matrix(0)
