@@ -28,10 +28,12 @@ class QuantConfig:
     fit_atol: float = 1e-8
 
     def __post_init__(self):
-        if self.n_uns < 1:
-            raise DomainError(f"n_uns must be >= 1, got {self.n_uns}")
-        if self.n_bits < 1:
-            raise DomainError(f"n_bits must be >= 1, got {self.n_bits}")
+        # Group labels 0..n_uns (n_uns is the salient group) are stored as int8.
+        if not 1 <= self.n_uns <= 127:
+            raise DomainError(f"n_uns must lie in [1, 127], got {self.n_uns}")
+        # Salient codes 0..2**n_bits - 1 are stored as uint8.
+        if not 1 <= self.n_bits <= 8:
+            raise DomainError(f"n_bits must lie in [1, 8], got {self.n_bits}")
         if self.p_sal_max is not None and not 0.0 < self.p_sal_max < 1.0:
             raise DomainError(f"p_sal_max must lie in (0, 1), got {self.p_sal_max}")
         if self.alpha <= 0.0:

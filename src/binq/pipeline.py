@@ -26,7 +26,7 @@ ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
 def reconstruct(layer: QuantizedLayer) -> WeightMatrix:
     """Dense reconstruction of a quantized layer."""
     return WeightMatrix(name=layer.name, role=layer.role,
-                        data=layer.dense().astype(np.float32))
+                        data=layer.dense(np.float32))
 
 
 def reconstruction_error(matrix: WeightMatrix, layer: QuantizedLayer) -> float:

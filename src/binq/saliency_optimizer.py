@@ -214,9 +214,10 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
     """Best salient share in [0, p_sal_max] under the normalized objective.
 
     The layer's `LayerObjective` is built once; every evaluation calls it and
-    is memoized on the share rounded to 1e-6. The Brent result is compared
-    against both endpoints, so the returned share is never worse than either
-    bound; ties prefer the smaller (cheaper) share.
+    is memoized on the share rounded to 1e-6 and clamped to the cap. The
+    Brent result is compared against both endpoints, so the returned share
+    is never worse than either bound; ties prefer the smaller (cheaper)
+    share.
     """
     p_cap = config.resolve_p_sal_max(matrix.role)
     if not 0.0 < p_cap < 1.0:
@@ -227,15 +228,18 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
     objective = LayerObjective(matrix, fit, config)
     cache: dict[float, float] = {}
 
+    def share(p: float) -> float:
+        # Rounding can carry a cap with more than six decimals above itself.
+        return min(round(min(max(p, 0.0), p_cap), 6), p_cap)
+
     def j_of(p: float) -> float:
-        key = round(min(max(p, 0.0), p_cap), 6)
+        key = share(p)
         if key not in cache:
             cache[key] = evaluate_objective(matrix, fit, key, config, objective).j
         return cache[key]
 
     x_int, f_int = brent_minimize(j_of, 0.0, p_cap, tol=1e-4 * p_cap, max_iters=50)
-    candidates = [(j_of(0.0), 0.0), (j_of(p_cap), p_cap),
-                  (f_int, round(min(max(x_int, 0.0), p_cap), 6))]
+    candidates = [(j_of(0.0), 0.0), (j_of(p_cap), p_cap), (f_int, share(x_int))]
     best_j = min(j for j, _ in candidates)
     best_p = min(p for j, p in candidates if j <= best_j)
     return best_p

@@ -340,20 +340,24 @@ class QuantizedLayer:
         if not 0.0 <= self.p_sal_used <= 1.0:
             raise ValidationError(f"layer {self.name!r}: invalid p_sal_used")
 
-    def dense(self) -> np.ndarray:
-        """float64 reconstruction of the layer.
+    def dense(self, dtype=np.float64) -> np.ndarray:
+        """Reconstruction of the layer as `dtype`.
 
-        The shell scalars are gathered by label in one pass and signed; the
-        salient values are then written over their positions.
+        Each element takes its group's signed scalar from a (group, sign)
+        table in one gather; the salient values, computed in float64, are
+        then written over their positions. So a float32 reconstruction is
+        the float64 one rounded.
         """
         salient = self.labels == self.config.n_uns
         positive = np.ones(self.labels.shape, dtype=bool)
         positive[~salient] = self.signs
-        out = np.append(self.scalars.astype(np.float64), 0.0)[self.labels]
-        out *= 2.0 * positive - 1.0
-        rows = np.repeat(np.arange(self.m), np.count_nonzero(salient, axis=1))
+        signed = np.append(self.scalars, 0.0).astype(dtype).repeat(2)
+        signed[::2] *= -1  # entry 2 * group + sign; fits uint8 as n_uns <= 127
+        out = signed[(self.labels.astype(np.uint8) << 1) | positive]
+        where = np.flatnonzero(salient)
         sal = self.salient
-        out[salient] = sal.scales.astype(np.float64)[rows] * sal.centers[sal.codes]
+        out.ravel()[where] = (sal.scales.astype(np.float64)[where // self.n]
+                              * sal.centers[sal.codes])
         return out
 
 
@@ -453,14 +457,15 @@ def read_artifact(path) -> list:
         book = _index_codebook(lengths, None if solo == 0xFF else solo,
                                f"{path}: layer {name!r}")
         (index_len,) = reader.unpack("Q")
+        # Group indices are at most n_uns <= 127, so the int8 view keeps them.
         labels = bit_packer.unpack_stream(reader.take(index_len), book, m * n)
-        labels = labels.astype(np.int8).reshape(m, n)
+        labels = labels.view(np.int8).reshape(m, n)
 
         salient_count = int(np.count_nonzero(labels == n_uns))
         (codes_len,) = reader.unpack("Q")
         code_book = bit_packer.CodeBook.fixed(2 ** n_bits, n_bits)
         codes = bit_packer.unpack_stream(reader.take(codes_len), code_book,
-                                         salient_count).astype(np.uint8)
+                                         salient_count)
         (signs_len,) = reader.unpack("Q")
         sign_count = m * n - salient_count
         sign_bytes = reader.take(signs_len)

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binq import DomainError, QuantConfig, TruncationError
-from binq.bit_packer import (CodeBook, index_bits, max_partitions, pack_stream,
-                             storage_budget, unpack_stream)
+from binq import (DomainError, FormatError, QuantConfig, TruncationError, quantize_layer,
+                  read_artifact, write_artifact)
+from binq.bit_packer import (MAX_CODE_LEN, CodeBook, index_bits, layer_codebook,
+                             max_partitions, pack_stream, storage_budget, unpack_stream)
+from conftest import outlier_matrix
 
 
 def is_prefix_free(book):
@@ -36,6 +39,69 @@ def stream_entropy_bits(counts):
         return 0.0
     probs = counts[counts > 0] / total
     return float(-np.sum(counts[counts > 0] * np.log2(probs)))
+
+
+def jump_doubling_decode(data, book, count):
+    """Oracle decoder: resolve every bit offset through a 2**max_length window
+    table, then materialize the chain of symbol starts by doubling the jump map."""
+    out = np.zeros(count, dtype=np.int64)
+    if count == 0:
+        return out
+    if book.solo is not None:
+        out[:] = book.solo
+        return out
+    maxlen = book.max_length
+    table_sym = np.zeros(1 << maxlen, dtype=np.int64)
+    table_len = np.zeros(1 << maxlen, dtype=np.int64)
+    for s, (c, l) in enumerate(zip(book.codes, book.lengths)):
+        if l:
+            table_sym[c << (maxlen - l):(c + 1) << (maxlen - l)] = s
+            table_len[c << (maxlen - l):(c + 1) << (maxlen - l)] = l
+    raw = np.frombuffer(data, dtype=np.uint8)
+    nbits = raw.size * 8
+    bits = np.zeros(nbits + maxlen, dtype=np.uint8)
+    bits[:nbits] = np.unpackbits(raw)
+    windows = np.zeros(nbits + 1, dtype=np.int64)
+    for j in range(maxlen):
+        windows = (windows << 1) | bits[j:j + nbits + 1]
+    sym_at, len_at = table_sym[windows], table_len[windows]
+    jump = np.minimum(np.arange(nbits + 1, dtype=np.int64) + len_at, nbits)
+    starts = np.zeros(count, dtype=np.int64)
+    filled = 1
+    while filled < count:
+        take = min(filled, count - filled)
+        starts[filled:filled + take] = jump[starts[:take]]
+        filled += take
+        jump = jump[jump]
+    if starts[-1] + len_at[starts[-1]] > nbits:
+        raise TruncationError("stream ends inside the last symbol")
+    out[:] = sym_at[starts]
+    return out
+
+
+def bitwise_pack(symbols, book):
+    """Oracle packer: place every code bit at its stream offset, then packbits."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    lens = np.asarray(book.lengths, dtype=np.int64)[symbols]
+    vals = np.asarray(book.codes, dtype=np.int64)[symbols]
+    starts = np.cumsum(lens) - lens
+    bits = np.zeros(int(lens.sum()), dtype=np.uint8)
+    for k in range(int(lens.max(initial=0))):
+        m = lens > k
+        bits[starts[m] + k] = (vals[m] >> (lens[m] - 1 - k)) & 1
+    return np.packbits(bits).tobytes()
+
+
+def fibonacci_book():
+    """21 groups with Fibonacci frequencies: a Huffman code MAX_CODE_LEN deep."""
+    fib = [1, 1]
+    while len(fib) < MAX_CODE_LEN + 1:
+        fib.append(fib[-1] + fib[-2])
+    return CodeBook.from_frequencies(fib)
+
+
+def skewed_book(rng, n_groups):
+    return CodeBook.from_frequencies(rng.dirichlet(np.full(n_groups, 0.3)) + 1e-3)
 
 
 class TestMaxPartitions:
@@ -151,6 +217,13 @@ class TestPackUnpack:
         with pytest.raises(TruncationError):
             unpack_stream(b"", book, 3)
 
+    def test_incomplete_code_stops_at_uncovered_bits(self):
+        book = CodeBook.fixed(3, 2)  # no codeword 11
+        labels = [0, 1, 2, 2, 1]
+        assert np.array_equal(unpack_stream(pack_stream(labels, book), book, 5), labels)
+        with pytest.raises(TruncationError):
+            unpack_stream(bytes([0b00011100]), book, 3)
+
     def test_symbol_outside_codebook(self):
         book = CodeBook.from_frequencies([1, 1])
         with pytest.raises(DomainError):
@@ -223,3 +296,97 @@ def test_roundtrip_million_symbols():
     book = CodeBook.from_frequencies(freqs)
     packed = pack_stream(labels, book)
     assert np.array_equal(unpack_stream(packed, book, labels.size), labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["deep", "fixed2", "fixed8", "skewed"]),
+       length=st.integers(min_value=0, max_value=3000),
+       seed=st.integers(min_value=0, max_value=2 ** 31),
+       random_bytes=st.booleans())
+@example(kind="fixed2", length=511, seed=0, random_bytes=False)  # 128 bytes, one block
+@example(kind="fixed2", length=513, seed=0, random_bytes=False)  # 129 bytes
+@example(kind="fixed8", length=700, seed=0, random_bytes=False)  # holds symbol 255
+@example(kind="deep", length=1, seed=0, random_bytes=False)
+@example(kind="deep", length=0, seed=0, random_bytes=True)
+def test_pack_unpack_match_oracles(kind, length, seed, random_bytes):
+    rng = np.random.default_rng(seed)
+    book = {"deep": fibonacci_book, "fixed2": lambda: CodeBook.fixed(4, 2),
+            "fixed8": lambda: CodeBook.fixed(256, 8),
+            "skewed": lambda: skewed_book(rng, int(rng.integers(2, 9)))}[kind]()
+    if kind == "deep":
+        assert book.max_length == MAX_CODE_LEN
+    if random_bytes:
+        # Any bytes decode under a complete code; ask for about as many
+        # symbols as they hold, so some requests are truncated.
+        data = rng.integers(0, 256, length // 4, dtype=np.uint8).tobytes()
+        count = int(rng.integers(0, 8 * len(data) // min(book.lengths) + 2))
+    else:
+        symbols = rng.integers(0, book.n_groups, length)
+        data = pack_stream(symbols, book)
+        assert data == bitwise_pack(symbols, book)
+        count = length
+    try:
+        expected = jump_doubling_decode(data, book, count)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            unpack_stream(data, book, count)
+    else:
+        got = unpack_stream(data, book, count)
+        assert got.dtype == np.uint8 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kind", ["deep", "fixed2", "fixed8", "skewed"])
+def test_every_prefix_decodes_or_is_truncated(kind):
+    rng = np.random.default_rng(5)
+    book = {"deep": fibonacci_book(), "fixed2": CodeBook.fixed(4, 2),
+            "fixed8": CodeBook.fixed(256, 8),
+            "skewed": skewed_book(rng, 6)}[kind]
+    labels = rng.integers(0, book.n_groups, 300)
+    packed = pack_stream(labels, book)
+    for cut in range(len(packed) + 1):
+        try:
+            got = unpack_stream(packed[:cut], book, labels.size)
+        except TruncationError:
+            continue
+        assert np.array_equal(got, labels)
+    # Bytes after the last symbol are ignored.
+    assert np.array_equal(unpack_stream(packed + b"\xff" * 200, book, labels.size), labels)
+
+
+def test_index_stream_mutations_rejected_or_valid(tmp_path):
+    layer = quantize_layer(outlier_matrix(1, shape=(16, 24), frac=0.02, magnitude=6.0))
+    path = tmp_path / "m.bvq"
+    write_artifact([layer], path)
+    raw = path.read_bytes()
+    index = pack_stream(layer.labels.ravel(), layer_codebook(layer))
+    start = raw.index(len(index).to_bytes(8, "little") + index) + 8
+    outcomes = {"rejected": 0, "read": 0}
+    for pos in range(start, start + len(index)):
+        for flip in (0x01, 0x80, 0xFF):
+            mutated = bytearray(raw)
+            mutated[pos] ^= flip
+            path.write_bytes(bytes(mutated))
+            try:
+                read_artifact(path)  # validates every layer it returns
+                outcomes["read"] += 1
+            except FormatError:
+                outcomes["rejected"] += 1
+    assert outcomes["rejected"] > 0
+
+
+def test_decode_memory_per_symbol():
+    # Traced peak per decoded symbol on this stream (numpy 2.4): 119 bytes
+    # for a decoder holding per-bit int64 windows and jump maps, as the
+    # jump-doubling one did; 8.8 bytes for the byte automaton.
+    rng = np.random.default_rng(31)
+    labels = rng.choice(6, size=10 ** 6, p=[0.4, 0.3, 0.15, 0.1, 0.04, 0.01])
+    book = CodeBook.from_frequencies(np.bincount(labels, minlength=6))
+    packed = pack_stream(labels, book)
+    tracemalloc.start()
+    try:
+        out = unpack_stream(packed, book, labels.size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, labels)
+    assert peak / labels.size < 24

@@ -39,6 +39,18 @@ class TestQuantizeLayer:
         layer = quantize_layer(mat)
         assert relative_error(mat, layer) < onebit_relative_error(mat)
 
+    @pytest.mark.parametrize("scale_width", [16, 32])
+    def test_float32_reconstruction_is_float64_rounded(self, scale_width):
+        mats = [outlier_matrix(3, shape=(40, 56), frac=0.03, magnitude=6.0),
+                gaussian_matrix(5, shape=(33, 17)),
+                WeightMatrix("z", Role.LANGUAGE, np.zeros((8, 8), np.float32))]
+        for mat in mats:
+            layer = quantize_layer(mat, QuantConfig(scale_width=scale_width))
+            expected = layer.dense().astype(np.float32)
+            # Bit patterns, so that -0.0 and 0.0 differ.
+            assert np.array_equal(reconstruct(layer).data.view(np.uint32),
+                                  expected.view(np.uint32))
+
     def test_reconstruction_error_matches_objective(self):
         mat = outlier_matrix(2, shape=(64, 64), frac=0.02, magnitude=6.0)
         layer = quantize_layer(mat)
@@ -198,6 +210,16 @@ class TestQuantConfigValidation:
         with pytest.raises(DomainError):
             QuantConfig(n_uns=6, l_i_max=3)
         QuantConfig(n_uns=13, l_i_max=4)
+
+    def test_rejects_subsets_beyond_int8_labels(self):
+        with pytest.raises(DomainError):
+            QuantConfig(n_uns=130, l_i_max=8)
+        QuantConfig(n_uns=127, l_i_max=8)
+
+    def test_rejects_codes_beyond_uint8(self):
+        with pytest.raises(DomainError):
+            QuantConfig(n_bits=9)
+        QuantConfig(n_bits=8)
 
     def test_rejects_bad_cap(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from binq import DomainError, OptimizationError, QuantConfig, Role, WeightMatrix
+from binq import (DomainError, OptimizationError, QuantConfig, Role, WeightMatrix,
+                  quantize_layer)
 from binq.partitioner import compute_cutoffs, magnitude_thresholds
 from binq.saliency_optimizer import (LayerObjective, brent_minimize, evaluate_objective,
                                      hybrid_quantize, optimize_saliency, score_layer,
@@ -165,6 +166,15 @@ class TestOptimizeSaliency:
         config = QuantConfig(p_sal_max=0.04)
         assert optimize_saliency(mat, fit, config) == optimize_saliency(
             mat, fit, config)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_cap_with_more_than_six_decimals(self, seed):
+        # round(0.0123456789, 6) = 0.012346 lies above the cap itself.
+        config = QuantConfig(p_sal_max=0.0123456789)
+        mat = gaussian_matrix(seed, shape=(48, 48))
+        p = optimize_saliency(mat, fit_gaussian(mat), config)
+        assert 0.0 <= p <= config.p_sal_max
+        assert quantize_layer(mat, config).p_sal_used <= config.p_sal_max
 
     def test_degenerate_sigma_returns_zero(self):
         mat = WeightMatrix("t", Role.LANGUAGE, np.full((8, 8), 1.5, np.float32))

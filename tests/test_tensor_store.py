@@ -162,6 +162,16 @@ class TestArtifactRoundTrip:
         assert file_bits_per_weight == pytest.approx(report.bits_per_weight,
                                                      rel=0.02)
 
+    def test_eight_bit_salient_codes(self, tmp_path):
+        mat = outlier_matrix(5, shape=(64, 64), frac=0.1, magnitude=6.0)
+        layer = quantize_layer(mat, QuantConfig(n_bits=8, p_sal_max=0.2,
+                                                optimize_saliency=False))
+        assert layer.salient.codes.max() > 127
+        path = tmp_path / "eight.bvq"
+        write_artifact([layer], path)
+        (back,) = read_artifact(path)
+        assert layers_equal(layer, back)
+
     def test_version_mismatch(self, tmp_path):
         mat = gaussian_matrix(0, shape=(8, 8))
         path = tmp_path / "v.bvq"
@@ -218,6 +228,13 @@ def _zero_shells(raw, layer):
     raw[_fields_offset(layer) + struct.calcsize("<BQQ")] = 0
 
 
+def _int8_overflow_shells(raw, layer):
+    # 130 shells fit 8-bit indices but not the int8 labels.
+    off = _fields_offset(layer) + struct.calcsize("<BQQ")
+    raw[off] = 130
+    raw[off + 3] = 8
+
+
 def _huge_columns(raw, layer):
     # A solo-coded layer stores no index bits, so only the declared size
     # says how many labels to materialize.
@@ -234,6 +251,7 @@ MALFORMED = {
     "solo_out_of_range": (_corrupt_solo, True),
     "negative_scalar": (_negative_scalar, False),
     "zero_shells": (_zero_shells, False),
+    "shells_beyond_int8": (_int8_overflow_shells, False),
     "huge_columns": (_huge_columns, True),
 }
 
