@@ -24,9 +24,9 @@ MAX_CODE_LEN = 20
 
 
 def max_partitions(l_i_max: int) -> int:
-    """Largest unsalient partition count addressable with l_i_max index bits."""
+    """Largest number of unsalient shells addressable with l_i_max index bits."""
     if l_i_max < 2:
-        raise DomainError(f"index width must be >= 2 bits, got {l_i_max}")
+        raise DomainError(f"index width l_i_max must be >= 2 bits, got {l_i_max}")
     return 2 ** l_i_max - 3
 
 

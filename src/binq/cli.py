@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 format error, 3 numeric/domain error.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -18,19 +19,16 @@ from .errors import DomainError, FormatError, IoError, OptimizationError, Valida
 from .saliency_optimizer import sweep_thresholds
 
 
-def _open_output(path):
-    return open(path, "w", newline="") if path else sys.stdout
+def _output(path):
+    """Context manager for the file at path, or for stdout (left open) without one."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _write_rows(path, header, rows):
-    out = _open_output(path)
-    try:
+    with _output(path) as out:
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def cmd_analyze(args) -> int:
@@ -100,8 +98,7 @@ def cmd_report(args) -> int:
     else:
         widths = [max(len(str(r[i])) for r in rows + [_REPORT_COLUMNS])
                   for i in range(len(_REPORT_COLUMNS))]
-        out = _open_output(args.output)
-        try:
+        with _output(args.output) as out:
             out.write("  ".join(c.ljust(w) for c, w in zip(_REPORT_COLUMNS, widths)))
             out.write("\n")
             for r in rows:
@@ -111,9 +108,6 @@ def cmd_report(args) -> int:
             # average disagree by construction; surface both.
             out.write(f"note: L_i_formula {total.l_i:.4f} vs realized "
                       f"{total.l_i_realized:.4f} bits/index\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
     return 0
 
 
@@ -137,13 +131,9 @@ def cmd_prune_scores(args) -> int:
     decisions = token_pruner.prune_decisions(tensors, args.ratio, args.start_layer)
     doc = [{"layer": d.layer_index, "lambda": d.lambda_img,
             "retained": list(d.retained)} for d in decisions]
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         json.dump(doc, out, indent=2)
         out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 
+from .bit_packer import max_partitions
 from .errors import DomainError
 
 # Default cap on the salient share by component role; vision towers tolerate
@@ -42,13 +43,11 @@ class QuantConfig:
             raise DomainError(f"iters must be >= 1, got {self.iters}")
         if self.scale_width not in (16, 32):
             raise DomainError(f"scale_width must be 16 or 32, got {self.scale_width}")
-        if self.l_i_max < 2:
-            raise DomainError(f"l_i_max must be >= 2, got {self.l_i_max}")
         # Index codes of at most l_i_max bits must be able to address every
         # group (one salient group plus n_uns unsalient ones).
-        if self.n_uns > 2 ** self.l_i_max - 3:
+        if self.n_uns > max_partitions(self.l_i_max):
             raise DomainError(
-                f"n_uns={self.n_uns} exceeds the {2 ** self.l_i_max - 3} partitions "
+                f"n_uns={self.n_uns} exceeds the {max_partitions(self.l_i_max)} shells "
                 f"addressable with l_i_max={self.l_i_max}")
 
     def resolve_p_sal_max(self, role, override: float | None = None) -> float:

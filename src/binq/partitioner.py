@@ -1,14 +1,14 @@
-"""Quantile-based split of a layer into one salient and N disjoint unsalient subsets.
+"""Quantile rule that labels each weight with its salient or unsalient group.
 
 Cutoffs are z-scores of cumulative Gaussian quantiles; each element's
 uncentered |w| is compared with mu + sigma*z, where mu and sigma are the
-layer's fitted mean and standard deviation. For a layer with mean near zero
-each unsalient subset then targets an equal share of the mass and the
-salient set holds the distribution tails; a nonzero mean shifts the realized
-fractions away from those targets.
+layer's fitted mean and standard deviation. Labels 0..n_uns-1 are the
+unsalient shells (inner to outer) and n_uns the salient tail; they are also
+the symbols of the packed group-index stream. For a layer with mean near
+zero each shell then targets an equal share of the mass and the salient set
+holds the distribution tails; a nonzero mean shifts the realized fractions
+away from those targets. `LayerObjective` applies the rule at each share.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,41 +18,6 @@ from .weight_stats import GaussianFit, probit
 # Probit arguments are clamped below this to keep the top cutoff finite
 # when the salient share is 0.
 _MAX_QUANTILE = 1.0 - 1e-12
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Cutoff parameters that produced a partition."""
-
-    p_sal: float
-    n_uns: int
-    z_cutoffs: tuple[float, ...]
-    mu: float
-    sigma: float
-
-
-@dataclass
-class LayerPartition:
-    """Per-element group labels for one layer.
-
-    Label values 0 .. n_uns-1 are the unsalient subsets 1 .. n_uns (inner to
-    outer magnitude shell); label n_uns marks salient elements. The same
-    integers double as the symbols of the packed group-index stream.
-    """
-
-    labels: np.ndarray  # (m, n) int8
-    spec: PartitionSpec
-
-    @property
-    def n_uns(self) -> int:
-        return self.spec.n_uns
-
-    @property
-    def salient_label(self) -> int:
-        return self.spec.n_uns
-
-    def salient_mask(self) -> np.ndarray:
-        return self.labels == self.salient_label
 
 
 def compute_cutoffs(p_sal: float, n_uns: int) -> list[float]:
@@ -86,22 +51,3 @@ def magnitude_labels(magnitudes: np.ndarray, thresholds) -> np.ndarray:
     for t in thresholds:
         labels += (magnitudes > t).view(np.int8)
     return labels
-
-
-def partition(matrix, fit: GaussianFit, p_sal: float, n_uns: int) -> LayerPartition:
-    """Label every element of the matrix with its magnitude group.
-
-    An element is salient iff |w| exceeds the outermost cutoff; unsalient
-    subset k covers mu + sigma*z^(k-1) < |w| <= mu + sigma*z^(k), with the
-    innermost subset absorbing everything below the first cutoff. Ties at a
-    cutoff go to the lower subset. A zero-sigma layer degenerates to a
-    single unsalient group with the salient share forced to 0.
-    """
-    if fit.sigma == 0.0:
-        p_sal = 0.0
-    cutoffs = compute_cutoffs(p_sal, n_uns)
-    labels = magnitude_labels(np.abs(matrix.data, dtype=np.float64),
-                              magnitude_thresholds(fit, cutoffs))
-    spec = PartitionSpec(p_sal=p_sal, n_uns=n_uns, z_cutoffs=tuple(cutoffs),
-                         mu=fit.mu, sigma=fit.sigma)
-    return LayerPartition(labels=labels, spec=spec)

@@ -1,9 +1,9 @@
 """Per-layer and per-model orchestration of the hybrid quantization pipeline.
 
-Each layer runs: Gaussian fit, optional saliency search, quantile partition,
-salient 2-bit quantization, shell binarization, and reconstruction.
-Layers are processed independently in manifest order so artifacts are
-deterministic.
+Each layer runs: Gaussian fit, the layer's `LayerObjective`, an optional
+saliency search over it, and the quantized layer the objective builds at
+the chosen share. Layers are processed independently in manifest order so
+artifacts are deterministic.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 from . import bit_packer
 from .config import QuantConfig
 from .errors import BinqError, DomainError
-from .saliency_optimizer import hybrid_quantize, optimize_saliency, score_layer
+from .saliency_optimizer import LayerObjective, evaluate_objective, optimize_saliency
 from .tensor_store import ModelManifest, QuantizedLayer, WeightMatrix
 from .weight_stats import fit_gaussian
 
@@ -35,13 +35,12 @@ def reconstruction_error(matrix: WeightMatrix, layer: QuantizedLayer) -> float:
     return float(np.sum(np.square(diff)))
 
 
-def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
-                   cap_override: float | None = None) -> QuantizedLayer:
-    """Quantize one layer: fit, saliency search, partition, hybrid quantize.
+def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
+              cap_override: float | None, score: bool):
+    """The quantized layer and, if `score`, its J (else None).
 
-    With optimize_saliency off the salient share is pinned to the resolved
-    cap. All-zero and constant layers degenerate to a single binarized group
-    without error.
+    J is the search's best evaluation, or one evaluation at the pinned
+    share; an all-zero layer, whose J is 0/0, gets 0.
     """
     config = config or QuantConfig()
     matrix.require_finite()
@@ -50,15 +49,31 @@ def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
     cap = config.resolve_p_sal_max(matrix.role, cap_override)
     cfg = replace(config, p_sal_max=cap)
     fit = fit_gaussian(matrix)
+    objective = LayerObjective(matrix, fit, cfg)
 
+    j = None
     # An all-zero matrix has sigma 0 too.
     if fit.sigma == 0.0:
         p_used = 0.0
     elif cfg.optimize_saliency:
-        p_used = optimize_saliency(matrix, fit, cfg)
+        p_used, j = optimize_saliency(matrix, fit, cfg, objective, full_output=True)
     else:
         p_used = cap
-    return hybrid_quantize(matrix, fit, p_used, cfg)
+    if score and j is None:  # mu = sigma = 0 only for an all-zero layer
+        j = (evaluate_objective(matrix, fit, p_used, cfg, objective).j
+             if fit.mu or fit.sigma else 0.0)
+    return objective.layer(p_used), j
+
+
+def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
+                   cap_override: float | None = None) -> QuantizedLayer:
+    """Quantize one layer: fit, saliency search, and the layer built at the share found.
+
+    With optimize_saliency off the salient share is pinned to the resolved
+    cap. All-zero and constant layers degenerate to a single binarized group
+    without error.
+    """
+    return _quantize(matrix, config, cap_override, score=False)[0]
 
 
 def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):
@@ -75,9 +90,7 @@ def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):
     for entry in manifest.entries:
         try:
             matrix = entry.load()
-            layer = quantize_layer(matrix, config, entry.p_sal_max)
-            denom = matrix.squared_norm()
-            j = score_layer(matrix, layer, denom).j if denom > 0.0 else 0.0
+            layer, j = _quantize(matrix, config, entry.p_sal_max, score=True)
             report = bit_packer.storage_report(layer)
         except (BinqError, ValueError) as exc:
             raise type(exc)(f"layer {entry.name!r}: {exc}") from exc

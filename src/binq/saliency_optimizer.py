@@ -5,20 +5,23 @@ layer's squared Frobenius norm. A bounded Brent search (parabolic steps
 with golden-section fallback) minimizes J over [0, p_sal_max]; because the
 quantile cutoffs move in discrete steps J need not be unimodal, so the
 search result is additionally compared against both interval endpoints and
-the overall best is returned. An evaluation builds no layer (`LayerObjective`).
+the overall best is returned. `LayerObjective` both scores a share and builds
+the quantized layer at it; an evaluation builds no layer.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
 from .config import QuantConfig
 from .errors import DomainError, OptimizationError
-from .partitioner import compute_cutoffs, magnitude_labels, magnitude_thresholds, partition
+from .partitioner import compute_cutoffs, magnitude_labels, magnitude_thresholds
 from .salient_quantizer import quantize_salient, store_scales
 from .tensor_store import QuantizedLayer
-from .unsalient_binarizer import binarize_unsalient, shell_scalars
+from .unsalient_binarizer import shell_scalars
 from .weight_stats import GaussianFit
 
 _GOLDEN = 0.3819660112501051
@@ -36,89 +39,80 @@ class ObjectiveEval:
     denom: float
 
 
-def hybrid_quantize(matrix, fit: GaussianFit, p_sal: float,
-                    config: QuantConfig) -> QuantizedLayer:
-    """Partition at a fixed salient share and quantize both branches.
-
-    Shell scalars are rounded to the configured storage width, matching
-    what an artifact would hold, so residuals are storage-faithful.
-    """
-    part = partition(matrix, fit, p_sal, config.n_uns)
-    scalars, signs = binarize_unsalient(matrix, part)
-    mask = part.salient_mask()
-    salient = quantize_salient(np.nonzero(mask)[0], matrix.data[mask].astype(np.float64),
-                               matrix.m, config)
-    return QuantizedLayer(name=matrix.name, role=matrix.role, m=matrix.m,
-                          n=matrix.n, labels=part.labels, salient=salient,
-                          scalars=store_scales(scalars, config.scale_width),
-                          signs=signs, p_sal_used=part.spec.p_sal,
-                          p_sal_max=config.resolve_p_sal_max(matrix.role),
-                          config=config)
-
-
-def score_layer(matrix, layer: QuantizedLayer, denom: float) -> ObjectiveEval:
-    """Objective of a quantized layer: its residual over denom = ||W||^2.
-
-    The residual of each group is summed over its members in row-major order.
-    """
-    sq = np.square(matrix.data.astype(np.float64) - layer.dense()).ravel()
-    labels = layer.labels.ravel()
-    res = [float(np.sum(np.compress(labels == k, sq)))
-           for k in range(layer.config.n_uns + 1)]
-    sal_res, uns_res = res[-1], tuple(res[:-1])
-    return ObjectiveEval(p_sal=layer.p_sal_used, j=(sal_res + sum(uns_res)) / denom,
-                         salient_residual=sal_res, unsalient_residuals=uns_res,
-                         denom=denom)
-
-
 class LayerObjective:
-    """The objective of one layer at any salient share p in [0, p_sal_max].
+    """The objective of one layer at any salient share p in [0, p_sal_max], and its layer.
 
-    |w| is taken once and the salient tail at the cap (row, value and |w| of
-    each element above its cutoff) gathered once. At p the shells are picked
-    from |w| and the salient members from the tail, both in row-major order,
-    so each residual is summed exactly as `score_layer` sums it on the layer
-    `hybrid_quantize` would build.
+    |w| is taken once (float32, exact) and the salient tail at the cap (row,
+    value and |w| of each element above its cutoff) gathered once. At p the
+    shells are picked from |w| and the salient members from the tail, both in
+    row-major order; `__call__` scores exactly the layer that `layer` builds
+    from them. ||W||^2 is taken at the first evaluation.
     """
 
     def __init__(self, matrix, fit: GaussianFit, config: QuantConfig):
-        self.denom = matrix.squared_norm()
-        if self.denom == 0.0:
-            raise DomainError("objective undefined for an all-zero matrix")
         self.matrix, self.fit, self.config = matrix, fit, config
         self.p_cap = config.resolve_p_sal_max(matrix.role)
-        self.mag = np.abs(matrix.data, dtype=np.float64).ravel()
+        self.mag = np.abs(matrix.data).ravel()
         cap_cut = magnitude_thresholds(fit, compute_cutoffs(self.p_cap, config.n_uns))[-1]
         self.tail = self._gather_tail(cap_cut)
+
+    @cached_property
+    def denom(self) -> float:
+        denom = self.matrix.squared_norm()
+        if denom == 0.0:
+            raise DomainError("objective undefined for an all-zero matrix")
+        return denom
 
     def _gather_tail(self, cut: float):
         mask = self.mag > cut
         values = np.compress(mask, self.matrix.data).astype(np.float64)
         return cut, np.flatnonzero(mask) // self.matrix.n, values, np.compress(mask, self.mag)
 
-    def __call__(self, p_sal: float) -> ObjectiveEval:
+    def _at(self, p_sal: float):
+        """Flat labels at p, and the salient members (rows, w) with their fit."""
         if not 0.0 <= p_sal <= self.p_cap:
             raise DomainError(f"p_sal={p_sal} outside [0, {self.p_cap}]")
         t = magnitude_thresholds(self.fit, compute_cutoffs(p_sal, self.config.n_uns))
         if t[-1] < self.tail[0]:  # the cutoffs fall with p only up to rounding
             self.tail = self._gather_tail(t[-1])
-        labels, width = magnitude_labels(self.mag, t), self.config.scale_width
-        uns_res = tuple(float(np.sum(np.square(s - float(store_scales(a, width)))))
-                        for s, a in shell_scalars(self.mag, labels, self.config.n_uns))
         _, rows, w, tail_mag = self.tail
         keep = tail_mag > t[-1]
         rows, w = np.compress(keep, rows), np.compress(keep, w)
-        sal = quantize_salient(rows, w, self.matrix.m, self.config)
+        salient = quantize_salient(rows, w, self.matrix.m, self.config)
+        return magnitude_labels(self.mag, t), rows, w, salient
+
+    def __call__(self, p_sal: float) -> ObjectiveEval:
+        denom = self.denom
+        labels, rows, w, sal = self._at(p_sal)
+        width = self.config.scale_width
+        uns_res = tuple(float(np.sum(np.square(s - float(store_scales(a, width)))))
+                        for s, a in shell_scalars(self.mag, labels, self.config.n_uns))
         approx = sal.scales.astype(np.float64)[rows] * sal.centers[sal.codes]
         sal_res = float(np.sum(np.square(w - approx)))
-        return ObjectiveEval(p_sal=p_sal, j=(sal_res + sum(uns_res)) / self.denom,
+        return ObjectiveEval(p_sal=p_sal, j=(sal_res + sum(uns_res)) / denom,
                              salient_residual=sal_res, unsalient_residuals=uns_res,
-                             denom=self.denom)
+                             denom=denom)
+
+    def layer(self, p_sal: float) -> QuantizedLayer:
+        """The quantized layer at p, whose residual is J(p).
+
+        A sign is True for +1, also for an exact zero. map drops each shell
+        once its scalar is taken, so that one shell is held at a time.
+        """
+        labels, _, _, salient = self._at(p_sal)
+        n_uns, m = self.config.n_uns, self.matrix
+        scalars = list(map(itemgetter(1), shell_scalars(self.mag, labels, n_uns)))
+        signs = (m.data >= 0.0).ravel()[labels < n_uns]
+        return QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
+                              labels=labels.reshape(m.m, m.n), salient=salient,
+                              scalars=store_scales(scalars, self.config.scale_width),
+                              signs=signs, p_sal_used=p_sal, p_sal_max=self.p_cap,
+                              config=self.config)
 
 
 def evaluate_objective(matrix, fit: GaussianFit, p_sal: float, config: QuantConfig,
                        objective: LayerObjective | None = None) -> ObjectiveEval:
-    """Normalized residual of the layer `hybrid_quantize` would build at p_sal.
+    """Normalized residual of the layer `LayerObjective.layer` builds at p_sal.
 
     A caller evaluating many shares passes the `LayerObjective` built from these arguments.
     """
@@ -210,22 +204,23 @@ def brent_minimize(f, lo: float, hi: float, tol: float, max_iters: int,
     return x, fx
 
 
-def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
+def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig,
+                      objective: LayerObjective | None = None, full_output: bool = False):
     """Best salient share in [0, p_sal_max] under the normalized objective.
 
-    The layer's `LayerObjective` is built once; every evaluation calls it and
-    is memoized on the share rounded to 1e-6 and clamped to the cap. The
-    Brent result is compared against both endpoints, so the returned share
-    is never worse than either bound; ties prefer the smaller (cheaper)
-    share.
+    Every evaluation calls `objective` (by default one built from the
+    arguments) and is memoized on the share rounded to 1e-6 and clamped to
+    the cap. The Brent result is compared against both endpoints, so the
+    returned share is never worse than either bound; ties prefer the
+    smaller (cheaper) share, so a zero-sigma fit, under which every share
+    builds the same layer, gives 0. Returns the share; with full_output,
+    (share, its J).
     """
     p_cap = config.resolve_p_sal_max(matrix.role)
     if not 0.0 < p_cap < 1.0:
         raise DomainError(f"p_sal_max must lie in (0, 1), got {p_cap}")
-    if fit.sigma == 0.0:
-        return 0.0
-
-    objective = LayerObjective(matrix, fit, config)
+    if objective is None:
+        objective = LayerObjective(matrix, fit, config)
     cache: dict[float, float] = {}
 
     def share(p: float) -> float:
@@ -242,7 +237,10 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig) -> float:
     candidates = [(j_of(0.0), 0.0), (j_of(p_cap), p_cap), (f_int, share(x_int))]
     best_j = min(j for j, _ in candidates)
     best_p = min(p for j, p in candidates if j <= best_j)
-    return best_p
+    # A cap with more than six decimals was evaluated at its rounding only.
+    if full_output and best_p not in cache:
+        cache[best_p] = evaluate_objective(matrix, fit, best_p, config, objective).j
+    return (best_p, cache[best_p]) if full_output else best_p
 
 
 def sweep_thresholds(matrix, fit: GaussianFit, thresholds, config: QuantConfig):

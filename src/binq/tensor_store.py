@@ -219,24 +219,29 @@ def write_tensor(matrix: WeightMatrix, path):
     _write_bytes(path, header + payload)
 
 
-def read_tensor(path) -> WeightMatrix:
-    """Read a .bvw file; the layer name defaults to the file stem."""
-    reader = _Reader(_read_bytes(path), str(path))
+def _tensor_header(reader: _Reader):
+    """Parse a .bvw header up to the payload; returns (role, m, n)."""
     _check_magic(reader, TENSOR_MAGIC)
     dtype_code, role_code, rank = reader.unpack("BBI")
     if dtype_code != _DTYPE_F32:
-        raise FormatError(f"{path}: unsupported dtype code {dtype_code}")
+        raise FormatError(f"{reader.origin}: unsupported dtype code {dtype_code}")
     if role_code not in _ROLE_FROM_CODE:
-        raise FormatError(f"{path}: unknown role code {role_code}")
+        raise FormatError(f"{reader.origin}: unknown role code {role_code}")
     if rank != 2:
-        raise FormatError(f"{path}: rank must be 2, got {rank}")
+        raise FormatError(f"{reader.origin}: rank must be 2, got {rank}")
     m, n = reader.unpack("QQ")
     if m < 1 or n < 1:
-        raise FormatError(f"{path}: degenerate dims {m}x{n}")
+        raise FormatError(f"{reader.origin}: degenerate dims {m}x{n}")
+    return _ROLE_FROM_CODE[role_code], m, n
+
+
+def read_tensor(path) -> WeightMatrix:
+    """Read a .bvw file; the layer name defaults to the file stem."""
+    reader = _Reader(_read_bytes(path), str(path))
+    role, m, n = _tensor_header(reader)
     data = reader.array("f4", m * n).reshape(m, n)
     reader.done()
-    matrix = WeightMatrix(name=Path(path).stem, role=_ROLE_FROM_CODE[role_code],
-                          data=data)
+    matrix = WeightMatrix(name=Path(path).stem, role=role, data=data)
     matrix.require_finite()
     return matrix
 
@@ -248,7 +253,7 @@ def read_manifest(path) -> ModelManifest:
     raw = _read_bytes(path)
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable (non-UTF) text
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise FormatError(f"{path}: manifest must be a JSON array")
@@ -258,15 +263,16 @@ def read_manifest(path) -> ModelManifest:
     for i, item in enumerate(doc):
         if not isinstance(item, dict) or not {"name", "path", "role"} <= set(item):
             raise FormatError(f"{path}: entry {i} needs 'name', 'path', and 'role'")
-        name = item["name"]
+        name, p_cap = item["name"], item.get("p_sal_max")
+        if not isinstance(name, str) or not isinstance(item["path"], str):
+            raise FormatError(f"{path}: entry {i} 'name' and 'path' must be strings")
         if name in seen:
             raise FormatError(f"{path}: duplicate layer name {name!r}")
         seen.add(name)
         tensor_path = base / item["path"]
         _validate_tensor_header(tensor_path)
-        p_cap = item.get("p_sal_max")
-        if p_cap is not None and not 0.0 < float(p_cap) < 1.0:
-            raise FormatError(f"{path}: entry {name!r} p_sal_max outside (0, 1)")
+        if p_cap is not None and not (type(p_cap) in (int, float) and 0.0 < p_cap < 1.0):
+            raise FormatError(f"{path}: entry {name!r} p_sal_max must be a number in (0, 1)")
         entries.append(ManifestEntry(name=name, path=tensor_path,
                                      role=_as_role(item["role"]),
                                      p_sal_max=None if p_cap is None else float(p_cap)))
@@ -281,12 +287,7 @@ def _validate_tensor_header(path):
             head = fh.read(28)
     except OSError as exc:
         raise FormatError(f"manifest references unreadable tensor {path}: {exc}") from exc
-    reader = _Reader(head, str(path))
-    _check_magic(reader, TENSOR_MAGIC)
-    dtype_code, role_code, rank = reader.unpack("BBI")
-    if dtype_code != _DTYPE_F32 or role_code not in _ROLE_FROM_CODE or rank != 2:
-        raise FormatError(f"{path}: invalid tensor header")
-    m, n = reader.unpack("QQ")
+    _, m, n = _tensor_header(_Reader(head, str(path)))
     if size != 28 + 4 * m * n:
         raise FormatError(f"{path}: file size {size} does not match dims {m}x{n}")
 
@@ -430,7 +431,10 @@ def read_artifact(path) -> list:
     layers = []
     for _ in range(layer_count):
         (name_len,) = reader.unpack("H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: layer name is not UTF-8: {exc}") from exc
         (role_code, m, n, n_uns, n_bits, scale_width, l_i_max, alpha, iters,
          optimize, p_sal_max, p_sal_used) = reader.unpack("BQQBBBBdHBdd")
         if role_code not in _ROLE_FROM_CODE:

@@ -55,13 +55,49 @@ def relative_error(matrix, layer):
     return float(np.sqrt(reconstruction_error(matrix, layer) / matrix.squared_norm()))
 
 
-def salient_members(matrix, part):
-    """(rows, values, m) of a partition's salient members, as the fit takes them."""
-    mask = part.salient_mask()
+def score_layer(matrix, layer):
+    """Dense oracle of the objective: a layer's residual over ||W||^2.
+
+    The residual of each group is summed over its members in row-major order.
+    """
+    from binq import ObjectiveEval
+
+    sq = np.square(matrix.data.astype(np.float64) - layer.dense()).ravel()
+    labels = layer.labels.ravel()
+    res = [float(np.sum(np.compress(labels == k, sq)))
+           for k in range(layer.config.n_uns + 1)]
+    sal_res, uns_res, denom = res[-1], tuple(res[:-1]), matrix.squared_norm()
+    return ObjectiveEval(p_sal=layer.p_sal_used, j=(sal_res + sum(uns_res)) / denom,
+                         salient_residual=sal_res, unsalient_residuals=uns_res,
+                         denom=denom)
+
+
+def one_shell(values):
+    """(matrix, scalar, signs) of a one-row layer built with every element in one shell.
+
+    A zero-sigma fit has no cutoffs, so the single shell takes all of it.
+    scalar is the shell's float64 mean |w| from `shell_scalars`, before the
+    storage rounding the built layer applies; signs is the layer's stream.
+    """
+    from binq import QuantConfig
+    from binq.saliency_optimizer import LayerObjective
+    from binq.unsalient_binarizer import shell_scalars
+    from binq.weight_stats import GaussianFit
+
+    mat = WeightMatrix("t", Role.LANGUAGE, np.asarray(values, np.float32).reshape(1, -1))
+    fit = GaussianFit(mu=0.0, sigma=0.0, count=mat.data.size)
+    layer = LayerObjective(mat, fit, QuantConfig(n_uns=1, p_sal_max=0.05)).layer(0.0)
+    ((_, scalar),) = shell_scalars(np.abs(mat.data).ravel(), layer.labels.ravel(), 1)
+    assert layer.scalars[0] == np.float16(scalar)
+    return mat, scalar, layer.signs
+
+
+def salient_members(matrix, mask):
+    """(rows, values, m) of the salient members under a mask, as the fit takes them."""
     return np.nonzero(mask)[0], matrix.data[mask].astype(np.float64), matrix.m
 
 
-def rowwise_residuals(matrix, part, iters):
+def rowwise_residuals(matrix, mask, iters):
     """Squared salient residual of the row-wise fit after iterations 1..iters.
 
     With atol = 0 fit_rowwise is deterministic, so a fit run for k
@@ -69,7 +105,7 @@ def rowwise_residuals(matrix, part, iters):
     """
     from binq.salient_quantizer import fit_rowwise
 
-    rows, w, m = salient_members(matrix, part)
+    rows, w, m = salient_members(matrix, mask)
     out = []
     for k in range(1, iters + 1):
         scales, relaxed = fit_rowwise(rows, w, m, iters=k)

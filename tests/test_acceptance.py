@@ -18,12 +18,12 @@ from binq import (QuantConfig, Role, WeightMatrix, quantize_layer,
                   read_artifact, write_artifact)
 from binq.bit_packer import (CodeBook, max_partitions, pack_stream,
                              storage_report, unpack_stream)
-from binq.partitioner import partition
 from binq.salient_quantizer import level_grid
-from binq.saliency_optimizer import evaluate_objective, optimize_saliency, sweep_thresholds
+from binq.saliency_optimizer import (LayerObjective, evaluate_objective, optimize_saliency,
+                                     sweep_thresholds)
 from binq.token_pruner import layer_lambda, retain_mask, validate_scores
 from binq.weight_stats import fit_gaussian, probit
-from conftest import (outlier_matrix, relative_error, rowwise_residuals,
+from conftest import (one_shell, outlier_matrix, relative_error, rowwise_residuals,
                       straddling_outlier_matrix)
 from test_tensor_store import layers_equal
 from test_token_pruner import language_tensor, vision_tensor
@@ -57,23 +57,15 @@ def test_criterion_02_partition_count_formula():
 
 
 def test_criterion_03_binarization_optimality_oracle():
-    from binq.partitioner import LayerPartition, PartitionSpec
-    from binq.unsalient_binarizer import binarize_unsalient
-
     start = time.perf_counter()
     rng = np.random.default_rng(42)
     worst_gap = 0.0
     for _ in range(200):
         size = int(rng.integers(1, 13))
         values = rng.normal(0, rng.uniform(0.5, 3.0), size)
-        mat = WeightMatrix("t", Role.LANGUAGE,
-                           values.astype(np.float32).reshape(1, -1))
-        spec = PartitionSpec(p_sal=0.0, n_uns=1, z_cutoffs=(7.0,), mu=0.0,
-                             sigma=1.0)
-        part = LayerPartition(labels=np.zeros((1, size), np.int8), spec=spec)
-        scalars, positive = binarize_unsalient(mat, part)
+        mat, scalar, positive = one_shell(values)
         w = mat.data.astype(np.float64).ravel()
-        closed = float(np.sum((w - scalars[0] * np.where(positive, 1.0, -1.0)) ** 2))
+        closed = float(np.sum((w - scalar * np.where(positive, 1.0, -1.0)) ** 2))
         best = math.inf
         for signs in itertools.product((-1.0, 1.0), repeat=size):
             b = np.asarray(signs)
@@ -88,18 +80,13 @@ def test_criterion_03_binarization_optimality_oracle():
 
 
 def test_criterion_04_rowwise_fit_monotone_residual():
-    from binq.partitioner import LayerPartition, PartitionSpec
-
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     violations = 0
     for _ in range(100):
         data = rng.normal(0, rng.uniform(0.5, 2.0), (32, 32)).astype(np.float32)
         mat = WeightMatrix("t", Role.LANGUAGE, data)
-        spec = PartitionSpec(p_sal=1.0, n_uns=1, z_cutoffs=(0.0,), mu=0.0,
-                             sigma=1.0)
-        part = LayerPartition(labels=np.ones((32, 32), np.int8), spec=spec)
-        residuals = rowwise_residuals(mat, part, 15)
+        residuals = rowwise_residuals(mat, np.ones((32, 32), bool), 15)
         for a, b in zip(residuals, residuals[1:]):
             if b > a * (1 + 1e-12) + 1e-15:
                 violations += 1
@@ -225,8 +212,8 @@ def test_criterion_10_statistical_partition_fractions():
     mat = WeightMatrix("g", Role.LANGUAGE,
                        rng.normal(0, 1, (1000, 1000)).astype(np.float32))
     fit = fit_gaussian(mat)
-    part = partition(mat, fit, 0.05, 5)
-    counts = np.bincount(part.labels.ravel(), minlength=6)
+    layer = LayerObjective(mat, fit, QuantConfig(p_sal_max=0.05)).layer(0.05)
+    counts = np.bincount(layer.labels.ravel(), minlength=6)
     total = counts.sum()
     targets = [(1 - 0.05) / 5] * 5 + [0.05]
     for k, target in enumerate(targets):

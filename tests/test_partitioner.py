@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from binq import DomainError, Role, WeightMatrix
-from binq.partitioner import (compute_cutoffs, magnitude_labels, magnitude_thresholds,
-                              partition)
+from binq import DomainError, QuantConfig, Role, WeightMatrix, quantize_layer
+from binq.partitioner import compute_cutoffs, magnitude_labels, magnitude_thresholds
+from binq.saliency_optimizer import LayerObjective
 from binq.weight_stats import GaussianFit, fit_gaussian, probit
 from conftest import gaussian_matrix
+
+
+def built_labels(mat, fit, p_sal, n_uns):
+    """Group labels of the layer built at share p_sal with n_uns shells."""
+    config = QuantConfig(n_uns=n_uns, p_sal_max=max(p_sal, 0.01))
+    return LayerObjective(mat, fit, config).layer(p_sal).labels
 
 
 class TestComputeCutoffs:
@@ -44,58 +50,55 @@ class TestPartition:
         mat = WeightMatrix("t", Role.LANGUAGE,
                            rng.normal(0, 1, (1000, 1000)).astype(np.float32))
         fit = fit_gaussian(mat)
-        part = partition(mat, fit, 0.05, 1)
-        frac = part.salient_mask().mean()
+        frac = (built_labels(mat, fit, 0.05, 1) == 1).mean()
         assert frac == pytest.approx(0.05, abs=0.002)
 
     def test_zero_share_empty_salient(self):
         mat = gaussian_matrix(0, shape=(100, 100))
-        part = partition(mat, fit_gaussian(mat), 0.0, 5)
-        assert part.salient_mask().sum() == 0
+        labels = built_labels(mat, fit_gaussian(mat), 0.0, 5)
+        assert np.sum(labels == 5) == 0
 
     def test_constant_matrix_degenerates(self):
         mat = WeightMatrix("t", Role.LANGUAGE, np.full((8, 8), 2.5, np.float32))
-        part = partition(mat, fit_gaussian(mat), 0.05, 5)
-        assert np.all(part.labels == 0)
-        assert part.spec.p_sal == 0.0
+        layer = quantize_layer(mat, QuantConfig(p_sal_max=0.05, optimize_saliency=False))
+        assert np.all(layer.labels == 0)
+        assert layer.p_sal_used == 0.0
 
     def test_cover_and_disjoint(self):
         mat = gaussian_matrix(5, shape=(50, 40))
-        part = partition(mat, fit_gaussian(mat), 0.03, 5)
-        counts = np.bincount(part.labels.ravel(), minlength=6)
+        labels = built_labels(mat, fit_gaussian(mat), 0.03, 5)
+        counts = np.bincount(labels.ravel(), minlength=6)
         assert counts.sum() == 50 * 40
         assert counts.size == 6
         # each element carries exactly one label by construction
-        assert part.labels.min() >= 0
-        assert part.labels.max() <= 5
+        assert labels.min() >= 0
+        assert labels.max() <= 5
 
     def test_monotone_saliency(self):
         mat = gaussian_matrix(7, shape=(64, 64))
         fit = fit_gaussian(mat)
-        previous = partition(mat, fit, 0.01, 5).salient_mask()
+        previous = built_labels(mat, fit, 0.01, 5) == 5
         for p in (0.02, 0.05, 0.1, 0.2):
-            current = partition(mat, fit, p, 5).salient_mask()
+            current = built_labels(mat, fit, p, 5) == 5
             assert np.all(current[previous])  # no element leaves the salient set
             previous = current
 
     def test_scale_invariance_of_labels(self):
         mat = gaussian_matrix(9, shape=(32, 32))
         fit = fit_gaussian(mat)
-        part = partition(mat, fit, 0.04, 4)
+        labels = built_labels(mat, fit, 0.04, 4)
         scaled = WeightMatrix("t", Role.LANGUAGE, mat.data * np.float32(4.0))
         fit4 = fit_gaussian(scaled)
         assert fit4.mu == pytest.approx(4 * fit.mu, abs=1e-12)
         assert fit4.sigma == pytest.approx(4 * fit.sigma, rel=1e-12)
-        part4 = partition(scaled, fit4, 0.04, 4)
-        assert np.array_equal(part.labels, part4.labels)
+        assert np.array_equal(labels, built_labels(scaled, fit4, 0.04, 4))
 
     def test_ties_go_to_lower_subset(self):
         # Construct data where one |w| hits a threshold exactly.
         mat = WeightMatrix("t", Role.LANGUAGE,
                            np.array([[1.0, -1.0, 1.0, -1.0]], np.float32))
         fit = fit_gaussian(mat)  # mu=0 sigma=1
-        part = partition(mat, fit, 0.0, 1)
-        assert np.all(part.labels == 0)
+        assert np.all(built_labels(mat, fit, 0.0, 1) == 0)
 
     def test_labels_match_digitize(self):
         # magnitude_labels replaced np.digitize(right=True); ties included.
@@ -112,8 +115,8 @@ class TestPartition:
         rng = np.random.default_rng(13)
         mat = WeightMatrix("t", Role.LANGUAGE,
                            rng.normal(0, 1, (1000, 1000)).astype(np.float32))
-        part = partition(mat, fit_gaussian(mat), 0.05, 5)
-        counts = np.bincount(part.labels.ravel(), minlength=6)
+        labels = built_labels(mat, fit_gaussian(mat), 0.05, 5)
+        counts = np.bincount(labels.ravel(), minlength=6)
         total = counts.sum()
         p_uns = (1 - 0.05) / 5
         se = np.sqrt(p_uns * (1 - p_uns) / total)

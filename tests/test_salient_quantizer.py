@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from binq import DomainError, QuantConfig, Role, WeightMatrix
-from binq.partitioner import LayerPartition, PartitionSpec, partition
+from binq.partitioner import compute_cutoffs, magnitude_labels, magnitude_thresholds
 from binq.salient_quantizer import (adaptive_levels, assign_codes, fit_rowwise,
                                     level_grid, quantize_salient)
 from binq.weight_stats import fit_gaussian
@@ -16,9 +16,8 @@ LEVEL_OUTER = 2.805594559842663
 LEVEL_INNER = 1.3082097789801792
 
 
-def salient_residual(mat, part, quant):
+def salient_residual(mat, mask, quant):
     """Squared reconstruction error over the salient members."""
-    mask = part.salient_mask()
     rows = np.nonzero(mask)[0]
     w = mat.data[mask].astype(np.float64)
     approx = quant.scales.astype(np.float64)[rows] * quant.centers[quant.codes]
@@ -26,67 +25,68 @@ def salient_residual(mat, part, quant):
 
 
 def all_salient(values):
-    """Partition marking every element salient (one unsalient subset stays empty)."""
+    """A matrix and a mask marking every element salient."""
     data = np.asarray(values, np.float32)
     if data.ndim == 1:
         data = data.reshape(1, -1)
-    mat = WeightMatrix("t", Role.LANGUAGE, data)
-    labels = np.full(data.shape, 1, dtype=np.int8)
-    spec = PartitionSpec(p_sal=1.0, n_uns=1, z_cutoffs=(0.0,), mu=0.0, sigma=1.0)
-    return mat, LayerPartition(labels=labels, spec=spec)
+    return WeightMatrix("t", Role.LANGUAGE, data), np.ones(data.shape, dtype=bool)
+
+
+def salient_mask(mat, fit, p_sal, n_uns):
+    """Salient positions under the labelling rule at share p_sal."""
+    t = magnitude_thresholds(fit, compute_cutoffs(p_sal, n_uns))
+    return magnitude_labels(np.abs(mat.data), t) == n_uns
 
 
 class TestFitRowwise:
     def test_constant_row_fixed_point(self):
-        mat, part = all_salient([4.0, 4.0, 4.0])
-        scales, relaxed = fit_rowwise(*salient_members(mat, part), iters=1)
+        mat, mask = all_salient([4.0, 4.0, 4.0])
+        scales, relaxed = fit_rowwise(*salient_members(mat, mask), iters=1)
         assert scales[0] == pytest.approx(4.0)
         assert np.allclose(relaxed, 1.0)
-        scales5, relaxed5 = fit_rowwise(*salient_members(mat, part), iters=5)
+        scales5, relaxed5 = fit_rowwise(*salient_members(mat, mask), iters=5)
         assert scales5[0] == pytest.approx(4.0)
         assert np.allclose(relaxed5, 1.0)
 
     def test_two_six_hand_run(self):
-        mat, part = all_salient([2.0, 6.0])
-        scales, relaxed = fit_rowwise(*salient_members(mat, part), iters=1)
+        mat, mask = all_salient([2.0, 6.0])
+        scales, relaxed = fit_rowwise(*salient_members(mat, mask), iters=1)
         assert scales[0] == pytest.approx(4.0)
         assert relaxed == pytest.approx([0.5, 1.0])
-        scales2, relaxed2 = fit_rowwise(*salient_members(mat, part), iters=2)
+        scales2, relaxed2 = fit_rowwise(*salient_members(mat, mask), iters=2)
         assert scales2[0] == pytest.approx(5.6)
         assert relaxed2 == pytest.approx([2.0 / 5.6, 1.0])
 
     def test_two_six_residual_decreases(self):
-        mat, part = all_salient([2.0, 6.0])
-        residuals = rowwise_residuals(mat, part, 4)
+        mat, mask = all_salient([2.0, 6.0])
+        residuals = rowwise_residuals(mat, mask, 4)
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
         assert residuals[1] < residuals[0]
 
     def test_row_without_members_gets_zero_scale(self):
         mat = WeightMatrix("t", Role.LANGUAGE,
                            np.array([[5.0, 5.0], [0.1, 0.1]], np.float32))
-        labels = np.array([[1, 1], [0, 0]], dtype=np.int8)
-        spec = PartitionSpec(p_sal=0.5, n_uns=1, z_cutoffs=(0.0,), mu=0.0, sigma=1.0)
-        part = LayerPartition(labels=labels, spec=spec)
-        scales, relaxed = fit_rowwise(*salient_members(mat, part), iters=3)
+        mask = np.array([[True, True], [False, False]])
+        scales, relaxed = fit_rowwise(*salient_members(mat, mask), iters=3)
         assert scales[1] == 0.0
         assert scales[0] == pytest.approx(5.0)
 
     def test_relaxation_containment(self, rng):
-        mat, part = all_salient(rng.normal(0, 3, (8, 16)).astype(np.float32))
+        mat, mask = all_salient(rng.normal(0, 3, (8, 16)).astype(np.float32))
         for iters in (1, 3, 7):
-            _, relaxed = fit_rowwise(*salient_members(mat, part), iters=iters)
+            _, relaxed = fit_rowwise(*salient_members(mat, mask), iters=iters)
             assert np.all(relaxed >= -1.0) and np.all(relaxed <= 1.0)
 
     def test_monotone_residual_random(self, rng):
         for _ in range(10):
-            mat, part = all_salient(rng.normal(0, 1, (16, 16)).astype(np.float32))
-            res = rowwise_residuals(mat, part, 10)
+            mat, mask = all_salient(rng.normal(0, 1, (16, 16)).astype(np.float32))
+            res = rowwise_residuals(mat, mask, 10)
             assert all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(res, res[1:]))
 
     def test_empty_salient_set(self):
         mat = gaussian_matrix(0, shape=(8, 8))
-        part = partition(mat, fit_gaussian(mat), 0.0, 2)
-        scales, relaxed = fit_rowwise(*salient_members(mat, part), iters=2)
+        mask = salient_mask(mat, fit_gaussian(mat), 0.0, 2)
+        scales, relaxed = fit_rowwise(*salient_members(mat, mask), iters=2)
         assert np.all(scales == 0.0)
         assert relaxed.size == 0
 
@@ -158,23 +158,23 @@ class TestQuantizeSalient:
         alpha = 4.0 / (math.sqrt(math.e) + math.e)
         config = QuantConfig(alpha=alpha, p_sal_max=0.5)
         c = 2.0
-        mat, part = all_salient(np.tile([-c, c], (4, 3)).astype(np.float32))
-        quant = quantize_salient(*salient_members(mat, part), config)
-        res = salient_residual(mat, part, quant)
+        mat, mask = all_salient(np.tile([-c, c], (4, 3)).astype(np.float32))
+        quant = quantize_salient(*salient_members(mat, mask), config)
+        res = salient_residual(mat, mask, quant)
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_salient_set(self):
         mat = gaussian_matrix(1, shape=(8, 8))
-        part = partition(mat, fit_gaussian(mat), 0.0, 2)
-        quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.5))
+        mask = salient_mask(mat, fit_gaussian(mat), 0.0, 2)
+        quant = quantize_salient(*salient_members(mat, mask), QuantConfig(p_sal_max=0.5))
         assert quant.codes.size == 0
         assert np.all(np.asarray(quant.scales, dtype=np.float64) == 0.0)
-        assert salient_residual(mat, part, quant) == 0.0
+        assert salient_residual(mat, mask, quant) == 0.0
 
     def test_code_range(self):
         mat = outlier_matrix(3, shape=(64, 64), frac=0.05, magnitude=6.0, spread=2.0)
-        part = partition(mat, fit_gaussian(mat), 0.05, 5)
-        quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.05))
+        mask = salient_mask(mat, fit_gaussian(mat), 0.05, 5)
+        quant = quantize_salient(*salient_members(mat, mask), QuantConfig(p_sal_max=0.05))
         assert quant.codes.min() >= 0
         assert quant.codes.max() <= 3
 
@@ -185,10 +185,10 @@ class TestQuantizeSalient:
             mat = outlier_matrix(seed, shape=(64, 64), sigma=1.0, frac=0.015,
                                  magnitude=6.0, spread=2.0)
             fit = fit_gaussian(mat)
-            part = partition(mat, fit, 0.05, 5)
-            quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.05))
-            res2 = salient_residual(mat, part, quant)
-            members = mat.data[part.salient_mask()].astype(np.float64)
+            mask = salient_mask(mat, fit, 0.05, 5)
+            quant = quantize_salient(*salient_members(mat, mask), QuantConfig(p_sal_max=0.05))
+            res2 = salient_residual(mat, mask, quant)
+            members = mat.data[mask].astype(np.float64)
             a1 = np.abs(members).mean()
             res1 = float(np.sum((members - a1 * np.where(members >= 0, 1, -1)) ** 2))
             wins += res2 < res1
@@ -197,10 +197,10 @@ class TestQuantizeSalient:
     def test_beats_single_scalar_binarization_gaussian_tails(self):
         mat = gaussian_matrix(0, shape=(64, 64))
         fit = fit_gaussian(mat)
-        part = partition(mat, fit, 0.05, 5)
-        quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.05))
-        res2 = salient_residual(mat, part, quant)
-        members = mat.data[part.salient_mask()].astype(np.float64)
+        mask = salient_mask(mat, fit, 0.05, 5)
+        quant = quantize_salient(*salient_members(mat, mask), QuantConfig(p_sal_max=0.05))
+        res2 = salient_residual(mat, mask, quant)
+        members = mat.data[mask].astype(np.float64)
         a1 = np.abs(members).mean()
         res1 = float(np.sum((members - a1 * np.where(members >= 0, 1, -1)) ** 2))
         assert res2 < res1
@@ -208,22 +208,22 @@ class TestQuantizeSalient:
     def test_degenerate_constant_members(self):
         # All salient members equal: sigma_b = 0, every center collapses to
         # mu_b = 1 and reconstruction is exact.
-        mat, part = all_salient([3.0, 3.0, 3.0, 3.0])
-        quant = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.5))
+        mat, mask = all_salient([3.0, 3.0, 3.0, 3.0])
+        quant = quantize_salient(*salient_members(mat, mask), QuantConfig(p_sal_max=0.5))
         assert quant.sigma_b == 0.0
         assert np.all(quant.centers == quant.mu_b)
-        assert salient_residual(mat, part, quant) == pytest.approx(0.0, abs=1e-12)
+        assert salient_residual(mat, mask, quant) == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_equivariance(self):
         mat = outlier_matrix(4, shape=(32, 32), sigma=1.0, frac=0.03,
                              magnitude=5.0, spread=1.0)
         fit = fit_gaussian(mat)
-        part = partition(mat, fit, 0.05, 5)
-        q1 = quantize_salient(*salient_members(mat, part), QuantConfig(p_sal_max=0.05))
+        mask = salient_mask(mat, fit, 0.05, 5)
+        q1 = quantize_salient(*salient_members(mat, mask), QuantConfig(p_sal_max=0.05))
         scaled = WeightMatrix("t", Role.LANGUAGE, mat.data * np.float32(2.0))
         fit2 = fit_gaussian(scaled)
-        part2 = partition(scaled, fit2, 0.05, 5)
-        q2 = quantize_salient(*salient_members(scaled, part2), QuantConfig(p_sal_max=0.05))
+        mask2 = salient_mask(scaled, fit2, 0.05, 5)
+        q2 = quantize_salient(*salient_members(scaled, mask2), QuantConfig(p_sal_max=0.05))
         assert np.array_equal(q1.codes, q2.codes)
         assert np.allclose(np.asarray(q2.scales, np.float64),
                            2.0 * np.asarray(q1.scales, np.float64))

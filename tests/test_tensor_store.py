@@ -242,6 +242,10 @@ def _huge_columns(raw, layer):
     raw[off:off + 8] = struct.pack("<Q", 2 ** 37)
 
 
+def _name_not_utf8(raw, layer):
+    raw[_fields_offset(layer) - 1] = 0xFF
+
+
 # (how the file is damaged, whether the layer is constant): a constant layer
 # stores all-zero code lengths and a solo group.
 MALFORMED = {
@@ -253,6 +257,7 @@ MALFORMED = {
     "zero_shells": (_zero_shells, False),
     "shells_beyond_int8": (_int8_overflow_shells, False),
     "huge_columns": (_huge_columns, True),
+    "name_not_utf8": (_name_not_utf8, False),
 }
 
 
@@ -273,6 +278,33 @@ def test_malformed_artifact_rejected(tmp_path, capsys, case):
     with pytest.raises(FormatError):
         read_artifact(path)
     assert main(["report", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _manifest(**fields):
+    entry = {"name": "a", "path": "a.bvw", "role": "language", **fields}
+    return json.dumps([entry]).encode()
+
+
+MALFORMED_MANIFESTS = {
+    "not_utf8": b'[{"name": "\xff", "path": "a.bvw", "role": "language"}]',
+    "path_not_string": _manifest(path=3),
+    "name_is_list": _manifest(name=["a"]),
+    "role_is_list": _manifest(role=["language"]),
+    "p_sal_max_is_list": _manifest(p_sal_max=[0.01]),
+    "p_sal_max_is_string": _manifest(p_sal_max="x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_rejected(tmp_path, capsys, case):
+    from binq.cli import main
+    write_tensor(gaussian_matrix(0, (4, 4)), tmp_path / "a.bvw")
+    path = tmp_path / "m.json"
+    path.write_bytes(_manifest(p_sal_max=0.01))
+    assert main(["analyze", str(path), "-o", str(tmp_path / "a.csv")]) == 0
+    path.write_bytes(MALFORMED_MANIFESTS[case])
+    assert main(["analyze", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -3,20 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from binq import Role, WeightMatrix
-from binq.partitioner import partition
-from binq.unsalient_binarizer import binarize_unsalient
+from binq import QuantConfig, Role, WeightMatrix
+from binq.saliency_optimizer import LayerObjective
 from binq.weight_stats import fit_gaussian
-
-
-def single_subset(values):
-    """Partition placing every element in unsalient subset 1."""
-    from binq.partitioner import LayerPartition, PartitionSpec
-    mat = WeightMatrix("t", Role.LANGUAGE,
-                       np.asarray(values, np.float32).reshape(1, -1))
-    spec = PartitionSpec(p_sal=0.0, n_uns=1, z_cutoffs=(7.0,), mu=0.0, sigma=1.0)
-    part = LayerPartition(labels=np.zeros(mat.data.shape, np.int8), spec=spec)
-    return mat, part
+from conftest import one_shell
 
 
 def binarized_error(mat, scale, signs):
@@ -40,15 +30,13 @@ def exhaustive_best(values):
 
 class TestBinarizeSubset:
     def test_exactly_representable(self):
-        mat, part = single_subset([3.0, 3.0, 3.0])
-        (scale,), signs = binarize_unsalient(mat, part)
+        mat, scale, signs = one_shell([3.0, 3.0, 3.0])
         assert scale == pytest.approx(3.0)
         assert np.all(signs)
         assert binarized_error(mat, scale, signs) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_three(self):
-        mat, part = single_subset([1.0, 3.0])
-        (scale,), signs = binarize_unsalient(mat, part)
+        mat, scale, signs = one_shell([1.0, 3.0])
         assert scale == pytest.approx(2.0)
         assert list(signs) == [True, True]
         assert binarized_error(mat, scale, signs) == pytest.approx(2.0, abs=1e-10)
@@ -62,15 +50,13 @@ class TestBinarizeSubset:
         assert binarized_error(mat, scale, signs) <= best + 1e-9
 
     def test_symmetric_pair(self):
-        mat, part = single_subset([-2.0, 2.0])
-        (scale,), signs = binarize_unsalient(mat, part)
+        mat, scale, signs = one_shell([-2.0, 2.0])
         assert scale == pytest.approx(2.0)
         assert list(signs) == [False, True]
         assert binarized_error(mat, scale, signs) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_member_sign_convention(self):
-        mat, part = single_subset([0.0, 1.0])
-        (scale,), signs = binarize_unsalient(mat, part)
+        mat, scale, signs = one_shell([0.0, 1.0])
         assert list(signs) == [True, True]
         assert scale == pytest.approx(0.5)
 
@@ -78,20 +64,18 @@ class TestBinarizeSubset:
         mat = WeightMatrix("t", Role.LANGUAGE,
                            np.array([[1e-3, 10.0, -10.0, 1e-3]], np.float32))
         fit = fit_gaussian(mat)
-        part = partition(mat, fit, 0.0, 3)
-        empty = [k for k in range(3) if np.sum(part.labels == k) == 0]
+        layer = LayerObjective(mat, fit, QuantConfig(n_uns=3, p_sal_max=0.05)).layer(0.0)
+        empty = [k for k in range(3) if np.sum(layer.labels == k) == 0]
         assert empty, "construction should leave a hole in the middle subsets"
-        scalars, signs = binarize_unsalient(mat, part)
-        assert scalars[empty[0]] == 0.0
-        assert signs.size == np.sum(part.labels < 3)
+        assert layer.scalars[empty[0]] == 0.0
+        assert layer.signs.size == np.sum(layer.labels < 3)
 
     def test_optimality_oracle(self):
         rng = np.random.default_rng(99)
         for _ in range(50):
             size = rng.integers(1, 13)
             values = rng.normal(0, 1, size)
-            mat, part = single_subset(values)
-            (scale,), signs = binarize_unsalient(mat, part)
+            mat, scale, signs = one_shell(values)
             closed = binarized_error(mat, scale, signs)
             stored = mat.data.astype(np.float64).ravel()
             assert closed <= exhaustive_best(stored) + 1e-9
@@ -100,24 +84,20 @@ class TestBinarizeSubset:
         rng = np.random.default_rng(5)
         for _ in range(20):
             values = rng.normal(0, 2, rng.integers(2, 40))
-            mat, part = single_subset(values)
-            (scale,), signs = binarize_unsalient(mat, part)
+            mat, scale, signs = one_shell(values)
             w = mat.data.astype(np.float64).ravel()
             identity = float(np.sum(w * w) - scale ** 2 * w.size)
             assert binarized_error(mat, scale, signs) == pytest.approx(identity, abs=1e-8)
 
     def test_scale_equivariance(self):
         values = [0.5, -1.5, 2.5, -0.25]
-        mat, part = single_subset(values)
-        (scale,), signs = binarize_unsalient(mat, part)
-        scaled, part2 = single_subset([4 * v for v in values])
-        (scale2,), signs2 = binarize_unsalient(scaled, part2)
+        mat, scale, signs = one_shell(values)
+        _, scale2, signs2 = one_shell([4 * v for v in values])
         assert scale2 == pytest.approx(4 * scale, rel=1e-12)
         assert np.array_equal(signs, signs2)
 
     def test_scale_nonnegative(self, rng):
         for _ in range(20):
             values = rng.normal(-3, 1, 10)
-            mat, part = single_subset(values)
-            (scale,), _ = binarize_unsalient(mat, part)
+            mat, scale, signs = one_shell(values)
             assert scale >= 0.0
