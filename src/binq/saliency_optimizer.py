@@ -210,10 +210,10 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig,
 
     Every evaluation calls `objective` (by default one built from the
     arguments) and is memoized on the share rounded to 1e-6 and clamped to
-    the cap. The Brent result is compared against both endpoints, so the
-    returned share is never worse than either bound; ties prefer the
-    smaller (cheaper) share, so a zero-sigma fit, under which every share
-    builds the same layer, gives 0. Returns the share; with full_output,
+    the cap; the cap itself is scored unrounded. The Brent result is
+    compared against both endpoints, so the returned share is never worse
+    than either bound; ties prefer the smaller (cheaper) share, so a
+    zero-sigma fit, under which every share builds the same layer, gives 0. Returns the share; with full_output,
     (share, its J).
     """
     p_cap = config.resolve_p_sal_max(matrix.role)
@@ -224,8 +224,8 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig,
     cache: dict[float, float] = {}
 
     def share(p: float) -> float:
-        # Rounding can carry a cap with more than six decimals above itself.
-        return min(round(min(max(p, 0.0), p_cap), 6), p_cap)
+        # The cap is scored unrounded: rounding can carry it below or above itself.
+        return p_cap if p >= p_cap else min(round(max(p, 0.0), 6), p_cap)
 
     def j_of(p: float) -> float:
         key = share(p)
@@ -237,9 +237,6 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig,
     candidates = [(j_of(0.0), 0.0), (j_of(p_cap), p_cap), (f_int, share(x_int))]
     best_j = min(j for j, _ in candidates)
     best_p = min(p for j, p in candidates if j <= best_j)
-    # A cap with more than six decimals was evaluated at its rounding only.
-    if full_output and best_p not in cache:
-        cache[best_p] = evaluate_objective(matrix, fit, best_p, config, objective).j
     return (best_p, cache[best_p]) if full_output else best_p
 
 

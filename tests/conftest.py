@@ -48,6 +48,26 @@ def straddling_outlier_matrix(seed, shape=(96, 96), sigma=0.02, frac=0.03,
     return WeightMatrix(name=name, role=role, data=data.astype(np.float32))
 
 
+def capped_layer(cap, seed):
+    """A layer with one |w| between the salient cutoffs of a cap with more
+    than six decimals and of its rounding, so that J differs at the two.
+
+    Its search picks the cap on the cap's own J with seed 4, and an interior
+    share with seed 3, where J at the cap exceeds J at its rounding.
+    """
+    from binq.partitioner import compute_cutoffs, magnitude_thresholds
+    from binq.weight_stats import fit_gaussian
+
+    data = outlier_matrix(seed, (40, 40), frac=0.03, magnitude=8.0).data
+    for _ in range(4):  # the fit moves with the placed value, less each time
+        fit = fit_gaussian(WeightMatrix("c", Role.LANGUAGE, data))
+        lo, hi = (magnitude_thresholds(fit, compute_cutoffs(p, 5))[-1]
+                  for p in (cap, round(cap, 6)))
+        data[0, 0] = (lo + hi) / 2
+    assert lo < data[0, 0] <= hi
+    return WeightMatrix("capped", Role.LANGUAGE, data)
+
+
 def relative_error(matrix, layer):
     """Frobenius error of a layer's reconstruction relative to the matrix norm."""
     from binq import reconstruction_error

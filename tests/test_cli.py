@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binq
 from binq import write_attention, write_tensor
 from binq.cli import main
 from binq.tensor_store import AttentionTensor
@@ -119,3 +124,20 @@ def test_exit_code_domain_error(tmp_path, capsys):
     assert main(["quantize", manifest, "-o", str(tmp_path / "x.bvq"),
                  "--p-sal-max", "2.0"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_import_and_report_load_no_process_pool(tmp_path):
+    manifest = make_manifest(tmp_path, [("l", "language", gaussian_matrix(0, (16, 16)))])
+    artifact = tmp_path / "m.bvq"
+    assert main(["quantize", manifest, "-o", str(artifact)]) == 0
+    script = ("import sys, binq, binq.cli\n"
+              "loaded = lambda: sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+              " if m in sys.modules)\n"
+              "assert loaded() == [], loaded()\n"
+              f"assert binq.cli.main(['report', {str(artifact)!r}]) == 0\n"
+              "assert loaded() == [], loaded()\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(binq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "TOTAL" in proc.stdout

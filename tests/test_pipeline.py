@@ -1,5 +1,8 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -7,11 +10,14 @@ import pytest
 from binq import (DomainError, ModelManifest, QuantConfig, QuantizedLayer, Role,
                   WeightMatrix, quantize_layer, quantize_model, read_manifest, reconstruct,
                   reconstruction_error, write_artifact, write_tensor)
+import binq.pipeline as pipeline
+import binq.saliency_optimizer as so
 from binq.bit_packer import storage_report
-from binq.partitioner import compute_cutoffs, magnitude_thresholds
+from binq.cli import main
 from binq.saliency_optimizer import evaluate_objective
 from binq.weight_stats import fit_gaussian
-from conftest import gaussian_matrix, outlier_matrix, relative_error, score_layer
+from conftest import (capped_layer, gaussian_matrix, outlier_matrix, relative_error,
+                      score_layer)
 
 
 def onebit_relative_error(mat):
@@ -146,20 +152,52 @@ def build_manifest(tmp_path, specs):
     return path
 
 
-def capped_layer(cap):
-    """A layer whose search picks a cap with more than six decimals, with one
-    |w| between the salient cutoffs of the cap and of its rounding.
+def csv_objective_case(tmp_path, monkeypatch, search):
+    """Check the error CSV's J against the dense oracle, and that quantizing
+    built no dense reconstruction in any process."""
+    rng = np.random.default_rng(9)
+    specs = [("heavy", "vision", WeightMatrix("heavy", Role.VISION,
+                                              0.02 * rng.standard_t(5, (48, 64)))),
+             ("capped", "language", capped_layer(0.0123454, seed=4)),
+             ("flat", "adaptor", WeightMatrix("flat", Role.ADAPTOR, np.full((8, 16), -0.3))),
+             ("zero", "adaptor", WeightMatrix("zero", Role.ADAPTOR, np.zeros((8, 8))))]
+    path = build_manifest(tmp_path, specs)
+    doc = json.loads(path.read_text())
+    doc[1]["p_sal_max"] = 0.0123454
+    path.write_text(json.dumps(doc))
+    manifest = read_manifest(path)
+    dense_calls = CallLog(tmp_path / "dense.log")
+    with monkeypatch.context() as patch:
+        patch.setattr(QuantizedLayer, "dense", dense_calls.wrap(QuantizedLayer.dense))
+        layers, _, rows = quantize_model(manifest, QuantConfig(optimize_saliency=search))
+    assert dense_calls.take() == []
+    if search:  # the cap wins on its own J, which differs from J at its rounding
+        assert layers[1].p_sal_used == 0.0123454
+    for entry, layer, row in zip(manifest.entries[:3], layers, rows):
+        assert row["J"] == score_layer(entry.load(), layer).j
+    assert rows[2]["J"] > 0.0  # -0.3 has no exact binary16 scalar
+    assert rows[3]["J"] == 0.0
 
-    The search evaluates the rounded share; the layer is built at the cap.
-    """
-    data = outlier_matrix(3, (40, 40), frac=0.03, magnitude=8.0).data
-    for _ in range(4):  # the fit moves with the placed value, less each time
-        fit = fit_gaussian(WeightMatrix("c", Role.LANGUAGE, data))
-        lo, hi = (magnitude_thresholds(fit, compute_cutoffs(p, 5))[-1]
-                  for p in (cap, round(cap, 6)))
-        data[0, 0] = (lo + hi) / 2
-    assert lo < data[0, 0] <= hi
-    return WeightMatrix("capped", Role.LANGUAGE, data)
+
+class CallLog:
+    """Names of the layers a patched callable was called for, appended to a
+    file, so that calls made in worker processes are counted too."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def wrap(self, real):
+        def logged(first, *args):  # first: a WeightMatrix or a QuantizedLayer
+            with open(self.path, "a") as fh:
+                fh.write(first.name + "\n")
+            return real(first, *args)
+        return logged
+
+    def take(self) -> list:
+        """The names logged since the last take, in the order written."""
+        names = self.path.read_text().split() if self.path.exists() else []
+        self.path.unlink(missing_ok=True)
+        return names
 
 
 class TestQuantizeModel:
@@ -215,35 +253,7 @@ class TestQuantizeModel:
 
     @pytest.mark.parametrize("search", [True, False])
     def test_csv_objective_is_the_dense_oracle(self, tmp_path, monkeypatch, search):
-        rng = np.random.default_rng(9)
-        specs = [("heavy", "vision", WeightMatrix("heavy", Role.VISION,
-                                                  0.02 * rng.standard_t(5, (48, 64)))),
-                 ("capped", "language", capped_layer(0.0123454)),
-                 ("flat", "adaptor", WeightMatrix("flat", Role.ADAPTOR,
-                                                  np.full((8, 16), -0.3))),
-                 ("zero", "adaptor", WeightMatrix("zero", Role.ADAPTOR, np.zeros((8, 8))))]
-        path = build_manifest(tmp_path, specs)
-        doc = json.loads(path.read_text())
-        doc[1]["p_sal_max"] = 0.0123454
-        path.write_text(json.dumps(doc))
-        manifest = read_manifest(path)
-        dense_calls = []
-        real_dense = QuantizedLayer.dense
-
-        def counting_dense(self, *args):
-            dense_calls.append(self.name)
-            return real_dense(self, *args)
-
-        monkeypatch.setattr(QuantizedLayer, "dense", counting_dense)
-        layers, _, rows = quantize_model(manifest, QuantConfig(optimize_saliency=search))
-        assert dense_calls == []
-        monkeypatch.undo()
-        if search:
-            assert layers[1].p_sal_used == 0.0123454
-        for entry, layer, row in zip(manifest.entries[:3], layers, rows):
-            assert row["J"] == score_layer(entry.load(), layer).j
-        assert rows[2]["J"] > 0.0  # -0.3 has no exact binary16 scalar
-        assert rows[3]["J"] == 0.0
+        csv_objective_case(tmp_path, monkeypatch, search)
 
     def test_aggregate_is_size_weighted(self, tmp_path):
         specs = [("big", "language", gaussian_matrix(0, (64, 64), sigma=0.02)),
@@ -254,6 +264,151 @@ class TestQuantizeModel:
         expected = sum(r.l_model * r.weights for r in reps) / sum(r.weights
                                                                   for r in reps)
         assert report.l_model == pytest.approx(expected, rel=1e-12)
+
+
+def force_pool(monkeypatch, cores=(0, 1)):
+    """Make quantize_model use its worker pool for any model size, with the
+    given usable cores. Returns the list of arguments of each executor built."""
+    import concurrent.futures
+
+    built = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(pipeline, "POOL_MIN_WEIGHTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores), raising=False)
+    return built
+
+
+def mixed_manifest(tmp_path, bad=None):
+    """Five layers of every role and kind; the layer named `bad` holds an inf."""
+    rng = np.random.default_rng(17)
+    specs = [("heavy", "vision", WeightMatrix("heavy", Role.VISION,
+                                              0.02 * rng.standard_t(5, (48, 64)))),
+             ("plain", "language", gaussian_matrix(1, (32, 48), sigma=0.02, mu=0.01)),
+             ("outliers", "adaptor", outlier_matrix(2, (40, 40), frac=0.03, magnitude=8.0)),
+             ("flat", "adaptor", WeightMatrix("flat", Role.ADAPTOR, np.full((8, 16), -0.3))),
+             ("zero", "language", WeightMatrix("zero", Role.LANGUAGE, np.zeros((8, 8))))]
+    path = build_manifest(tmp_path, specs)
+    doc = json.loads(path.read_text())
+    doc[2]["p_sal_max"] = 0.008
+    path.write_text(json.dumps(doc))
+    if bad is not None:
+        tensor = tmp_path / f"{bad}.bvw"
+        raw = bytearray(tensor.read_bytes())
+        raw[-4:] = np.array([np.inf], "<f4").tobytes()
+        tensor.write_bytes(bytes(raw))
+    return path
+
+
+def quantize_files(manifest, out, search):
+    """Artifact and error-CSV bytes of `binq quantize` on a manifest."""
+    argv = ["quantize", str(manifest), "-o", str(out / "m.bvq"), "--csv", str(out / "m.csv")]
+    assert main(argv + ([] if search else ["--no-optimize"])) == 0
+    return (out / "m.bvq").read_bytes(), (out / "m.csv").read_bytes()
+
+
+def quantize_rows(manifest):
+    return quantize_model(manifest)[2]
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("search", [True, False])
+    def test_same_bytes_as_one_process(self, tmp_path, monkeypatch, capsys, search):
+        manifest = mixed_manifest(tmp_path)
+        serial = quantize_files(manifest, tmp_path, search)
+        built = force_pool(monkeypatch)
+        assert quantize_files(manifest, tmp_path, search) == serial
+        assert len(built) == 1
+        assert built[0][0] == 2
+        assert built[0][1].get_start_method() == "fork"
+        assert multiprocessing.active_children() == []
+
+    def test_results_in_manifest_order(self, tmp_path, monkeypatch):
+        manifest = read_manifest(mixed_manifest(tmp_path))
+        serial = quantize_model(manifest)
+        done = tmp_path / "done.log"
+        real = pipeline._quantize
+
+        def first_finishes_last(matrix, *args, **kwargs):
+            if matrix.name == "heavy":
+                time.sleep(0.5)
+            out = real(matrix, *args, **kwargs)
+            with open(done, "a") as fh:
+                fh.write(matrix.name + "\n")
+            return out
+
+        monkeypatch.setattr(pipeline, "_quantize", first_finishes_last)
+        built = force_pool(monkeypatch)
+        layers, report, rows = quantize_model(manifest)
+        assert built and done.read_text().split()[-1] == "heavy"
+        assert [l.name for l in layers] == [e.name for e in manifest.entries]
+        assert rows == serial[2] and report == serial[1]
+        for got, want in zip(layers, serial[0]):
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.signs, want.signs)
+        assert multiprocessing.active_children() == []
+
+    def test_failing_layer_is_named(self, tmp_path, monkeypatch, capsys):
+        manifest = mixed_manifest(tmp_path, bad="outliers")
+        built = force_pool(monkeypatch)
+        with pytest.raises(ValueError, match="layer 'outliers': .*non-finite"):
+            quantize_model(read_manifest(manifest))
+        assert main(["quantize", str(manifest), "-o", str(tmp_path / "m.bvq")]) == 3
+        assert "layer 'outliers'" in capsys.readouterr().err
+        assert len(built) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_one_core_or_one_layer_builds_no_pool(self, tmp_path, monkeypatch):
+        manifest = read_manifest(mixed_manifest(tmp_path))
+        built = force_pool(monkeypatch, cores=(0,))
+        quantize_model(manifest)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        quantize_model(manifest)
+        force_pool(monkeypatch, cores=range(8))
+        quantize_model(ModelManifest(manifest.entries[:1]))
+        assert built == []
+
+    def test_daemonic_caller_runs_serially(self, tmp_path, monkeypatch):
+        manifest = read_manifest(mixed_manifest(tmp_path))
+        built = force_pool(monkeypatch)
+        with multiprocessing.get_context("fork").Pool(1) as workers:
+            rows = workers.apply(quantize_rows, (manifest,))
+        assert rows == quantize_model(manifest)[2]
+        assert len(built) == 1  # the parent's own run
+
+    def test_pool_only_above_the_weight_threshold(self, tmp_path, monkeypatch):
+        manifest = read_manifest(mixed_manifest(tmp_path))
+        total = sum(e.weights for e in manifest.entries)
+        assert total == 48 * 64 + 32 * 48 + 40 * 40 + 8 * 16 + 8 * 8
+        built = force_pool(monkeypatch)
+        for threshold in (total, total - 1):
+            monkeypatch.setattr(pipeline, "POOL_MIN_WEIGHTS", threshold)
+            quantize_model(manifest)
+        assert len(built) == 1
+
+    def test_one_objective_per_layer_in_workers(self, tmp_path, monkeypatch):
+        objectives = CallLog(tmp_path / "objectives.log")
+        counting = objectives.wrap(so.LayerObjective)
+        for module in (so, pipeline):
+            monkeypatch.setattr(module, "LayerObjective", counting)
+        manifest = read_manifest(mixed_manifest(tmp_path))
+        built = force_pool(monkeypatch)
+        for search in (False, True):
+            quantize_model(manifest, QuantConfig(optimize_saliency=search))
+            assert sorted(objectives.take()) == sorted(e.name for e in manifest.entries)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("search", [True, False])
+    def test_csv_objective_is_the_dense_oracle_in_workers(self, tmp_path, monkeypatch,
+                                                          search):
+        built = force_pool(monkeypatch)
+        csv_objective_case(tmp_path, monkeypatch, search)
+        assert len(built) == 1
 
 
 class TestQuantConfigValidation:

@@ -9,7 +9,8 @@ from binq.partitioner import compute_cutoffs, magnitude_thresholds
 from binq.saliency_optimizer import (LayerObjective, brent_minimize, evaluate_objective,
                                      optimize_saliency, sweep_thresholds)
 from binq.weight_stats import GaussianFit, fit_gaussian
-from conftest import gaussian_matrix, outlier_matrix, score_layer, straddling_outlier_matrix
+from conftest import (capped_layer, gaussian_matrix, outlier_matrix, score_layer,
+                      straddling_outlier_matrix)
 
 
 def golden_iteration_bound(lo, hi, tol):
@@ -174,6 +175,19 @@ class TestOptimizeSaliency:
         p = optimize_saliency(mat, fit_gaussian(mat), config)
         assert 0.0 <= p <= config.p_sal_max
         assert quantize_layer(mat, config).p_sal_used <= config.p_sal_max
+
+    @pytest.mark.parametrize("seed, p_star", [(3, 0.009432), (4, 0.0123454)])
+    def test_cap_with_more_than_six_decimals_scored_at_itself(self, seed, p_star):
+        # round(0.0123454, 6) = 0.012345 lies below the cap, and J differs at
+        # the two; with seed 3 J at the cap is the larger, so the cap loses.
+        cap = 0.0123454
+        mat = capped_layer(cap, seed)
+        config = QuantConfig(p_sal_max=cap)
+        objective = LayerObjective(mat, fit_gaussian(mat), config)
+        assert objective(cap).j != objective(round(cap, 6)).j
+        p, j = optimize_saliency(mat, objective.fit, config, objective, full_output=True)
+        assert (p, j) == (p_star, objective(p_star).j)
+        assert j <= objective(cap).j
 
     def test_degenerate_sigma_returns_zero(self):
         mat = WeightMatrix("t", Role.LANGUAGE, np.full((8, 8), 1.5, np.float32))

@@ -50,6 +50,17 @@ class TestFitGaussian:
         assert a.mu == pytest.approx(b.mu, abs=1e-12)
         assert a.sigma == pytest.approx(b.sigma, abs=1e-12)
 
+    def test_matches_two_copy_oracle_bitwise(self):
+        rng = np.random.default_rng(7)
+        for shape in [(1, 2), (33, 17), (256, 128)]:
+            mat = matrix_of(0.3 + 0.02 * rng.standard_t(5, shape), shape)
+            before = mat.data.copy()
+            fit = fit_gaussian(mat)
+            mu = float(np.mean(mat.data, dtype=np.float64))
+            var = float(np.mean(np.square(mat.data.astype(np.float64) - mu)))
+            assert (fit.mu, fit.sigma) == (mu, np.sqrt(var))
+            assert np.array_equal(mat.data, before)  # the fit squares its own copy
+
 
 class TestProbit:
     def test_median(self):
