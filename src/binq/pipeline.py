@@ -2,10 +2,9 @@
 
 Each layer runs: Gaussian fit, the layer's `LayerObjective`, an optional
 saliency search over it, and the quantized layer the objective builds at
-the chosen share. No layer depends on another, so a large enough model is
-quantized in forked worker processes, one per usable core; the results are
-collected in manifest order, and the artifact and error CSV are the same
-bytes as from one process.
+the chosen share. No layer depends on another, so a model's layers run in
+forked worker processes, one per usable core, and are collected in manifest
+order: the artifact and error CSV are the same bytes as from one process.
 """
 
 import math
@@ -24,10 +23,9 @@ from .weight_stats import fit_gaussian
 # Columns of the per-layer error CSV, consumed by downstream plotting.
 ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
-# Total weights above which quantize_model forks workers. Starting them costs
-# about 40 ms (imports, fork, results sent back), which a model quantized
-# without search repays only from about this size on, on two cores.
-POOL_MIN_WEIGHTS = 1 << 20
+# A worker's allocations peak at 6.1 times its layer's tensor file (traced on
+# 1024x1024 and 4096x1024 layers, search on and off), with a margin.
+WORKER_PEAK_PER_FILE_BYTE = 7
 
 
 def reconstruct(layer: QuantizedLayer) -> WeightMatrix:
@@ -98,25 +96,32 @@ def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):
     Returns (layers, model_report, csv_rows): the quantized layers in
     manifest order, the size-weighted aggregate storage report, and one
     error-CSV row per layer. Any layer failure aborts with the layer name.
-    Above POOL_MIN_WEIGHTS weights in total, outside a daemonic process,
-    min(layers, usable cores) forked workers each load and quantize one layer
-    at a time.
+    Layers run in forked workers, one per usable core and layer and as many as
+    free memory holds; a daemonic or allocation-tracing caller runs them itself.
     """
     config = config or QuantConfig()
     entries = manifest.entries
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(entries), cores)
-    serial = workers < 2 or sum(e.weights for e in entries) <= POOL_MIN_WEIGHTS
-    if not serial:  # imported only where a pool may start
+    if workers > 1:  # imported only where a pool may start
         import multiprocessing
-        serial = multiprocessing.current_process().daemon  # a daemon may not start one
-    if serial:
+        import tracemalloc
+
+        # A daemon may not start children, and a tracemalloc trace would miss them.
+        free = (0 if multiprocessing.current_process().daemon or tracemalloc.is_tracing()
+                else os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+        peak = WORKER_PEAK_PER_FILE_BYTE * max(e.path.stat().st_size for e in entries)
+        workers = min(workers, free // peak)
+    if workers < 2:
         results = list(map(_quantize_entry, entries, [config] * len(entries)))
     else:  # fork: no re-imports, and the executor forks before it starts a thread
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(_quantize_entry, entries, [config] * len(entries)))
+        try:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(_quantize_entry, entries, [config] * len(entries)))
+        except BrokenProcessPool as exc:
+            raise DomainError("a layer worker died (killed, or out of memory)") from exc
     rows = [{"layer": entry.name, "m": layer.m, "n": layer.n,
              "p_sal_used": layer.p_sal_used, "J": j, "relative_error": math.sqrt(j),
              "bits_per_weight": report.bits_per_weight}

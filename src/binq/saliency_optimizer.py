@@ -213,8 +213,8 @@ def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig,
     the cap; the cap itself is scored unrounded. The Brent result is
     compared against both endpoints, so the returned share is never worse
     than either bound; ties prefer the smaller (cheaper) share, so a
-    zero-sigma fit, under which every share builds the same layer, gives 0. Returns the share; with full_output,
-    (share, its J).
+    zero-sigma fit, under which every share builds the same layer, gives
+    0. Returns the share; with full_output, (share, its J).
     """
     p_cap = config.resolve_p_sal_max(matrix.role)
     if not 0.0 < p_cap < 1.0:

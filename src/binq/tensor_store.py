@@ -138,7 +138,6 @@ class ManifestEntry:
     path: Path
     role: Role
     p_sal_max: float | None = None
-    weights: int = 0  # m * n, from the tensor header read_manifest checked
 
     def load(self) -> WeightMatrix:
         """Read the entry's tensor under the manifest's layer name and role."""
@@ -271,18 +270,17 @@ def read_manifest(path) -> ModelManifest:
             raise FormatError(f"{path}: duplicate layer name {name!r}")
         seen.add(name)
         tensor_path = base / item["path"]
-        weights = _validate_tensor_header(tensor_path)
+        _validate_tensor_header(tensor_path)
         if p_cap is not None and not (type(p_cap) in (int, float) and 0.0 < p_cap < 1.0):
             raise FormatError(f"{path}: entry {name!r} p_sal_max must be a number in (0, 1)")
         entries.append(ManifestEntry(name=name, path=tensor_path,
                                      role=_as_role(item["role"]),
-                                     p_sal_max=None if p_cap is None else float(p_cap),
-                                     weights=weights))
+                                     p_sal_max=None if p_cap is None else float(p_cap)))
     return ModelManifest(entries=entries)
 
 
 def _validate_tensor_header(path):
-    """Check a referenced tensor parses (header fields plus exact file size); returns m * n."""
+    """Check a referenced tensor parses: header fields plus exact file size."""
     try:
         size = Path(path).stat().st_size
         with open(path, "rb") as fh:
@@ -292,7 +290,6 @@ def _validate_tensor_header(path):
     _, m, n = _tensor_header(_Reader(head, str(path)))
     if size != 28 + 4 * m * n:
         raise FormatError(f"{path}: file size {size} does not match dims {m}x{n}")
-    return m * n
 
 
 # --- quantized artifacts ----------------------------------------------------

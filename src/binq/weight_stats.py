@@ -94,8 +94,7 @@ def fit_gaussian(matrix) -> GaussianFit:
     if count < 2:
         raise DomainError("gaussian fit needs at least 2 samples")
     mu = float(np.mean(data, dtype=np.float64))
-    dev = data.astype(np.float64)  # one float64 copy, squared in place
-    dev -= mu
+    dev = np.subtract(data, mu, dtype=np.float64)  # one float64 copy, squared in place
     var = float(np.mean(np.square(dev, out=dev)))
     return GaussianFit(mu=mu, sigma=math.sqrt(max(var, 0.0)), count=count)
 

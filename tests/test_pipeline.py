@@ -71,6 +71,7 @@ class TestQuantizeLayer:
         import binq.pipeline as pipeline
         import binq.saliency_optimizer as so
 
+        one_core(monkeypatch)
         built = []
         real = so.LayerObjective
 
@@ -253,6 +254,7 @@ class TestQuantizeModel:
 
     @pytest.mark.parametrize("search", [True, False])
     def test_csv_objective_is_the_dense_oracle(self, tmp_path, monkeypatch, search):
+        one_core(monkeypatch)
         csv_objective_case(tmp_path, monkeypatch, search)
 
     def test_aggregate_is_size_weighted(self, tmp_path):
@@ -267,21 +269,25 @@ class TestQuantizeModel:
 
 
 def force_pool(monkeypatch, cores=(0, 1)):
-    """Make quantize_model use its worker pool for any model size, with the
-    given usable cores. Returns the list of arguments of each executor built."""
-    import concurrent.futures
+    """Give quantize_model the usable cores `cores` and record its pools.
+    Returns the list of arguments of each executor built."""
+    import concurrent.futures.process as process
 
     built = []
 
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
+    class Recorded(process.ProcessPoolExecutor):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-    monkeypatch.setattr(pipeline, "POOL_MIN_WEIGHTS", 0)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", Recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores), raising=False)
     return built
+
+
+def one_core(monkeypatch):
+    """Quantize in this process, so that counters in it see every layer."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 def mixed_manifest(tmp_path, bad=None):
@@ -381,15 +387,49 @@ class TestWorkerPool:
         assert rows == quantize_model(manifest)[2]
         assert len(built) == 1  # the parent's own run
 
-    def test_pool_only_above_the_weight_threshold(self, tmp_path, monkeypatch):
+    def test_tracing_caller_runs_serially(self, tmp_path, monkeypatch):
+        import tracemalloc
+
         manifest = read_manifest(mixed_manifest(tmp_path))
-        total = sum(e.weights for e in manifest.entries)
-        assert total == 48 * 64 + 32 * 48 + 40 * 40 + 8 * 16 + 8 * 8
         built = force_pool(monkeypatch)
-        for threshold in (total, total - 1):
-            monkeypatch.setattr(pipeline, "POOL_MIN_WEIGHTS", threshold)
+        pooled = quantize_model(manifest)[2]
+        tracemalloc.start()
+        try:
+            assert quantize_model(manifest)[2] == pooled
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 1  # the untraced run
+
+    def test_workers_bounded_by_free_memory(self, tmp_path, monkeypatch):
+        manifest = read_manifest(mixed_manifest(tmp_path))
+        largest = max(e.path.stat().st_size for e in manifest.entries)
+        assert largest == 28 + 4 * 48 * 64
+        peak = pipeline.WORKER_PEAK_PER_FILE_BYTE * largest
+        built = force_pool(monkeypatch, cores=range(8))
+        real = os.sysconf
+        for free in (3 * peak - 1, 2 * peak - 1):
+            pages = {"SC_PAGE_SIZE": 1, "SC_AVPHYS_PAGES": free}
+            monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
             quantize_model(manifest)
-        assert len(built) == 1
+        assert [args[0] for args in built] == [2]  # one worker runs in this process
+
+    def test_dead_worker_is_a_domain_error(self, tmp_path, monkeypatch, capsys):
+        manifest = mixed_manifest(tmp_path)
+        real = pipeline._quantize
+
+        def killed(matrix, *args, **kwargs):
+            if matrix.name == "plain":
+                os._exit(1)
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_quantize", killed)
+        built = force_pool(monkeypatch)
+        with pytest.raises(DomainError, match="worker died"):
+            quantize_model(read_manifest(manifest))
+        assert main(["quantize", str(manifest), "-o", str(tmp_path / "m.bvq")]) == 3
+        assert "worker died" in capsys.readouterr().err
+        assert len(built) == 2
+        assert multiprocessing.active_children() == []
 
     def test_one_objective_per_layer_in_workers(self, tmp_path, monkeypatch):
         objectives = CallLog(tmp_path / "objectives.log")
