@@ -9,6 +9,7 @@ order: the artifact and error CSV are the same bytes as from one process.
 
 import math
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -16,15 +17,16 @@ import numpy as np
 from . import bit_packer
 from .config import QuantConfig
 from .errors import BinqError, DomainError
-from .saliency_optimizer import LayerObjective, evaluate_objective, optimize_saliency
+from .saliency_optimizer import LayerObjective, optimize_saliency
 from .tensor_store import ModelManifest, QuantizedLayer, WeightMatrix
 from .weight_stats import fit_gaussian
 
 # Columns of the per-layer error CSV, consumed by downstream plotting.
 ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
-# A worker's allocations peak at 6.1 times its layer's tensor file (traced on
-# 1024x1024 and 4096x1024 layers, search on and off), with a margin.
+# A worker's allocations peak at 5.32 times its layer's tensor file (traced on
+# 1024x1024, 4096x1024 and a biased 512x256 layer, search on and off; 4.00 to
+# 4.46 with the search off), with a margin.
 WORKER_PEAK_PER_FILE_BYTE = 7
 
 
@@ -64,9 +66,11 @@ def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
         p_used, j = optimize_saliency(matrix, fit, cfg, objective, full_output=True)
     else:
         p_used = cap
-    if score and j is None:  # mu = sigma = 0 only for an all-zero layer
-        j = (evaluate_objective(matrix, fit, p_used, cfg, objective).j
-             if fit.mu or fit.sigma else 0.0)
+    if score and j is None:
+        if fit.mu or fit.sigma:  # a pinned share is scored on the shells its layer picks
+            layer, ev = objective.scored_layer(p_used)
+            return layer, ev.j
+        j = 0.0  # mu = sigma = 0 only for an all-zero layer
     return objective.layer(p_used), j
 
 
@@ -103,18 +107,20 @@ def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):
     entries = manifest.entries
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(entries), cores)
-    if workers > 1:  # imported only where a pool may start
-        import multiprocessing
+    if workers > 1:
         import tracemalloc
 
-        # A daemon may not start children, and a tracemalloc trace would miss them.
-        free = (0 if multiprocessing.current_process().daemon or tracemalloc.is_tracing()
+        # A tracemalloc trace would miss the children, and a daemon may not
+        # start any; a process that never imported multiprocessing is no daemon.
+        mp = sys.modules.get("multiprocessing")
+        free = (0 if tracemalloc.is_tracing() or (mp and mp.current_process().daemon)
                 else os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
         peak = WORKER_PEAK_PER_FILE_BYTE * max(e.path.stat().st_size for e in entries)
         workers = min(workers, free // peak)
     if workers < 2:
         results = list(map(_quantize_entry, entries, [config] * len(entries)))
     else:  # fork: no re-imports, and the executor forks before it starts a thread
+        import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         try:

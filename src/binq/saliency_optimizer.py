@@ -6,13 +6,13 @@ with golden-section fallback) minimizes J over [0, p_sal_max]; because the
 quantile cutoffs move in discrete steps J need not be unimodal, so the
 search result is additionally compared against both interval endpoints and
 the overall best is returned. `LayerObjective` both scores a share and builds
-the quantized layer at it; an evaluation builds no layer.
+the quantized layer at it; an evaluation builds no layer, and a layer built
+at a pinned share can be scored on the shells it picks.
 """
 
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import DomainError, OptimizationError
 from .partitioner import compute_cutoffs, magnitude_labels, magnitude_thresholds
 from .salient_quantizer import quantize_salient, store_scales
 from .tensor_store import QuantizedLayer
-from .unsalient_binarizer import shell_scalars
+from .unsalient_binarizer import shell_residual, shell_scalar
 from .weight_stats import GaussianFit
 
 _GOLDEN = 0.3819660112501051
@@ -39,22 +39,39 @@ class ObjectiveEval:
     denom: float
 
 
+def _between(values: np.ndarray, lo, hi) -> np.ndarray:
+    """Mask of the values in (lo, hi]; an infinite bound compares nothing."""
+    if lo == -np.inf:
+        return values <= hi
+    if hi == np.inf:
+        return values > lo
+    return (values > lo) & (values <= hi)
+
+
 class LayerObjective:
     """The objective of one layer at any salient share p in [0, p_sal_max], and its layer.
 
-    |w| is taken once (float32, exact) and the salient tail at the cap (row,
-    value and |w| of each element above its cutoff) gathered once. At p the
-    shells are picked from |w| and the salient members from the tail, both in
-    row-major order; `__call__` scores exactly the layer that `layer` builds
-    from them. ||W||^2 is taken at the first evaluation.
+    Group k, shell k or the salient tail k = n_uns, holds the |w| in
+    (t_{k-1}(p), t_k(p)], with t_{-1} = -inf and t_{n_uns} = inf. Each cutoff
+    t_k(p) falls as p grows, so over [0, cap] group k stays in its window,
+    the |w| in (t_{k-1}(cap), t_k(0)]. A window is gathered from |w|
+    (float32, exact, taken once) in row-major order at its first use, the
+    salient one with each member's row and float64 w; a cutoff that rounding
+    puts outside its window re-gathers it, widened. `__call__` picks each
+    group from its window, in the same order, so an evaluation makes no
+    full-matrix pass. `layer` labels all of |w| for the artifact, so an
+    objective only asked for a layer (a pinned share) gathers only the
+    salient window, and `__call__` scores exactly the layer `layer` builds.
+    ||W||^2 is taken at the first score, before any window is held.
     """
 
     def __init__(self, matrix, fit: GaussianFit, config: QuantConfig):
         self.matrix, self.fit, self.config = matrix, fit, config
         self.p_cap = config.resolve_p_sal_max(matrix.role)
         self.mag = np.abs(matrix.data).ravel()
-        cap_cut = magnitude_thresholds(fit, compute_cutoffs(self.p_cap, config.n_uns))[-1]
-        self.tail = self._gather_tail(cap_cut)
+        lo, hi = self._edges(self.p_cap), self._edges(0.0)
+        self.bounds = [(lo[k], hi[k + 1]) for k in range(config.n_uns + 1)]
+        self.windows: list = [None] * (config.n_uns + 1)
 
     @cached_property
     def denom(self) -> float:
@@ -63,51 +80,84 @@ class LayerObjective:
             raise DomainError("objective undefined for an all-zero matrix")
         return denom
 
-    def _gather_tail(self, cut: float):
-        mask = self.mag > cut
-        values = np.compress(mask, self.matrix.data).astype(np.float64)
-        return cut, np.flatnonzero(mask) // self.matrix.n, values, np.compress(mask, self.mag)
-
-    def _at(self, p_sal: float):
-        """Flat labels at p, and the salient members (rows, w) with their fit."""
+    def _edges(self, p_sal: float) -> np.ndarray:
+        """The float64 cutoffs -inf, t_0(p), ..., t_{n_uns-1}(p), inf."""
         if not 0.0 <= p_sal <= self.p_cap:
             raise DomainError(f"p_sal={p_sal} outside [0, {self.p_cap}]")
         t = magnitude_thresholds(self.fit, compute_cutoffs(p_sal, self.config.n_uns))
-        if t[-1] < self.tail[0]:  # the cutoffs fall with p only up to rounding
-            self.tail = self._gather_tail(t[-1])
-        _, rows, w, tail_mag = self.tail
-        keep = tail_mag > t[-1]
-        rows, w = np.compress(keep, rows), np.compress(keep, w)
-        salient = quantize_salient(rows, w, self.matrix.m, self.config)
-        return magnitude_labels(self.mag, t), rows, w, salient
+        return np.concatenate(([-np.inf], t, [np.inf]))
 
-    def __call__(self, p_sal: float) -> ObjectiveEval:
-        denom = self.denom
-        labels, rows, w, sal = self._at(p_sal)
-        width = self.config.scale_width
-        uns_res = tuple(float(np.sum(np.square(s - float(store_scales(a, width)))))
-                        for s, a in shell_scalars(self.mag, labels, self.config.n_uns))
+    def _gather(self, k: int, lo, hi) -> None:
+        """Gather group k's window, the |w| in (lo, hi], with the salient rows and w."""
+        mask = _between(self.mag, lo, hi)
+        window = [np.compress(mask, self.mag)]
+        if k == self.config.n_uns:
+            window += [np.flatnonzero(mask) // self.matrix.n,
+                       np.compress(mask, self.matrix.data).astype(np.float64)]
+        self.bounds[k], self.windows[k] = (lo, hi), window
+
+    def _pick(self, k: int, edges):
+        """Group k's window and the mask of its members at the cutoffs `edges`."""
+        lo, hi = edges[k], edges[k + 1]
+        w_lo, w_hi = self.bounds[k]
+        if self.windows[k] is None or lo < w_lo or hi > w_hi:
+            self._gather(k, min(lo, w_lo), max(hi, w_hi))
+        window = self.windows[k]
+        return window, _between(window[0], lo, hi)
+
+    def _salient(self, edges):
+        """The salient members (rows, float64 w) at the cutoffs `edges`, and their fit."""
+        (_, rows, w), keep = self._pick(self.config.n_uns, edges)
+        rows, w = np.compress(keep, rows), np.compress(keep, w)
+        return rows, w, quantize_salient(rows, w, self.matrix.m, self.config)
+
+    @staticmethod
+    def _score(p_sal, denom, uns_res, rows, w, sal) -> ObjectiveEval:
         approx = sal.scales.astype(np.float64)[rows] * sal.centers[sal.codes]
         sal_res = float(np.sum(np.square(w - approx)))
         return ObjectiveEval(p_sal=p_sal, j=(sal_res + sum(uns_res)) / denom,
-                             salient_residual=sal_res, unsalient_residuals=uns_res,
+                             salient_residual=sal_res, unsalient_residuals=tuple(uns_res),
                              denom=denom)
 
-    def layer(self, p_sal: float) -> QuantizedLayer:
-        """The quantized layer at p, whose residual is J(p).
+    def __call__(self, p_sal: float) -> ObjectiveEval:
+        denom = self.denom
+        edges = self._edges(p_sal)
+        width, uns_res = self.config.scale_width, []
+        for k in range(self.config.n_uns):
+            (window,), keep = self._pick(k, edges)
+            shell = np.compress(keep, window).astype(np.float64)
+            uns_res.append(shell_residual(shell, store_scales(shell_scalar(shell), width)))
+        return self._score(p_sal, denom, uns_res, *self._salient(edges))
 
-        A sign is True for +1, also for an exact zero. map drops each shell
-        once its scalar is taken, so that one shell is held at a time.
-        """
-        labels, _, _, salient = self._at(p_sal)
-        n_uns, m = self.config.n_uns, self.matrix
-        scalars = list(map(itemgetter(1), shell_scalars(self.mag, labels, n_uns)))
+    def layer(self, p_sal: float) -> QuantizedLayer:
+        """The quantized layer at p, whose residual is J(p)."""
+        return self._build(p_sal, score=False)[0]
+
+    def scored_layer(self, p_sal: float) -> tuple[QuantizedLayer, ObjectiveEval]:
+        """The quantized layer at p and its J(p), bitwise `self(p)`, from the shells it picks."""
+        return self._build(p_sal, score=True)
+
+    def _build(self, p_sal: float, score: bool):
+        """A sign is True for +1, also for an exact zero. One shell is held at a time."""
+        denom = self.denom if score else None
+        edges = self._edges(p_sal)
+        labels = magnitude_labels(self.mag, edges[1:-1])
+        rows, w, salient = self._salient(edges)
+        n_uns, width, m = self.config.n_uns, self.config.scale_width, self.matrix
+        scalars, uns_res = [], []
+        for k in range(n_uns):
+            shell = np.compress(labels == k, self.mag).astype(np.float64)
+            scalars.append(shell_scalar(shell))
+            if score:
+                uns_res.append(shell_residual(shell, store_scales(scalars[-1], width)))
+            del shell
         signs = (m.data >= 0.0).ravel()[labels < n_uns]
-        return QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
-                              labels=labels.reshape(m.m, m.n), salient=salient,
-                              scalars=store_scales(scalars, self.config.scale_width),
-                              signs=signs, p_sal_used=p_sal, p_sal_max=self.p_cap,
-                              config=self.config)
+        layer = QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
+                               labels=labels.reshape(m.m, m.n), salient=salient,
+                               scalars=store_scales(scalars, width),
+                               signs=signs, p_sal_used=p_sal, p_sal_max=self.p_cap,
+                               config=self.config)
+        return layer, (self._score(p_sal, denom, uns_res, rows, w, salient) if score else None)
 
 
 def evaluate_objective(matrix, fit: GaussianFit, p_sal: float, config: QuantConfig,

@@ -49,13 +49,11 @@ def fit_rowwise(rows: np.ndarray, w: np.ndarray, m: int, iters: int, atol: float
         prev = scales
         num = np.bincount(rows, weights=w * relaxed, minlength=m)
         den = np.bincount(rows, weights=relaxed * relaxed, minlength=m)
-        safe = np.where(den > 0.0, den, 1.0)
-        scales = np.where(den > 0.0, num / safe, 0.0)
+        scales = np.divide(num, den, out=np.zeros(m), where=den > 0.0)
         row_scale = scales[rows]
-        active = row_scale != 0.0
-        relaxed = np.where(active,
-                           np.clip(w / np.where(active, row_scale, 1.0), -1.0, 1.0),
-                           relaxed)
+        # Members of a zero-scale row keep their value, already in [-1, 1].
+        np.divide(w, row_scale, out=relaxed, where=row_scale != 0.0)
+        np.clip(relaxed, -1.0, 1.0, out=relaxed)
         if atol > 0.0 and (scales.size == 0 or np.max(np.abs(scales - prev)) < atol):
             break
 
@@ -132,7 +130,7 @@ def quantize_salient(rows: np.ndarray, w: np.ndarray, m: int,
     quantized = centers[codes]
     num = np.bincount(rows, weights=w * quantized, minlength=m)
     den = np.bincount(rows, weights=quantized * quantized, minlength=m)
-    scales = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+    scales = np.divide(num, den, out=np.zeros(m), where=den > 0.0)
     return SalientQuant(scales=store_scales(scales, config.scale_width),
                         codes=codes, centers=centers,
                         mu_b=mu_b, sigma_b=sigma_b, alpha=config.alpha)

@@ -89,8 +89,9 @@ class WeightMatrix:
             raise ValueError(f"tensor {self.name!r} contains non-finite values")
 
     def squared_norm(self) -> float:
-        """Squared Frobenius norm, accumulated in float64."""
-        return float(np.sum(np.square(self.data.astype(np.float64))))
+        """Squared Frobenius norm, accumulated in float64 (one copy, squared in place)."""
+        sq = self.data.astype(np.float64)
+        return float(np.sum(np.square(sq, out=sq)))
 
 
 @dataclass

@@ -8,11 +8,12 @@ by the mean absolute value of the members.
 import numpy as np
 
 
-def shell_scalars(magnitudes: np.ndarray, labels: np.ndarray, n_uns: int):
-    """Yield (shell, scalar) per unsalient shell k, one at a time: the float64 |w|
-    labelled k, picked row-major from flat magnitudes, and its mean (0 if empty).
-    Each shell is released before the next is picked."""
-    for k in range(n_uns):
-        shell = np.compress(labels == k, magnitudes).astype(np.float64, copy=False)
-        yield shell, shell.sum() / max(shell.size, 1)
-        del shell
+def shell_scalar(shell: np.ndarray):
+    """The optimal scalar of a shell of float64 |w|: their mean, 0 if empty."""
+    return shell.sum() / max(shell.size, 1)
+
+
+def shell_residual(shell: np.ndarray, stored) -> float:
+    """Squared residual of a shell of float64 |w| under its stored scalar."""
+    diff = shell - float(stored)
+    return float(np.sum(np.square(diff, out=diff)))

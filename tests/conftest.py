@@ -96,18 +96,19 @@ def one_shell(values):
     """(matrix, scalar, signs) of a one-row layer built with every element in one shell.
 
     A zero-sigma fit has no cutoffs, so the single shell takes all of it.
-    scalar is the shell's float64 mean |w| from `shell_scalars`, before the
+    scalar is the shell's float64 mean |w| from `shell_scalar`, before the
     storage rounding the built layer applies; signs is the layer's stream.
     """
     from binq import QuantConfig
     from binq.saliency_optimizer import LayerObjective
-    from binq.unsalient_binarizer import shell_scalars
+    from binq.unsalient_binarizer import shell_scalar
     from binq.weight_stats import GaussianFit
 
     mat = WeightMatrix("t", Role.LANGUAGE, np.asarray(values, np.float32).reshape(1, -1))
     fit = GaussianFit(mu=0.0, sigma=0.0, count=mat.data.size)
     layer = LayerObjective(mat, fit, QuantConfig(n_uns=1, p_sal_max=0.05)).layer(0.0)
-    ((_, scalar),) = shell_scalars(np.abs(mat.data).ravel(), layer.labels.ravel(), 1)
+    assert not layer.labels.any()
+    scalar = shell_scalar(np.abs(mat.data).ravel().astype(np.float64))
     assert layer.scalars[0] == np.float16(scalar)
     return mat, scalar, layer.signs
 

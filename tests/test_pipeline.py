@@ -2,6 +2,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -102,6 +104,28 @@ class TestQuantizeLayer:
             j_opt = evaluate_objective(mat, fit, layer.p_sal_used, layer.config).j
             j_zero = evaluate_objective(mat, fit, 0.0, layer.config).j
             assert j_opt <= j_zero + 1e-12
+
+    def test_pinned_share_gathers_no_shell_window(self, monkeypatch):
+        gathered = []
+        real = so.LayerObjective._gather
+
+        def logged(self, k, lo, hi):
+            gathered.append(k)
+            return real(self, k, lo, hi)
+
+        monkeypatch.setattr(so.LayerObjective, "_gather", logged)
+        mat = outlier_matrix(3, shape=(48, 64), frac=0.02, magnitude=6.0)
+        config = QuantConfig(p_sal_max=0.03, optimize_saliency=False)
+        quantize_layer(mat, config)
+        assert gathered == [config.n_uns]  # the salient members the layer holds
+        gathered.clear()
+        layer, j = pipeline._quantize(mat, config, None, score=True)
+        assert gathered == [config.n_uns]
+        assert j == score_layer(mat, layer).j
+        assert j == so.LayerObjective(mat, fit_gaussian(mat), config)(0.03).j
+        gathered.clear()
+        quantize_layer(mat, QuantConfig(p_sal_max=0.03))
+        assert sorted(gathered) == list(range(config.n_uns + 1))  # a search gathers each once
 
     def test_no_optimize_pins_share_to_cap(self):
         mat = gaussian_matrix(1, shape=(32, 32))
@@ -399,6 +423,24 @@ class TestWorkerPool:
         finally:
             tracemalloc.stop()
         assert len(built) == 1  # the untraced run
+
+    def test_tracing_caller_imports_no_pool_module(self, tmp_path):
+        manifest = build_manifest(tmp_path, [("a", "language", gaussian_matrix(1)),
+                                             ("b", "vision", gaussian_matrix(2))])
+        script = f"""if True:
+            import os, sys, tracemalloc
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            import binq
+            tracemalloc.start()
+            binq.quantize_model(binq.read_manifest({str(manifest)!r}))
+            print(sorted({{"multiprocessing", "concurrent.futures.process"}} & set(sys.modules)))
+        """
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                             capture_output=True, text=True)
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_workers_bounded_by_free_memory(self, tmp_path, monkeypatch):
         manifest = read_manifest(mixed_manifest(tmp_path))

@@ -248,13 +248,15 @@ def objective_cases():
         "n_uns_1": (0.02 * rng.standard_normal((64, 96)), QuantConfig(n_uns=1, p_sal_max=0.05)),
         "scale_width_32": (heavy, QuantConfig(scale_width=32, p_sal_max=0.05)),
     }
+    random_shares = tuple(rng.uniform(0.0, 0.05, 4))
     for name, (data, cfg) in layers.items():
         mat = WeightMatrix(name, Role.VISION, data)
-        yield pytest.param(mat, fit_gaussian(mat), cfg, (0.0, 0.017, 0.05), id=name)
-    for k in (0, 4):  # innermost cutoff, salient cutoff
+        yield pytest.param(mat, fit_gaussian(mat), cfg, (0.0, 0.017, 0.05, *random_shares),
+                           id=name)
+    for k in range(5):  # every cutoff, the salient one last
         mat, fit = tied_layer(k)
-        yield pytest.param(mat, fit, QuantConfig(p_sal_max=0.05), (0.0, 0.02, 0.05),
-                           id=f"tie_at_cutoff_{k}")
+        yield pytest.param(mat, fit, QuantConfig(p_sal_max=0.05),
+                           (0.0, 0.02, 0.05, *random_shares), id=f"tie_at_cutoff_{k}")
 
 
 class TestLayerObjective:
@@ -271,14 +273,45 @@ class TestLayerObjective:
             assert len(got.unsalient_residuals) == config.n_uns
             assert got.unsalient_residuals == want.unsalient_residuals
             assert got.j == want.j
+            # A pinned share is scored on the shells its layer picks, as bitwise.
+            layer, scored = LayerObjective(mat, fit, config).scored_layer(p)
+            assert scored == got
+            assert np.array_equal(layer.labels, objective.layer(p).labels)
 
     def test_tail_regathered_when_a_cutoff_falls_below_it(self):
         mat = outlier_matrix(6, shape=(48, 48), frac=0.02, magnitude=6.0)
         fit, config = fit_gaussian(mat), QuantConfig(p_sal_max=0.05)
         objective = LayerObjective(mat, fit, config)
-        objective.tail = objective._gather_tail(np.inf)  # holds no member
+        objective._gather(config.n_uns, np.inf, np.inf)  # holds no member
         want = score_layer(mat, LayerObjective(mat, fit, config).layer(0.03))
         assert objective(0.03).salient_residual == want.salient_residual > 0.0
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_window_regathered_when_a_cutoff_leaves_it(self, k):
+        mat = outlier_matrix(6, shape=(48, 48), frac=0.02, magnitude=6.0)
+        fit, config = fit_gaussian(mat), QuantConfig(p_sal_max=0.05)
+        want = LayerObjective(mat, fit, config)(0.03)
+        assert min(want.unsalient_residuals) > 0.0 and want.salient_residual > 0.0
+        objective = LayerObjective(mat, fit, config)
+        lo, hi = objective._edges(0.03)[k:k + 2]
+        # Empty windows whose upper, then lower bound lies inside group k at 0.03.
+        for bounds in ((lo, lo), (hi, hi)):
+            objective._gather(k, *bounds)
+            assert objective.windows[k][0].size == 0
+            assert objective(0.03) == want
+
+    def test_windows_bound_every_share(self):
+        mat = outlier_matrix(6, shape=(48, 48), frac=0.02, magnitude=6.0)
+        objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05))
+        cap, zero = objective._edges(0.05), objective._edges(0.0)
+        assert objective.bounds == list(zip(cap[:-1], zero[1:]))
+        assert objective.windows == [None] * 6  # gathered at first use
+        objective(0.05)
+        objective(0.0)
+        assert objective.bounds == list(zip(cap[:-1], zero[1:]))  # no re-gather
+        # Cutoff k moves over a mass of about (k + 1) * cap / n_uns, which two windows share.
+        total = sum(window[0].size for window in objective.windows)
+        assert mat.data.size <= total < (1.0 + 0.05 * 3 + 0.02) * mat.data.size
 
 
 def seeded_layer(seed, stream, role, shape, biased):

@@ -38,7 +38,41 @@ def salient_mask(mat, fit, p_sal, n_uns):
     return magnitude_labels(np.abs(mat.data), t) == n_uns
 
 
+def fit_rowwise_oracle(rows, w, m, iters, atol=0.0):
+    """The row-wise fit as first written: new arrays for every update."""
+    relaxed = np.sign(w)
+    scales = np.zeros(m, dtype=np.float64)
+    for _ in range(iters):
+        prev = scales
+        num = np.bincount(rows, weights=w * relaxed, minlength=m)
+        den = np.bincount(rows, weights=relaxed * relaxed, minlength=m)
+        safe = np.where(den > 0.0, den, 1.0)
+        scales = np.where(den > 0.0, num / safe, 0.0)
+        row_scale = scales[rows]
+        active = row_scale != 0.0
+        relaxed = np.where(active,
+                           np.clip(w / np.where(active, row_scale, 1.0), -1.0, 1.0),
+                           relaxed)
+        if atol > 0.0 and (scales.size == 0 or np.max(np.abs(scales - prev)) < atol):
+            break
+    return scales, relaxed
+
+
 class TestFitRowwise:
+    def test_bitwise_equal_to_oracle(self):
+        rng = np.random.default_rng(300)
+        for case in range(300):
+            m, size = int(rng.integers(1, 12)), int(rng.integers(0, 60))
+            rows = np.sort(rng.integers(0, m, size))
+            w = rng.standard_t(3, size) * rng.choice([1e-3, 1.0, 50.0])
+            w[rng.random(size) < 0.15] = 0.0  # rows whose members are all zero keep scale 0
+            w[rows == rows[0] if size else []] *= case % 2
+            iters, atol = int(rng.integers(1, 7)), float(rng.choice([0.0, 1e-12, 1e-3]))
+            got = fit_rowwise(rows, w, m, iters, atol)
+            want = fit_rowwise_oracle(rows, w, m, iters, atol)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_constant_row_fixed_point(self):
         mat, mask = all_salient([4.0, 4.0, 4.0])
         scales, relaxed = fit_rowwise(*salient_members(mat, mask), iters=1)
