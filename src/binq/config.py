@@ -1,5 +1,6 @@
 """Quantization configuration shared by the partitioner, quantizers, and packer."""
 
+import math
 from dataclasses import dataclass
 
 from .bit_packer import max_partitions
@@ -26,7 +27,6 @@ class QuantConfig:
     scale_width: int = 16
     l_i_max: int = 3
     optimize_saliency: bool = True
-    fit_atol: float = 1e-8
 
     def __post_init__(self):
         # Group labels 0..n_uns (n_uns is the salient group) are stored as int8.
@@ -37,8 +37,8 @@ class QuantConfig:
             raise DomainError(f"n_bits must lie in [1, 8], got {self.n_bits}")
         if self.p_sal_max is not None and not 0.0 < self.p_sal_max < 1.0:
             raise DomainError(f"p_sal_max must lie in (0, 1), got {self.p_sal_max}")
-        if self.alpha <= 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         if self.iters < 1:
             raise DomainError(f"iters must be >= 1, got {self.iters}")
         if self.scale_width not in (16, 32):

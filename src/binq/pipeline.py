@@ -63,9 +63,10 @@ def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
     if fit.sigma == 0.0:
         p_used = 0.0
     elif cfg.optimize_saliency:
-        p_used, j = optimize_saliency(matrix, fit, cfg, objective, full_output=True)
+        best = optimize_saliency(objective)
+        p_used, j = best.p_sal, best.j
     else:
-        p_used = cap
+        p_used = objective.p_cap
     if score and j is None:
         if fit.mu or fit.sigma:  # a pinned share is scored on the shells its layer picks
             layer, ev = objective.scored_layer(p_used)

@@ -5,9 +5,10 @@ layer's squared Frobenius norm. A bounded Brent search (parabolic steps
 with golden-section fallback) minimizes J over [0, p_sal_max]; because the
 quantile cutoffs move in discrete steps J need not be unimodal, so the
 search result is additionally compared against both interval endpoints and
-the overall best is returned. `LayerObjective` both scores a share and builds
-the quantized layer at it; an evaluation builds no layer, and a layer built
-at a pinned share can be scored on the shells it picks.
+the overall best evaluation is returned. `LayerObjective` owns the share
+range: it both scores a share and builds the quantized layer at it; an
+evaluation builds no layer, and a layer built at a pinned share can be
+scored on the shells it picks.
 """
 
 import math
@@ -53,24 +54,24 @@ class LayerObjective:
 
     Group k, shell k or the salient tail k = n_uns, holds the |w| in
     (t_{k-1}(p), t_k(p)], with t_{-1} = -inf and t_{n_uns} = inf. Each cutoff
-    t_k(p) falls as p grows, so over [0, cap] group k stays in its window,
-    the |w| in (t_{k-1}(cap), t_k(0)]. A window is gathered from |w|
-    (float32, exact, taken once) in row-major order at its first use, the
-    salient one with each member's row and float64 w; a cutoff that rounding
-    puts outside its window re-gathers it, widened. `__call__` picks each
-    group from its window, in the same order, so an evaluation makes no
-    full-matrix pass. `layer` labels all of |w| for the artifact, so an
-    objective only asked for a layer (a pinned share) gathers only the
-    salient window, and `__call__` scores exactly the layer `layer` builds.
-    ||W||^2 is taken at the first score, before any window is held.
+    t_k(p) falls as p grows; `_edges` clips it into its range over [0, cap]
+    (moving it only where rounding breaks that order), so group k lies in its
+    window, the |w| in (t_{k-1}(cap), t_k(0)], at every share. A window is
+    gathered from |w| (float32, exact, taken once) in row-major order at its
+    first use, the salient one with each member's row and float64 w.
+    `__call__` picks each group from its window, in the same order, so an
+    evaluation makes no full-matrix pass. `layer` labels all of |w| for the
+    artifact, so an objective only asked for a layer (a pinned share) gathers
+    only the salient window, and `__call__` scores exactly the layer `layer`
+    builds. ||W||^2 is taken at the first score, before any window is held.
     """
 
     def __init__(self, matrix, fit: GaussianFit, config: QuantConfig):
         self.matrix, self.fit, self.config = matrix, fit, config
         self.p_cap = config.resolve_p_sal_max(matrix.role)
         self.mag = np.abs(matrix.data).ravel()
-        lo, hi = self._edges(self.p_cap), self._edges(0.0)
-        self.bounds = [(lo[k], hi[k + 1]) for k in range(config.n_uns + 1)]
+        # Each cutoff's range over [0, cap]: its values at the cap and at 0, in order.
+        self.lo, self.hi = np.sort([self._cutoffs(self.p_cap), self._cutoffs(0.0)], axis=0)
         self.windows: list = [None] * (config.n_uns + 1)
 
     @cached_property
@@ -80,30 +81,31 @@ class LayerObjective:
             raise DomainError("objective undefined for an all-zero matrix")
         return denom
 
-    def _edges(self, p_sal: float) -> np.ndarray:
+    def _cutoffs(self, p_sal: float) -> np.ndarray:
         """The float64 cutoffs -inf, t_0(p), ..., t_{n_uns-1}(p), inf."""
-        if not 0.0 <= p_sal <= self.p_cap:
-            raise DomainError(f"p_sal={p_sal} outside [0, {self.p_cap}]")
         t = magnitude_thresholds(self.fit, compute_cutoffs(p_sal, self.config.n_uns))
         return np.concatenate(([-np.inf], t, [np.inf]))
 
-    def _gather(self, k: int, lo, hi) -> None:
-        """Gather group k's window, the |w| in (lo, hi], with the salient rows and w."""
-        mask = _between(self.mag, lo, hi)
+    def _edges(self, p_sal: float) -> np.ndarray:
+        """The cutoffs at p, each clipped into its range over [0, cap]."""
+        if not 0.0 <= p_sal <= self.p_cap:
+            raise DomainError(f"p_sal={p_sal} outside [0, {self.p_cap}]")
+        return np.clip(self._cutoffs(p_sal), self.lo, self.hi)
+
+    def _gather(self, k: int) -> list:
+        """Group k's window, the |w| in (lo[k], hi[k + 1]], with the salient rows and w."""
+        mask = _between(self.mag, self.lo[k], self.hi[k + 1])
         window = [np.compress(mask, self.mag)]
         if k == self.config.n_uns:
             window += [np.flatnonzero(mask) // self.matrix.n,
                        np.compress(mask, self.matrix.data).astype(np.float64)]
-        self.bounds[k], self.windows[k] = (lo, hi), window
+        return window
 
     def _pick(self, k: int, edges):
-        """Group k's window and the mask of its members at the cutoffs `edges`."""
-        lo, hi = edges[k], edges[k + 1]
-        w_lo, w_hi = self.bounds[k]
-        if self.windows[k] is None or lo < w_lo or hi > w_hi:
-            self._gather(k, min(lo, w_lo), max(hi, w_hi))
-        window = self.windows[k]
-        return window, _between(window[0], lo, hi)
+        """Group k's window, gathered at first use, and its members at the cutoffs `edges`."""
+        if self.windows[k] is None:
+            self.windows[k] = self._gather(k)
+        return self.windows[k], _between(self.windows[k][0], edges[k], edges[k + 1])
 
     def _salient(self, edges):
         """The salient members (rows, float64 w) at the cutoffs `edges`, and their fit."""
@@ -161,14 +163,10 @@ class LayerObjective:
 
 
 def evaluate_objective(matrix, fit: GaussianFit, p_sal: float, config: QuantConfig,
-                       objective: LayerObjective | None = None) -> ObjectiveEval:
-    """Normalized residual of the layer `LayerObjective.layer` builds at p_sal.
-
-    A caller evaluating many shares passes the `LayerObjective` built from these arguments.
-    """
-    if objective is None:
-        objective = LayerObjective(matrix, fit, config)
-    elif objective.matrix is not matrix or (objective.fit, objective.config) != (fit, config):
+                       objective: LayerObjective) -> ObjectiveEval:
+    """J(p_sal) of `objective`, which must be built from these arguments. The search
+    evaluates through here, so a tracer wrapping this function sees each evaluation."""
+    if objective.matrix is not matrix or (objective.fit, objective.config) != (fit, config):
         raise DomainError("objective was built for another layer, fit or config")
     return objective(p_sal)
 
@@ -180,14 +178,12 @@ def _checked_eval(f, x: float) -> float:
     return fx
 
 
-def brent_minimize(f, lo: float, hi: float, tol: float, max_iters: int,
-                   full_output: bool = False):
+def brent_minimize(f, lo: float, hi: float, tol: float, max_iters: int):
     """Bounded scalar minimization: parabolic steps with golden-section fallback.
 
     Stops once the bracket width drops to tol (or the classic proximity
     criterion fires, or max_iters evaluations are spent). The function is
-    never evaluated outside [lo, hi]. Returns (x, f(x)); with full_output,
-    (x, f(x), iterations).
+    never evaluated outside [lo, hi]. Returns (x, f(x)).
     """
     if not lo < hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
@@ -197,8 +193,7 @@ def brent_minimize(f, lo: float, hi: float, tol: float, max_iters: int,
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = _checked_eval(f, x)
     d = e = 0.0
-    iters = 0
-    while iters < max_iters:
+    for _ in range(max_iters):
         if b - a <= tol:
             break
         mid = 0.5 * (a + b)
@@ -231,7 +226,6 @@ def brent_minimize(f, lo: float, hi: float, tol: float, max_iters: int,
         step = d if abs(d) >= tol1 else math.copysign(tol1, d)
         u = min(max(x + step, a), b)
         fu = _checked_eval(f, u)
-        iters += 1
 
         if fu <= fx:
             if u >= x:
@@ -249,45 +243,35 @@ def brent_minimize(f, lo: float, hi: float, tol: float, max_iters: int,
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
 
-    if full_output:
-        return x, fx, iters
     return x, fx
 
 
-def optimize_saliency(matrix, fit: GaussianFit, config: QuantConfig,
-                      objective: LayerObjective | None = None, full_output: bool = False):
-    """Best salient share in [0, p_sal_max] under the normalized objective.
+def optimize_saliency(objective: LayerObjective) -> ObjectiveEval:
+    """The best evaluation of `objective` over its shares [0, p_sal_max].
 
-    Every evaluation calls `objective` (by default one built from the
-    arguments) and is memoized on the share rounded to 1e-6 and clamped to
+    Every evaluation is memoized on the share rounded to 1e-6 and clamped to
     the cap; the cap itself is scored unrounded. The Brent result is
     compared against both endpoints, so the returned share is never worse
     than either bound; ties prefer the smaller (cheaper) share, so a
-    zero-sigma fit, under which every share builds the same layer, gives
-    0. Returns the share; with full_output, (share, its J).
+    zero-sigma fit, under which every share builds the same layer, gives 0.
     """
-    p_cap = config.resolve_p_sal_max(matrix.role)
-    if not 0.0 < p_cap < 1.0:
-        raise DomainError(f"p_sal_max must lie in (0, 1), got {p_cap}")
-    if objective is None:
-        objective = LayerObjective(matrix, fit, config)
-    cache: dict[float, float] = {}
+    p_cap, cache = objective.p_cap, {}
 
     def share(p: float) -> float:
         # The cap is scored unrounded: rounding can carry it below or above itself.
         return p_cap if p >= p_cap else min(round(max(p, 0.0), 6), p_cap)
 
-    def j_of(p: float) -> float:
+    def evaluate(p: float) -> ObjectiveEval:
         key = share(p)
         if key not in cache:
-            cache[key] = evaluate_objective(matrix, fit, key, config, objective).j
+            cache[key] = evaluate_objective(objective.matrix, objective.fit, key,
+                                            objective.config, objective)
         return cache[key]
 
-    x_int, f_int = brent_minimize(j_of, 0.0, p_cap, tol=1e-4 * p_cap, max_iters=50)
-    candidates = [(j_of(0.0), 0.0), (j_of(p_cap), p_cap), (f_int, share(x_int))]
-    best_j = min(j for j, _ in candidates)
-    best_p = min(p for j, p in candidates if j <= best_j)
-    return (best_p, cache[best_p]) if full_output else best_p
+    x_int, _ = brent_minimize(lambda p: evaluate(p).j, 0.0, p_cap, tol=1e-4 * p_cap,
+                              max_iters=50)
+    return min((evaluate(0.0), evaluate(p_cap), evaluate(x_int)),
+               key=lambda ev: (ev.j, ev.p_sal))
 
 
 def sweep_thresholds(matrix, fit: GaussianFit, thresholds, config: QuantConfig):

@@ -13,6 +13,9 @@ import numpy as np
 from .config import QuantConfig
 from .errors import DomainError
 
+# The row-wise fit stops once no row scale moves by more than this.
+FIT_ATOL = 1e-8
+
 
 @dataclass
 class SalientQuant:
@@ -119,7 +122,7 @@ def quantize_salient(rows: np.ndarray, w: np.ndarray, m: int,
     what an artifact would hold. An empty salient set yields zero scales,
     no codes, and a degenerate all-zero center table.
     """
-    _, relaxed = fit_rowwise(rows, w, m, iters=config.iters, atol=config.fit_atol)
+    _, relaxed = fit_rowwise(rows, w, m, iters=config.iters, atol=FIT_ATOL)
     if relaxed.size and np.any(relaxed != 0.0):
         _, centers, mu_b, sigma_b = adaptive_levels(relaxed, config.n_bits, config.alpha)
     else:

@@ -335,12 +335,17 @@ class QuantizedLayer:
             raise ValidationError(f"layer {self.name!r}: center table size mismatch")
         if self.scalars.shape != (cfg.n_uns,):
             raise ValidationError(f"layer {self.name!r}: expected {cfg.n_uns} scalars")
-        if np.any(self.scalars < 0.0):
-            raise ValidationError(f"layer {self.name!r}: negative shell scalar")
+        if not np.all(np.isfinite(self.scalars) & (self.scalars >= 0.0)):
+            raise ValidationError(f"layer {self.name!r}: shell scalar negative or not finite")
+        sal = self.salient
+        if not (np.isfinite(sal.scales).all() and np.isfinite(sal.centers).all()):
+            raise ValidationError(f"layer {self.name!r}: salient scale or center not finite")
         if self.signs.size != self.labels.size - counts[cfg.n_uns]:
             raise ValidationError(f"layer {self.name!r}: sign count mismatch")
         if not 0.0 <= self.p_sal_used <= 1.0:
             raise ValidationError(f"layer {self.name!r}: invalid p_sal_used")
+        if not 0.0 < self.p_sal_max < 1.0:
+            raise ValidationError(f"layer {self.name!r}: p_sal_max outside (0, 1)")
 
     def dense(self, dtype=np.float64) -> np.ndarray:
         """Reconstruction of the layer as `dtype`.

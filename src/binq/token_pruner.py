@@ -47,17 +47,19 @@ def validate_scores(tensor: AttentionTensor):
     Language-model tensors must have per-token group sums of 1 (within
     1e-6); vision-encoder tensors (no system/instruction/output tokens)
     must carry full image attention per token. All scores must lie in [0, 1].
+    Each check is written so that NaN fails it.
     """
     j = tensor.layer_index
     for name, arr in (("group sums", tensor.group_sums),
                       ("image scores", tensor.image_scores)):
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            token = int(np.argwhere((arr < 0.0) | (arr > 1.0))[0][0])
+        outside = ~((arr >= 0.0) & (arr <= 1.0))
+        if outside.any():
+            token = int(np.argwhere(outside)[0][0])
             raise ValidationError(
                 f"layer {j}: {name} outside [0, 1] at output token {token}")
     if tensor.is_vision:
         dev = np.abs(tensor.group_sums[:, _IMG_COLUMN].astype(np.float64) - 1.0)
-        if dev.size and dev.max() > _GROUP_SUM_TOL:
+        if not np.all(dev <= _GROUP_SUM_TOL):
             token = int(np.argmax(dev))
             raise ValidationError(
                 f"layer {j}: vision tensor has image attention "
@@ -66,7 +68,7 @@ def validate_scores(tensor: AttentionTensor):
     else:
         sums = tensor.group_sums.astype(np.float64).sum(axis=1)
         dev = np.abs(sums - 1.0)
-        if dev.size and dev.max() > _GROUP_SUM_TOL:
+        if not np.all(dev <= _GROUP_SUM_TOL):
             token = int(np.argmax(dev))
             raise ValidationError(
                 f"layer {j}: group sums total {sums[token]:.6f} != 1 at output "

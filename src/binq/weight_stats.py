@@ -33,7 +33,6 @@ class GaussianFit:
 
     mu: float
     sigma: float
-    count: int
 
     def cdf(self, x: float) -> float:
         """Normal CDF of the fitted distribution at x (step function if sigma=0)."""
@@ -90,13 +89,12 @@ def probit(p: float) -> float:
 def fit_gaussian(matrix) -> GaussianFit:
     """Fit mu (sample mean) and sigma (population standard deviation)."""
     data = matrix.data
-    count = data.size
-    if count < 2:
+    if data.size < 2:
         raise DomainError("gaussian fit needs at least 2 samples")
     mu = float(np.mean(data, dtype=np.float64))
     dev = np.subtract(data, mu, dtype=np.float64)  # one float64 copy, squared in place
     var = float(np.mean(np.square(dev, out=dev)))
-    return GaussianFit(mu=mu, sigma=math.sqrt(max(var, 0.0)), count=count)
+    return GaussianFit(mu=mu, sigma=math.sqrt(max(var, 0.0)))
 
 
 def default_bin_count(m: int, n: int) -> int:

@@ -105,7 +105,7 @@ def one_shell(values):
     from binq.weight_stats import GaussianFit
 
     mat = WeightMatrix("t", Role.LANGUAGE, np.asarray(values, np.float32).reshape(1, -1))
-    fit = GaussianFit(mu=0.0, sigma=0.0, count=mat.data.size)
+    fit = GaussianFit(mu=0.0, sigma=0.0)
     layer = LayerObjective(mat, fit, QuantConfig(n_uns=1, p_sal_max=0.05)).layer(0.0)
     assert not layer.labels.any()
     scalar = shell_scalar(np.abs(mat.data).ravel().astype(np.float64))

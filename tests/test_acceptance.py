@@ -19,8 +19,7 @@ from binq import (QuantConfig, Role, WeightMatrix, quantize_layer,
 from binq.bit_packer import (CodeBook, max_partitions, pack_stream,
                              storage_report, unpack_stream)
 from binq.salient_quantizer import level_grid
-from binq.saliency_optimizer import (LayerObjective, evaluate_objective, optimize_saliency,
-                                     sweep_thresholds)
+from binq.saliency_optimizer import LayerObjective, optimize_saliency, sweep_thresholds
 from binq.token_pruner import layer_lambda, retain_mask, validate_scores
 from binq.weight_stats import fit_gaussian, probit
 from conftest import (one_shell, outlier_matrix, relative_error, rowwise_residuals,
@@ -155,13 +154,9 @@ def test_criterion_08_saliency_boundary_guarantee():
     cases.append(WeightMatrix("g", Role.LANGUAGE,
                               rng.normal(0, 0.02, (64, 64)).astype(np.float32)))
     for mat in cases:
-        fit = fit_gaussian(mat)
-        config = QuantConfig(p_sal_max=0.05)
-        p_opt = optimize_saliency(mat, fit, config)
-        j_opt = evaluate_objective(mat, fit, p_opt, config).j
-        j_lo = evaluate_objective(mat, fit, 0.0, config).j
-        j_hi = evaluate_objective(mat, fit, 0.05, config).j
-        assert j_opt <= min(j_lo, j_hi) + 1e-12
+        objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05))
+        j_opt = optimize_saliency(objective).j
+        assert j_opt <= min(objective(0.0).j, objective(0.05).j) + 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _passed(8, f"J(p_opt) <= min(J(0), J(p_max)) + 1e-12 on {len(cases)} "

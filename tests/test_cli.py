@@ -121,9 +121,20 @@ def test_exit_code_format_error(tmp_path, capsys):
 def test_exit_code_domain_error(tmp_path, capsys):
     manifest = make_manifest(tmp_path, [
         ("l", "language", gaussian_matrix(0, (8, 8)))])
-    assert main(["quantize", manifest, "-o", str(tmp_path / "x.bvq"),
-                 "--p-sal-max", "2.0"]) == 3
-    assert "error:" in capsys.readouterr().err
+    for flags in (["--p-sal-max", "2.0"], ["--alpha", "nan", "--no-optimize"]):
+        assert main(["quantize", manifest, "-o", str(tmp_path / "x.bvq"), *flags]) == 3
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.bvq").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_scales_refused_at_write(tmp_path, capsys):
+    # Weights near 1e5 overflow the binary16 shell scalars and row scales to inf.
+    manifest = make_manifest(tmp_path, [
+        ("big", "language", gaussian_matrix(0, (8, 8), sigma=1e5))])
+    assert main(["quantize", manifest, "-o", str(tmp_path / "x.bvq"), "--no-optimize"]) == 3
+    assert "layer 'big'" in capsys.readouterr().err
+    assert not (tmp_path / "x.bvq").exists()
 
 
 def test_import_and_report_load_no_process_pool(tmp_path):

@@ -102,7 +102,7 @@ class TestPartition:
 
     def test_labels_match_digitize(self):
         # magnitude_labels replaced np.digitize(right=True); ties included.
-        fit = GaussianFit(mu=0.0, sigma=0.5, count=0)
+        fit = GaussianFit(mu=0.0, sigma=0.5)
         t = magnitude_thresholds(fit, compute_cutoffs(0.03, 5))
         mag = np.abs(np.random.default_rng(8).standard_normal(4000))
         mag[::7] = np.resize(t, mag[::7].size)

@@ -16,7 +16,6 @@ import binq.pipeline as pipeline
 import binq.saliency_optimizer as so
 from binq.bit_packer import storage_report
 from binq.cli import main
-from binq.saliency_optimizer import evaluate_objective
 from binq.weight_stats import fit_gaussian
 from conftest import (capped_layer, gaussian_matrix, outlier_matrix, relative_error,
                       score_layer)
@@ -63,8 +62,7 @@ class TestQuantizeLayer:
     def test_reconstruction_error_matches_objective(self):
         mat = outlier_matrix(2, shape=(64, 64), frac=0.02, magnitude=6.0)
         layer = quantize_layer(mat)
-        fit = fit_gaussian(mat)
-        ev = evaluate_objective(mat, fit, layer.p_sal_used, layer.config)
+        ev = so.LayerObjective(mat, fit_gaussian(mat), layer.config)(layer.p_sal_used)
         numerator = ev.salient_residual + sum(ev.unsalient_residuals)
         assert reconstruction_error(mat, layer) == pytest.approx(numerator,
                                                                  rel=1e-12)
@@ -100,18 +98,17 @@ class TestQuantizeLayer:
         for seed in range(3):
             mat = outlier_matrix(seed, shape=(48, 48), frac=0.02, magnitude=6.0)
             layer = quantize_layer(mat)
-            fit = fit_gaussian(mat)
-            j_opt = evaluate_objective(mat, fit, layer.p_sal_used, layer.config).j
-            j_zero = evaluate_objective(mat, fit, 0.0, layer.config).j
+            objective = so.LayerObjective(mat, fit_gaussian(mat), layer.config)
+            j_opt, j_zero = objective(layer.p_sal_used).j, objective(0.0).j
             assert j_opt <= j_zero + 1e-12
 
     def test_pinned_share_gathers_no_shell_window(self, monkeypatch):
         gathered = []
         real = so.LayerObjective._gather
 
-        def logged(self, k, lo, hi):
+        def logged(self, k):
             gathered.append(k)
-            return real(self, k, lo, hi)
+            return real(self, k)
 
         monkeypatch.setattr(so.LayerObjective, "_gather", logged)
         mat = outlier_matrix(3, shape=(48, 64), frac=0.02, magnitude=6.0)
@@ -521,8 +518,9 @@ class TestQuantConfigValidation:
             QuantConfig(p_sal_max=1.5)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(DomainError):
-            QuantConfig(alpha=0.0)
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                QuantConfig(alpha=alpha)
 
 
 def test_golden_artifact_and_objective(tmp_path):

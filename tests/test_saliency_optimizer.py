@@ -17,20 +17,31 @@ def golden_iteration_bound(lo, hi, tol):
     return math.ceil(math.log((hi - lo) / tol) / math.log(1 / 0.6180339887498949)) + 2
 
 
+def counted(f):
+    """f, and the list of the points it is called at."""
+    calls = []
+    return (lambda x: calls.append(x) or f(x)), calls
+
+
+def best_share(mat, config):
+    """The share the search picks on a layer's own fit."""
+    return optimize_saliency(LayerObjective(mat, fit_gaussian(mat), config)).p_sal
+
+
 class TestBrentMinimize:
     def test_quadratic_interior(self):
-        x, fx, iters = brent_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0,
-                                      tol=1e-8, max_iters=100, full_output=True)
+        f, calls = counted(lambda x: (x - 0.3) ** 2)
+        x, fx = brent_minimize(f, 0.0, 1.0, tol=1e-8, max_iters=100)
         assert x == pytest.approx(0.3, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-10)
         # parabolic steps converge far faster than the golden-section bound
-        assert iters <= golden_iteration_bound(0.0, 1.0, 1e-8)
+        assert len(calls) - 1 <= golden_iteration_bound(0.0, 1.0, 1e-8)
 
     def test_monotone_boundary_minimum(self):
-        x, fx, iters = brent_minimize(lambda x: x, 0.0, 1.0, tol=1e-8,
-                                      max_iters=100, full_output=True)
+        f, calls = counted(lambda x: x)
+        x, fx = brent_minimize(f, 0.0, 1.0, tol=1e-8, max_iters=100)
         assert x == pytest.approx(0.0, abs=1e-6)
-        assert iters <= golden_iteration_bound(0.0, 1.0, 1e-8)
+        assert len(calls) - 1 <= golden_iteration_bound(0.0, 1.0, 1e-8)
 
     def test_wiggly_function_vs_grid(self):
         f = lambda x: abs(x - 0.25) + 0.1 * math.sin(40 * x)
@@ -71,16 +82,14 @@ class TestBrentMinimize:
 class TestEvaluateObjective:
     def test_constant_matrix_zero_error(self):
         mat = WeightMatrix("t", Role.LANGUAGE, np.full((16, 16), 3.0, np.float32))
-        fit = fit_gaussian(mat)
+        objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig())
         for p in (0.0, 0.005, 0.01):
-            ev = evaluate_objective(mat, fit, p, QuantConfig())
+            ev = objective(p)
             assert ev.j == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_share_equals_pure_binarization(self):
         mat = gaussian_matrix(2, shape=(32, 32))
-        fit = fit_gaussian(mat)
-        config = QuantConfig(n_uns=1, p_sal_max=0.05)
-        ev = evaluate_objective(mat, fit, 0.0, config)
+        ev = LayerObjective(mat, fit_gaussian(mat), QuantConfig(n_uns=1, p_sal_max=0.05))(0.0)
         # independent evaluation: sign * mean|w| with the stored-scale rounding
         w = mat.data.astype(np.float64)
         a = float(np.float16(np.abs(w).mean()))
@@ -93,22 +102,19 @@ class TestEvaluateObjective:
         # in the outermost binarized subset.
         mat = outlier_matrix(0, shape=(128, 128), sigma=0.02, frac=0.01,
                              magnitude=6.0)
-        fit = fit_gaussian(mat)
-        config = QuantConfig(p_sal_max=0.05)
-        j0 = evaluate_objective(mat, fit, 0.0, config).j
-        j1 = evaluate_objective(mat, fit, 0.01, config).j
+        objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05))
+        j0, j1 = objective(0.0).j, objective(0.01).j
         assert j1 < j0
 
     def test_all_zero_matrix_rejected(self):
         mat = WeightMatrix("t", Role.LANGUAGE, np.zeros((4, 4), np.float32))
         with pytest.raises(DomainError):
-            evaluate_objective(mat, fit_gaussian(mat), 0.0, QuantConfig())
+            LayerObjective(mat, fit_gaussian(mat), QuantConfig())(0.0)
 
     def test_share_outside_cap_rejected(self):
         mat = gaussian_matrix(3)
         with pytest.raises(DomainError):
-            evaluate_objective(mat, fit_gaussian(mat), 0.5,
-                               QuantConfig(p_sal_max=0.05))
+            LayerObjective(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05))(0.5)
 
     def test_objective_of_another_layer_rejected(self):
         mat, other = gaussian_matrix(3), gaussian_matrix(4)
@@ -122,8 +128,7 @@ class TestEvaluateObjective:
 
     def test_composition_matches_components(self):
         mat = outlier_matrix(5, shape=(48, 48), frac=0.02, magnitude=5.0)
-        fit = fit_gaussian(mat)
-        ev = evaluate_objective(mat, fit, 0.02, QuantConfig(p_sal_max=0.05))
+        ev = LayerObjective(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05))(0.02)
         total = ev.salient_residual + sum(ev.unsalient_residuals)
         assert ev.j == pytest.approx(total / ev.denom, rel=1e-14)
 
@@ -131,48 +136,40 @@ class TestEvaluateObjective:
 class TestOptimizeSaliency:
     def test_bounds_respected(self):
         mat = gaussian_matrix(4, shape=(48, 48))
-        fit = fit_gaussian(mat)
-        p = optimize_saliency(mat, fit, QuantConfig(p_sal_max=0.03))
+        p = best_share(mat, QuantConfig(p_sal_max=0.03))
         assert 0.0 <= p <= 0.03
 
     def test_boundary_guarantee(self):
         for seed in range(3):
             mat = outlier_matrix(seed, shape=(64, 64), frac=0.02, magnitude=8.0,
                                  spread=2.0)
-            fit = fit_gaussian(mat)
-            config = QuantConfig(p_sal_max=0.05)
-            p = optimize_saliency(mat, fit, config)
-            j_opt = evaluate_objective(mat, fit, p, config).j
-            j_lo = evaluate_objective(mat, fit, 0.0, config).j
-            j_hi = evaluate_objective(mat, fit, 0.05, config).j
-            assert j_opt <= min(j_lo, j_hi) + 1e-12
+            objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05))
+            best = optimize_saliency(objective)
+            assert best == objective(best.p_sal)
+            assert best.j <= min(objective(0.0).j, objective(0.05).j) + 1e-12
 
     def test_heavy_outliers_prefer_positive_share(self):
         mat = outlier_matrix(0, shape=(128, 128), frac=0.02, magnitude=10.0)
-        fit = fit_gaussian(mat)
-        p = optimize_saliency(mat, fit, QuantConfig(p_sal_max=0.05))
+        p = best_share(mat, QuantConfig(p_sal_max=0.05))
         assert p > 0.0
 
     def test_language_cap_from_role(self):
         mat = outlier_matrix(1, shape=(64, 64), frac=0.02, magnitude=6.0,
                              role=Role.LANGUAGE)
-        fit = fit_gaussian(mat)
-        p = optimize_saliency(mat, fit, QuantConfig())
+        p = best_share(mat, QuantConfig())
         assert p <= 0.01
 
     def test_deterministic(self):
         mat = outlier_matrix(2, shape=(64, 64), frac=0.02, magnitude=6.0)
-        fit = fit_gaussian(mat)
         config = QuantConfig(p_sal_max=0.04)
-        assert optimize_saliency(mat, fit, config) == optimize_saliency(
-            mat, fit, config)
+        assert best_share(mat, config) == best_share(mat, config)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_cap_with_more_than_six_decimals(self, seed):
         # round(0.0123456789, 6) = 0.012346 lies above the cap itself.
         config = QuantConfig(p_sal_max=0.0123456789)
         mat = gaussian_matrix(seed, shape=(48, 48))
-        p = optimize_saliency(mat, fit_gaussian(mat), config)
+        p = best_share(mat, config)
         assert 0.0 <= p <= config.p_sal_max
         assert quantize_layer(mat, config).p_sal_used <= config.p_sal_max
 
@@ -185,13 +182,13 @@ class TestOptimizeSaliency:
         config = QuantConfig(p_sal_max=cap)
         objective = LayerObjective(mat, fit_gaussian(mat), config)
         assert objective(cap).j != objective(round(cap, 6)).j
-        p, j = optimize_saliency(mat, objective.fit, config, objective, full_output=True)
-        assert (p, j) == (p_star, objective(p_star).j)
-        assert j <= objective(cap).j
+        best = optimize_saliency(objective)
+        assert best == objective(p_star)
+        assert best.j <= objective(cap).j
 
     def test_degenerate_sigma_returns_zero(self):
         mat = WeightMatrix("t", Role.LANGUAGE, np.full((8, 8), 1.5, np.float32))
-        assert optimize_saliency(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05)) == 0.0
+        assert best_share(mat, QuantConfig(p_sal_max=0.05)) == 0.0
 
 
 class TestSweep:
@@ -229,7 +226,7 @@ def tied_layer(k, p_sal=0.02, n_uns=5):
     data = (0.02 * np.random.default_rng(40 + k).standard_normal((48, 64))).astype(np.float32)
     data.ravel()[::5] = v
     data.ravel()[1::10] = -v
-    fit = GaussianFit(mu=0.0, sigma=float(v) / z, count=data.size)
+    fit = GaussianFit(mu=0.0, sigma=float(v) / z)
     assert magnitude_thresholds(fit, compute_cutoffs(p_sal, n_uns))[k] == float(v)
     return WeightMatrix("tied", Role.VISION, data), fit
 
@@ -278,37 +275,47 @@ class TestLayerObjective:
             assert scored == got
             assert np.array_equal(layer.labels, objective.layer(p).labels)
 
-    def test_tail_regathered_when_a_cutoff_falls_below_it(self):
-        mat = outlier_matrix(6, shape=(48, 48), frac=0.02, magnitude=6.0)
-        fit, config = fit_gaussian(mat), QuantConfig(p_sal_max=0.05)
-        objective = LayerObjective(mat, fit, config)
-        objective._gather(config.n_uns, np.inf, np.inf)  # holds no member
-        want = score_layer(mat, LayerObjective(mat, fit, config).layer(0.03))
-        assert objective(0.03).salient_residual == want.salient_residual > 0.0
-
-    @pytest.mark.parametrize("k", range(6))
-    def test_window_regathered_when_a_cutoff_leaves_it(self, k):
-        mat = outlier_matrix(6, shape=(48, 48), frac=0.02, magnitude=6.0)
-        fit, config = fit_gaussian(mat), QuantConfig(p_sal_max=0.05)
-        want = LayerObjective(mat, fit, config)(0.03)
-        assert min(want.unsalient_residuals) > 0.0 and want.salient_residual > 0.0
-        objective = LayerObjective(mat, fit, config)
-        lo, hi = objective._edges(0.03)[k:k + 2]
-        # Empty windows whose upper, then lower bound lies inside group k at 0.03.
-        for bounds in ((lo, lo), (hi, hi)):
-            objective._gather(k, *bounds)
-            assert objective.windows[k][0].size == 0
-            assert objective(0.03) == want
+    def test_clamped_cutoffs_keep_each_group_in_its_window(self, monkeypatch):
+        # 23 floats below the cap, rounding puts the raw cutoff t_2 below its value
+        # at the cap, so group 3 would reach out of its window unclamped.
+        p, cap = 0.07999999999999968, 0.08
+        data = 0.02 * np.random.default_rng(8).standard_normal((64, 96))
+        mat = WeightMatrix("w", Role.VISION, data.astype(np.float32))
+        config = QuantConfig(p_sal_max=cap)
+        gathered = []
+        real = LayerObjective._gather
+        monkeypatch.setattr(LayerObjective, "_gather",
+                            lambda self, k: gathered.append(k) or real(self, k))
+        objective = LayerObjective(mat, GaussianFit(mu=0.0, sigma=0.02), config)
+        raw, at_cap = objective._cutoffs(p), objective._cutoffs(cap)
+        assert raw[3] < at_cap[3]
+        edges = objective._edges(p)
+        assert edges[3] == at_cap[3]
+        assert np.array_equal(np.delete(edges, 3), np.delete(raw, 3))
+        # Group k at p is window k's members at the clipped edges, in row-major order.
+        labels = objective.layer(p).labels.ravel()
+        for k in range(config.n_uns + 1):
+            assert objective.lo[k] <= edges[k] and edges[k + 1] <= objective.hi[k + 1]
+            window, keep = objective._pick(k, edges)
+            assert np.array_equal(np.compress(keep, window[0]), objective.mag[labels == k])
+        got, want = objective(p), score_layer(mat, objective.layer(p))
+        assert (got.j, got.salient_residual, got.unsalient_residuals) == (
+            want.j, want.salient_residual, want.unsalient_residuals)
+        for share in (cap, 0.0, p):
+            objective(share)
+        assert sorted(gathered) == list(range(config.n_uns + 1))  # each window once
 
     def test_windows_bound_every_share(self):
         mat = outlier_matrix(6, shape=(48, 48), frac=0.02, magnitude=6.0)
         objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05))
         cap, zero = objective._edges(0.05), objective._edges(0.0)
-        assert objective.bounds == list(zip(cap[:-1], zero[1:]))
+        assert np.array_equal(objective.lo, cap) and np.array_equal(objective.hi, zero)
         assert objective.windows == [None] * 6  # gathered at first use
+        for p in np.linspace(0.0, 0.05, 11):
+            edges = objective._edges(p)
+            assert np.all(cap <= edges) and np.all(edges <= zero)
         objective(0.05)
         objective(0.0)
-        assert objective.bounds == list(zip(cap[:-1], zero[1:]))  # no re-gather
         # Cutoff k moves over a mass of about (k + 1) * cap / n_uns, which two windows share.
         total = sum(window[0].size for window in objective.windows)
         assert mat.data.size <= total < (1.0 + 0.05 * 3 + 0.02) * mat.data.size
@@ -338,4 +345,4 @@ def test_golden_optimal_share(seed, stream, role, shape, biased, p_star):
     na^2) moves more. The 1% cap binds the fourth layer.
     """
     mat = seeded_layer(seed, stream, role, shape, biased)
-    assert optimize_saliency(mat, fit_gaussian(mat), QuantConfig()) == p_star
+    assert best_share(mat, QuantConfig()) == p_star

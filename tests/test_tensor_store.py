@@ -224,6 +224,19 @@ def _negative_scalar(raw, layer):
     raw[off:off + 2] = np.array([-1.0], "<f2").tobytes()
 
 
+def _nan_scalar(raw, layer):
+    off = _code_length_offset(layer) - 2 * layer.config.n_uns
+    raw[off:off + 2] = np.array([np.nan], "<f2").tobytes()
+
+
+def _nan_field(fields_before):
+    """Damage: NaN in the float64 header field that follows `fields_before`."""
+    def corrupt(raw, layer):
+        off = _fields_offset(layer) + struct.calcsize("<" + fields_before)
+        raw[off:off + 8] = struct.pack("<d", np.nan)
+    return corrupt
+
+
 def _zero_shells(raw, layer):
     raw[_fields_offset(layer) + struct.calcsize("<BQQ")] = 0
 
@@ -254,6 +267,9 @@ MALFORMED = {
     "kraft_violated": (_break_kraft, False),
     "solo_out_of_range": (_corrupt_solo, True),
     "negative_scalar": (_negative_scalar, False),
+    "nan_scalar": (_nan_scalar, False),
+    "nan_alpha": (_nan_field("BQQBBBB"), False),
+    "nan_p_sal_max": (_nan_field("BQQBBBBdHB"), False),
     "zero_shells": (_zero_shells, False),
     "shells_beyond_int8": (_int8_overflow_shells, False),
     "huge_columns": (_huge_columns, True),

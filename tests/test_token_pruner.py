@@ -51,6 +51,23 @@ class TestValidateScores:
         with pytest.raises(ValidationError):
             validate_scores(t)
 
+    @pytest.mark.parametrize("kind", ["language", "vision"])
+    @pytest.mark.parametrize("field", ["image_scores", "group_sums"])
+    def test_nan_score_rejected(self, tmp_path, capsys, kind, field):
+        from binq import write_attention
+        from binq.cli import main
+        if kind == "language":
+            t = language_tensor([[0.3, 0.4, 0.2, 0.1]] * 3, [[0.1, 0.3]] * 3)
+        else:
+            t = vision_tensor(3, 2)
+        getattr(t, field)[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="token 2"):
+            validate_scores(t)
+        path = tmp_path / "a.bva"
+        write_attention([t], path)
+        assert main(["prune-scores", str(path), "--ratio", "0.5"]) == 3
+        assert "error:" in capsys.readouterr().err
+
 
 class TestLayerLambda:
     def test_single_token_formula(self):

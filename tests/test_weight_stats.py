@@ -126,7 +126,7 @@ class TestKlDivergence:
         assert d == pytest.approx(0.14384, abs=1e-4)
 
     def test_zero_when_matching_cdf_masses(self):
-        fit = GaussianFit(mu=0.0, sigma=1.0, count=1)
+        fit = GaussianFit(mu=0.0, sigma=1.0)
         edges = np.linspace(-7.0, 7.0, 17)
         cdf = np.array([fit.cdf(e) for e in edges])
         masses = np.diff(cdf)
@@ -156,7 +156,7 @@ class TestKlDivergence:
         from binq.weight_stats import Histogram
         hist = Histogram(edges=np.array([0.0, 1.0]), counts=np.array([0]), total=0)
         with pytest.raises(DomainError):
-            kl_divergence(hist, GaussianFit(mu=0.0, sigma=1.0, count=1))
+            kl_divergence(hist, GaussianFit(mu=0.0, sigma=1.0))
 
 
 @settings(max_examples=50, deadline=None)
