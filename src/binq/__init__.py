@@ -15,8 +15,8 @@ from .saliency_optimizer import (LayerObjective, ObjectiveEval, brent_minimize,
                                  sweep_thresholds)
 from .tensor_store import (AttentionTensor, ManifestEntry, ModelManifest,
                            QuantizedLayer, Role, WeightMatrix, read_artifact,
-                           read_attention, read_manifest, read_tensor,
-                           write_artifact, write_attention, write_tensor)
+                           read_attention, read_layer_headers, read_manifest,
+                           read_tensor, write_artifact, write_attention, write_tensor)
 from .token_pruner import (PruneDecision, layer_lambda, prune_decisions,
                            retain_mask, retained_count, validate_scores)
 from .weight_stats import (GaussianFit, Histogram, default_bin_count,

@@ -16,7 +16,7 @@ from .errors import DomainError, TruncationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import QuantConfig
-    from .tensor_store import QuantizedLayer
+    from .tensor_store import LayerHeader
 
 # Longest code `CodeBook.from_frequencies` builds and the .bvq reader
 # accepts. Decoding cost does not depend on it.
@@ -305,14 +305,13 @@ def storage_budget(m: int, n: int, config: "QuantConfig", p_sal_max: float) -> t
     return l_b, l_a, l_i, l_b + l_a
 
 
-def layer_codebook(layer: "QuantizedLayer") -> CodeBook:
-    """Canonical Huffman codebook over a layer's realized group frequencies."""
-    counts = np.bincount(layer.labels.ravel(), minlength=layer.config.n_uns + 1)
-    return CodeBook.from_frequencies(counts)
+def layer_codebook(layer: "LayerHeader") -> CodeBook:
+    """Canonical Huffman codebook over a layer's group counts."""
+    return CodeBook.from_frequencies(layer.counts)
 
 
-def storage_report(layer: "QuantizedLayer") -> StorageReport:
-    """Storage accounting for a quantized layer.
+def storage_report(layer: "LayerHeader") -> StorageReport:
+    """Storage accounting for a quantized layer, or a layer header read from a file.
 
     Realized sizes are derived arithmetically from group counts and code
     lengths, which matches the artifact writer byte for byte.
@@ -322,10 +321,10 @@ def storage_report(layer: "QuantizedLayer") -> StorageReport:
     p_cap = layer.p_sal_max
     l_b, l_a, l_i, l_model = storage_budget(layer.m, layer.n, cfg, p_cap)
 
-    counts = np.bincount(layer.labels.ravel(), minlength=cfg.n_uns + 1)
+    counts = layer.counts
     salient = int(counts[cfg.n_uns])
     unsalient = weights - salient
-    book = CodeBook.from_frequencies(counts)
+    book = layer_codebook(layer)
     index_payload = book.encoded_bits(counts)
     index_bytes = (index_payload + 7) // 8
     code_bytes = (salient * cfg.n_bits + 7) // 8

@@ -76,7 +76,7 @@ _REPORT_COLUMNS = ["layer", "m", "n", "p_sal_used", "salient_frac", "L_B",
 
 
 def cmd_report(args) -> int:
-    layers = tensor_store.read_artifact(args.artifact)
+    layers = tensor_store.read_layer_headers(args.artifact)
     rows = []
     reports = []
     for layer in layers:

@@ -146,15 +146,17 @@ class LayerObjective:
         labels = magnitude_labels(self.mag, edges[1:-1])
         rows, w, salient = self._salient(edges)
         n_uns, width, m = self.config.n_uns, self.config.scale_width, self.matrix
-        scalars, uns_res = [], []
+        scalars, uns_res, counts = [], [], []
         for k in range(n_uns):
             shell = np.compress(labels == k, self.mag).astype(np.float64)
             scalars.append(shell_scalar(shell))
+            counts.append(shell.size)
             if score:
                 uns_res.append(shell_residual(shell, store_scales(scalars[-1], width)))
             del shell
         signs = (m.data >= 0.0).ravel()[labels < n_uns]
         layer = QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
+                               counts=np.array(counts + [rows.size], dtype=np.int64),
                                labels=labels.reshape(m.m, m.n), salient=salient,
                                scalars=store_scales(scalars, width),
                                signs=signs, p_sal_used=p_sal, p_sal_max=self.p_cap,

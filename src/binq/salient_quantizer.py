@@ -102,12 +102,20 @@ def assign_codes(relaxed: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def store_scales(values: np.ndarray, width: int) -> np.ndarray:
-    """Round scale factors to their stored precision (binary16 or binary32)."""
-    if width == 16:
-        return np.asarray(values, dtype=np.float16)
-    if width == 32:
-        return np.asarray(values, dtype=np.float32)
-    raise DomainError(f"unsupported scale width {width}")
+    """Round scale factors to their stored precision (binary16 or binary32).
+
+    Raises DomainError for a scale that rounds to inf, naming the format's
+    largest finite value (65504 for binary16).
+    """
+    dtype = {16: np.float16, 32: np.float32}.get(width)
+    if dtype is None:
+        raise DomainError(f"unsupported scale width {width}")
+    with np.errstate(over="ignore"):
+        stored = np.asarray(values, dtype=dtype)
+    if np.isinf(stored).any():
+        raise DomainError(f"scale {np.max(np.abs(values)):.6g} overflows binary{width}, "
+                          f"whose largest finite value is {np.finfo(dtype).max:g}")
+    return stored
 
 
 def quantize_salient(rows: np.ndarray, w: np.ndarray, m: int,

@@ -2,18 +2,24 @@
 
 Three container formats, all little-endian with fixed field widths:
 
-``.bvw`` weight tensor
+``.bvw`` weight tensor, version 1
     magic "BVW1", version u16, dtype u8 (0 = IEEE 754 binary32), role u8,
     rank u32 (always 2), dims as two u64, then the row-major f32 payload.
 
-``.bvq`` quantized artifact
+``.bvq`` quantized artifact, version 2 (version 1 still reads)
     magic "BVQ1", version u16, layer count u32, then per layer: name
     (u16 length + UTF-8), role u8, m and n (u64), config echo, salient level
     parameters and centers, salient row-scales (binary16 by default),
-    unsalient scalars, the group codebook, and the three packed streams
-    (group indices, salient codes, sign bits), each length-prefixed.
+    unsalient scalars, the group codebook, the n_uns + 1 group counts (u64,
+    salient last; not in version 1), the three packed streams (group
+    indices, salient codes, sign bits), each length-prefixed, and a CRC32
+    (u32, not in version 1) of the record from the name length to the end
+    of the sign stream. The counts fix every stream's length, so
+    `read_layer_headers` checks a record without decoding a stream, and its
+    header is all a storage report needs; a version 1 record has no counts
+    and is decoded.
 
-``.bva`` attention scores
+``.bva`` attention scores, version 1
     magic "BVA1", version u16, layer count u32, then per layer: layer index
     u32, output-token count n u32, image-token count u32, the four group
     sizes u32, then n rows of (4 group sums + per-image-token scores) as f32.
@@ -23,6 +29,7 @@ The manifest is a JSON array of {"name", "path", "role", "p_sal_max"?}.
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -38,7 +45,10 @@ from .salient_quantizer import SalientQuant
 TENSOR_MAGIC = b"BVW1"
 ARTIFACT_MAGIC = b"BVQ1"
 ATTENTION_MAGIC = b"BVA1"
-FORMAT_VERSION = 1
+# The version each writer stores. A .bvq reader also reads version 1.
+TENSOR_VERSION = 1
+ARTIFACT_VERSION = 2
+ATTENTION_VERSION = 1
 
 _DTYPE_F32 = 0
 
@@ -196,13 +206,15 @@ class _Reader:
             raise FormatError(f"{self.origin}: {len(self.buf) - self.pos} trailing bytes")
 
 
-def _check_magic(reader: _Reader, magic: bytes):
+def _check_magic(reader: _Reader, magic: bytes, latest: int) -> int:
+    """Check the magic and return the version, one of 1 .. latest."""
     got = reader.take(len(magic))
     if got != magic:
         raise FormatError(f"{reader.origin}: bad magic {got!r}, expected {magic!r}")
     (version,) = reader.unpack("H")
-    if version != FORMAT_VERSION:
+    if not 1 <= version <= latest:
         raise FormatError(f"{reader.origin}: unsupported version {version}")
+    return version
 
 
 # --- weight tensors ---------------------------------------------------------
@@ -214,7 +226,7 @@ def write_tensor(matrix: WeightMatrix, path):
                           f"{matrix.m}x{matrix.n}")
     matrix.require_finite()
     header = TENSOR_MAGIC + struct.pack(
-        "<HBBIQQ", FORMAT_VERSION, _DTYPE_F32, _ROLE_CODES[matrix.role], 2,
+        "<HBBIQQ", TENSOR_VERSION, _DTYPE_F32, _ROLE_CODES[matrix.role], 2,
         matrix.m, matrix.n)
     payload = matrix.data.astype("<f4", copy=False).tobytes()
     _write_bytes(path, header + payload)
@@ -222,7 +234,7 @@ def write_tensor(matrix: WeightMatrix, path):
 
 def _tensor_header(reader: _Reader):
     """Parse a .bvw header up to the payload; returns (role, m, n)."""
-    _check_magic(reader, TENSOR_MAGIC)
+    _check_magic(reader, TENSOR_MAGIC, TENSOR_VERSION)
     dtype_code, role_code, rank = reader.unpack("BBI")
     if dtype_code != _DTYPE_F32:
         raise FormatError(f"{reader.origin}: unsupported dtype code {dtype_code}")
@@ -296,56 +308,81 @@ def _validate_tensor_header(path):
 # --- quantized artifacts ----------------------------------------------------
 
 @dataclass
-class QuantizedLayer:
-    """Everything needed to reconstruct one quantized layer, as a .bvq layer holds it.
+class LayerHeader:
+    """What a layer's storage report needs: its shape, config, shares and group counts.
 
-    labels is the group-index matrix (unsalient shells 0..n_uns-1, salient
-    = n_uns); each element belongs to exactly one group, so the salient and
-    unsalient reconstructions have disjoint supports that cover the matrix.
-    scalars holds one nonnegative scalar per shell at the stored scale width;
-    signs holds one bool per unsalient element in row-major order (True =
-    +1), which is the packed sign stream. An unsalient element reconstructs
-    as scalars[label] times its sign, a salient one from `salient`.
+    counts holds the number of elements of each group: the unsalient shells
+    0..n_uns-1, then the salient group n_uns. With the config they fix the
+    length of every packed stream.
     """
 
     name: str
     role: Role
     m: int
     n: int
-    labels: np.ndarray
-    salient: SalientQuant
-    scalars: np.ndarray
-    signs: np.ndarray
+    counts: np.ndarray
     p_sal_used: float
     p_sal_max: float
     config: QuantConfig
 
     def validate(self):
-        cfg = self.config
+        # A Python-int sum: int64 counts cannot wrap around to m * n.
+        if (self.counts.shape != (self.config.n_uns + 1,) or self.counts.min() < 0
+                or sum(self.counts.tolist()) != self.m * self.n):
+            raise ValidationError(f"layer {self.name!r}: group counts do not add up "
+                                  f"to {self.m}x{self.n}")
+        if not 0.0 < self.p_sal_max < 1.0:
+            raise ValidationError(f"layer {self.name!r}: p_sal_max outside (0, 1)")
+        if not 0.0 <= self.p_sal_used <= self.p_sal_max:
+            raise ValidationError(f"layer {self.name!r}: p_sal_used outside [0, p_sal_max]")
+
+
+def _check_levels(name: str, scalars, scales, centers, *params):
+    """Shell scalars finite and >= 0; salient scales, centers and level parameters finite."""
+    if not np.all(np.isfinite(scalars) & (scalars >= 0.0)):
+        raise ValidationError(f"layer {name!r}: shell scalar negative or not finite")
+    if not (np.isfinite(scales).all() and np.isfinite(centers).all()
+            and np.isfinite(params).all()):
+        raise ValidationError(f"layer {name!r}: salient scale, center or level "
+                              f"parameter not finite")
+
+
+@dataclass
+class QuantizedLayer(LayerHeader):
+    """Everything needed to reconstruct one quantized layer, as a .bvq layer holds it.
+
+    labels is the group-index matrix (unsalient shells 0..n_uns-1, salient
+    = n_uns); each element belongs to exactly one group, so the salient and
+    unsalient reconstructions have disjoint supports that cover the matrix.
+    counts counts the labels; it is set where the labels are made, and
+    nothing counts them again. scalars holds one nonnegative scalar per
+    shell at the stored scale width; signs holds one bool per unsalient
+    element in row-major order (True = +1), which is the packed sign stream.
+    An unsalient element reconstructs as scalars[label] times its sign, a
+    salient one from `salient`.
+    """
+
+    labels: np.ndarray
+    salient: SalientQuant
+    scalars: np.ndarray
+    signs: np.ndarray
+
+    def validate(self):
+        super().validate()
+        cfg, sal, salient_count = self.config, self.salient, self.counts[-1]
         if self.labels.shape != (self.m, self.n):
             raise ValidationError(f"layer {self.name!r}: label shape mismatch")
-        counts = np.bincount(self.labels.ravel(), minlength=cfg.n_uns + 1)
-        if counts.size > cfg.n_uns + 1:
-            raise ValidationError(f"layer {self.name!r}: label outside group range")
-        if self.salient.scales.shape != (self.m,):
+        if sal.scales.shape != (self.m,):
             raise ValidationError(f"layer {self.name!r}: need one scale per row")
-        if self.salient.codes.size != counts[cfg.n_uns]:
+        if sal.codes.size != salient_count:
             raise ValidationError(f"layer {self.name!r}: salient code count mismatch")
-        if self.salient.centers.size != 2 ** cfg.n_bits:
+        if sal.centers.size != 2 ** cfg.n_bits:
             raise ValidationError(f"layer {self.name!r}: center table size mismatch")
         if self.scalars.shape != (cfg.n_uns,):
             raise ValidationError(f"layer {self.name!r}: expected {cfg.n_uns} scalars")
-        if not np.all(np.isfinite(self.scalars) & (self.scalars >= 0.0)):
-            raise ValidationError(f"layer {self.name!r}: shell scalar negative or not finite")
-        sal = self.salient
-        if not (np.isfinite(sal.scales).all() and np.isfinite(sal.centers).all()):
-            raise ValidationError(f"layer {self.name!r}: salient scale or center not finite")
-        if self.signs.size != self.labels.size - counts[cfg.n_uns]:
+        if self.signs.size != self.labels.size - salient_count:
             raise ValidationError(f"layer {self.name!r}: sign count mismatch")
-        if not 0.0 <= self.p_sal_used <= 1.0:
-            raise ValidationError(f"layer {self.name!r}: invalid p_sal_used")
-        if not 0.0 < self.p_sal_max < 1.0:
-            raise ValidationError(f"layer {self.name!r}: p_sal_max outside (0, 1)")
+        _check_levels(self.name, self.scalars, sal.scales, sal.centers, sal.mu_b, sal.sigma_b)
 
     def dense(self, dtype=np.float64) -> np.ndarray:
         """Reconstruction of the layer as `dtype`.
@@ -377,35 +414,41 @@ def _blob(data: bytes) -> bytes:
     return struct.pack("<Q", len(data)) + data
 
 
+def _stream_sizes(counts, book: "bit_packer.CodeBook", n_bits: int) -> tuple[int, int, int]:
+    """Bytes of the index, salient code and sign streams of a layer with these group counts."""
+    salient, weights = int(counts[-1]), sum(counts.tolist())
+    return ((book.encoded_bits(counts) + 7) // 8, (salient * n_bits + 7) // 8,
+            (weights - salient + 7) // 8)
+
+
 def write_artifact(layers, path):
-    """Serialize quantized layers to a .bvq file (lossless round trip)."""
-    chunks = [ARTIFACT_MAGIC, struct.pack("<HI", FORMAT_VERSION, len(layers))]
+    """Serialize quantized layers to a version 2 .bvq file (lossless round trip)."""
+    chunks = [ARTIFACT_MAGIC, struct.pack("<HI", ARTIFACT_VERSION, len(layers))]
     for layer in layers:
         if not isinstance(layer, QuantizedLayer):
             raise ValidationError("write_artifact expects QuantizedLayer values")
         layer.validate()
-        cfg = layer.config
-        name_bytes = layer.name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack(
-            "<BQQBBBBdHBdd", _ROLE_CODES[layer.role], layer.m, layer.n,
-            cfg.n_uns, cfg.n_bits, cfg.scale_width, cfg.l_i_max, cfg.alpha,
-            cfg.iters, int(cfg.optimize_saliency), layer.p_sal_max,
-            layer.p_sal_used))
-        sal = layer.salient
-        chunks.append(struct.pack("<dd", sal.mu_b, sal.sigma_b))
-        chunks.append(sal.centers.astype("<f8").tobytes())
-        chunks.append(_pack_scales(sal.scales, cfg.scale_width))
-        chunks.append(_pack_scales(layer.scalars, cfg.scale_width))
-
+        cfg, sal = layer.config, layer.salient
         book = bit_packer.layer_codebook(layer)
-        chunks.append(bytes(book.lengths))
-        chunks.append(struct.pack("<B", 0xFF if book.solo is None else book.solo))
-        chunks.append(_blob(bit_packer.pack_stream(layer.labels.ravel(), book)))
+        index = bit_packer.pack_stream(layer.labels.ravel(), book)
+        if len(index) != _stream_sizes(layer.counts, book, cfg.n_bits)[0]:
+            raise ValidationError(f"layer {layer.name!r}: labels disagree with the group counts")
         code_book = bit_packer.CodeBook.fixed(2 ** cfg.n_bits, cfg.n_bits)
-        chunks.append(_blob(bit_packer.pack_stream(sal.codes, code_book)))
-        chunks.append(_blob(np.packbits(layer.signs).tobytes()))
+        name_bytes = layer.name.encode("utf-8")
+        record = b"".join([
+            struct.pack("<H", len(name_bytes)), name_bytes,
+            struct.pack("<BQQBBBBdHBdd", _ROLE_CODES[layer.role], layer.m, layer.n,
+                        cfg.n_uns, cfg.n_bits, cfg.scale_width, cfg.l_i_max, cfg.alpha,
+                        cfg.iters, int(cfg.optimize_saliency), layer.p_sal_max,
+                        layer.p_sal_used),
+            struct.pack("<dd", sal.mu_b, sal.sigma_b), sal.centers.astype("<f8").tobytes(),
+            _pack_scales(sal.scales, cfg.scale_width),
+            _pack_scales(layer.scalars, cfg.scale_width),
+            bytes(book.lengths), struct.pack("<B", 0xFF if book.solo is None else book.solo),
+            layer.counts.astype("<u8").tobytes(),
+            _blob(index), _blob(bit_packer.pack_stream(sal.codes, code_book)),
+            _blob(np.packbits(layer.signs).tobytes())])
+        chunks += [record, struct.pack("<I", zlib.crc32(record))]
     _write_bytes(path, b"".join(chunks))
 
 
@@ -429,80 +472,128 @@ def _index_codebook(lengths: list[int], solo: int | None, origin: str):
     return bit_packer.CodeBook.from_lengths(lengths, solo=solo)
 
 
-def read_artifact(path) -> list:
-    """Parse a .bvq file back into QuantizedLayer values, each validated."""
-    reader = _Reader(_read_bytes(path), str(path))
-    _check_magic(reader, ARTIFACT_MAGIC)
-    (layer_count,) = reader.unpack("I")
-    layers = []
-    for _ in range(layer_count):
-        (name_len,) = reader.unpack("H")
-        try:
-            name = reader.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: layer name is not UTF-8: {exc}") from exc
-        (role_code, m, n, n_uns, n_bits, scale_width, l_i_max, alpha, iters,
-         optimize, p_sal_max, p_sal_used) = reader.unpack("BQQBBBBdHBdd")
-        if role_code not in _ROLE_FROM_CODE:
-            raise FormatError(f"{path}: unknown role code {role_code}")
-        try:
-            cfg = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=None,
-                              alpha=alpha, iters=iters, scale_width=scale_width,
-                              l_i_max=l_i_max, optimize_saliency=bool(optimize))
-        except DomainError as exc:
-            raise FormatError(f"{path}: layer {name!r}: {exc}") from exc
-        # Every weight costs at least one stored bit: an index code, a sign
-        # or a salient code. Checked before any (m, n)-sized allocation.
-        if m * n > 8 * (len(reader.buf) - reader.pos):
-            raise TruncationError(f"{path}: layer {name!r} declares {m}x{n} weights, "
-                                  f"more than the remaining bytes can hold")
-        mu_b, sigma_b = reader.unpack("dd")
-        centers = reader.array("f8", 2 ** n_bits)
-        scale_dt = "f2" if scale_width == 16 else "f4"
-        scales = reader.array(scale_dt, m)
-        scalars = reader.array(scale_dt, n_uns)
+def _layer_record(reader: _Reader, version: int):
+    """Parse one .bvq layer record into (header, decode).
 
-        lengths = list(reader.take(n_uns + 1))
-        (solo,) = reader.unpack("B")
-        book = _index_codebook(lengths, None if solo == 0xFF else solo,
-                               f"{path}: layer {name!r}")
-        (index_len,) = reader.unpack("Q")
+    header is the record's checked LayerHeader, or None for a version 1
+    record, which stores no group counts; decode() decodes the streams into
+    the validated QuantizedLayer. A version 2 record's CRC is checked before
+    its streams are looked at; then the counts must add up to m x n, the
+    codebook must be the Huffman code of the counts, and each stream must be
+    as long as the counts make it.
+    """
+    start, origin = reader.pos, reader.origin
+    (name_len,) = reader.unpack("H")
+    try:
+        name = reader.take(name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{origin}: layer name is not UTF-8: {exc}") from exc
+    where = f"{origin}: layer {name!r}"
+    (role_code, m, n, n_uns, n_bits, scale_width, l_i_max, alpha, iters,
+     optimize, p_sal_max, p_sal_used) = reader.unpack("BQQBBBBdHBdd")
+    if role_code not in _ROLE_FROM_CODE:
+        raise FormatError(f"{origin}: unknown role code {role_code}")
+    try:
+        cfg = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=None,
+                          alpha=alpha, iters=iters, scale_width=scale_width,
+                          l_i_max=l_i_max, optimize_saliency=bool(optimize))
+    except DomainError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    # Every weight costs at least one stored bit: an index code, a sign
+    # or a salient code. Checked before any (m, n)-sized allocation.
+    if m * n > 8 * (len(reader.buf) - reader.pos):
+        raise TruncationError(f"{where} declares {m}x{n} weights, "
+                              f"more than the remaining bytes can hold")
+    mu_b, sigma_b = reader.unpack("dd")
+    centers = reader.array("f8", 2 ** n_bits)
+    scale_dt = "f2" if scale_width == 16 else "f4"
+    scales = reader.array(scale_dt, m)
+    scalars = reader.array(scale_dt, n_uns)
+    lengths = list(reader.take(n_uns + 1))
+    (solo,) = reader.unpack("B")
+    solo = None if solo == 0xFF else solo
+    # Stored as u64; a count from 2**63 on reads negative here and is refused.
+    stored = reader.array("i8", n_uns + 1) if version > 1 else None
+    streams = [reader.take(*reader.unpack("Q")) for _ in range(3)]
+
+    fields = dict(name=name, role=_ROLE_FROM_CODE[role_code], m=m, n=n,
+                  p_sal_used=p_sal_used, p_sal_max=p_sal_max, config=cfg)
+    header = None
+    if stored is None:
+        book = _index_codebook(lengths, solo, where)
+    else:
+        (crc,) = reader.unpack("I")
+        if crc != zlib.crc32(memoryview(reader.buf)[start:reader.pos - 4]):
+            raise FormatError(f"{where}: CRC mismatch, the record is damaged")
+        header = LayerHeader(counts=stored, **fields)
+        try:
+            header.validate()
+            _check_levels(name, scalars, scales, centers, mu_b, sigma_b)
+            book = bit_packer.layer_codebook(header)
+        except (ValidationError, DomainError) as exc:
+            raise FormatError(f"{origin}: {exc}") from exc
+        if (book.lengths, book.solo) != (tuple(lengths), solo):
+            raise FormatError(f"{where}: group codebook is not the Huffman code of "
+                              f"the group counts")
+        if [len(s) for s in streams] != list(_stream_sizes(stored, book, n_bits)):
+            raise FormatError(f"{where}: stream lengths disagree with the group counts")
+
+    def decode() -> QuantizedLayer:
+        index, codes, signs = streams
         # Group indices are at most n_uns <= 127, so the int8 view keeps them.
-        labels = bit_packer.unpack_stream(reader.take(index_len), book, m * n)
-        labels = labels.view(np.int8).reshape(m, n)
-
-        salient_count = int(np.count_nonzero(labels == n_uns))
-        (codes_len,) = reader.unpack("Q")
+        labels = bit_packer.unpack_stream(index, book, m * n).view(np.int8).reshape(m, n)
+        counts = np.bincount(labels.ravel(), minlength=n_uns + 1)
+        if stored is not None and not np.array_equal(counts, stored):
+            raise FormatError(f"{where}: decoded group counts differ from the stored ones")
+        salient_count = int(counts[-1])
         code_book = bit_packer.CodeBook.fixed(2 ** n_bits, n_bits)
-        codes = bit_packer.unpack_stream(reader.take(codes_len), code_book,
-                                         salient_count)
-        (signs_len,) = reader.unpack("Q")
-        sign_count = m * n - salient_count
-        sign_bytes = reader.take(signs_len)
-        if signs_len * 8 < sign_count:
-            raise TruncationError(f"{path}: sign stream too short for layer {name!r}")
-        signs = np.unpackbits(np.frombuffer(sign_bytes, dtype=np.uint8),
-                              count=sign_count).astype(bool)
-
-        salient = SalientQuant(scales=scales, codes=codes, centers=centers,
-                               mu_b=mu_b, sigma_b=sigma_b, alpha=alpha)
-        layer = QuantizedLayer(name=name, role=_ROLE_FROM_CODE[role_code],
-                               m=m, n=n, labels=labels, salient=salient,
-                               scalars=scalars, signs=signs, p_sal_used=p_sal_used,
-                               p_sal_max=p_sal_max, config=cfg)
+        salient = SalientQuant(scales=scales, centers=centers, mu_b=mu_b, sigma_b=sigma_b,
+                               alpha=alpha, codes=bit_packer.unpack_stream(
+                                   codes, code_book, salient_count))
+        if len(signs) * 8 < m * n - salient_count:
+            raise TruncationError(f"{where}: sign stream too short")
+        layer = QuantizedLayer(counts=counts, labels=labels, salient=salient, scalars=scalars,
+                               signs=np.unpackbits(np.frombuffer(signs, dtype=np.uint8),
+                                                   count=m * n - salient_count).astype(bool),
+                               **fields)
         try:
             layer.validate()
         except ValidationError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-        layers.append(layer)
+            raise FormatError(f"{origin}: {exc}") from exc
+        return layer
+
+    return header, decode
+
+
+def _layer_records(path) -> list:
+    """The (header, decode) pair of each layer record of a .bvq file."""
+    reader = _Reader(_read_bytes(path), str(path))
+    version = _check_magic(reader, ARTIFACT_MAGIC, ARTIFACT_VERSION)
+    (layer_count,) = reader.unpack("I")
+    records = [_layer_record(reader, version) for _ in range(layer_count)]
     reader.done()
-    return layers
+    return records
+
+
+def read_artifact(path) -> list[QuantizedLayer]:
+    """Parse a .bvq file back into QuantizedLayer values, each validated."""
+    return [decode() for _, decode in _layer_records(path)]
+
+
+def read_layer_headers(path) -> list[LayerHeader]:
+    """Each layer's checked header from a .bvq file, for storage reports.
+
+    A version 2 record is checked whole (CRC, counts, stream lengths and
+    stored values) and no stream is decoded. A version 1 record stores no
+    counts, so its layer is decoded and validated as `read_artifact` does.
+    """
+    return [header or decode() for header, decode in _layer_records(path)]
 
 
 # --- attention tensors ------------------------------------------------------
 
 def write_attention(tensors: list[AttentionTensor], path):
-    chunks = [ATTENTION_MAGIC, struct.pack("<HI", FORMAT_VERSION, len(tensors))]
+    chunks = [ATTENTION_MAGIC, struct.pack("<HI", ATTENTION_VERSION, len(tensors))]
     for t in tensors:
         n_sys, n_img, n_ins, n_out = t.group_sizes
         if n_img != t.n_img:
@@ -517,7 +608,7 @@ def write_attention(tensors: list[AttentionTensor], path):
 
 def read_attention(path) -> list[AttentionTensor]:
     reader = _Reader(_read_bytes(path), str(path))
-    _check_magic(reader, ATTENTION_MAGIC)
+    _check_magic(reader, ATTENTION_MAGIC, ATTENTION_VERSION)
     (count,) = reader.unpack("I")
     tensors = []
     for _ in range(count):

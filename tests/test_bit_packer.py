@@ -1,16 +1,15 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binq import (DomainError, FormatError, QuantConfig, TruncationError, quantize_layer,
-                  read_artifact, write_artifact)
+from binq import DomainError, FormatError, QuantConfig, TruncationError, read_artifact
 from binq.bit_packer import (MAX_CODE_LEN, CodeBook, index_bits, layer_codebook,
                              max_partitions, pack_stream, storage_budget, unpack_stream)
-from conftest import outlier_matrix
 
 
 def is_prefix_free(book):
@@ -354,14 +353,17 @@ def test_every_prefix_decodes_or_is_truncated(kind):
 
 
 def test_index_stream_mutations_rejected_or_valid(tmp_path):
-    layer = quantize_layer(outlier_matrix(1, shape=(16, 24), frac=0.02, magnitude=6.0))
+    # On the first 117 bytes of the index stream of the 32x48 layer of a
+    # format version 1 file, which has no CRC; version 2 files are covered by
+    # test_tensor_store.py's test_mutations_and_truncations_rejected_or_identical.
+    fixture = Path(__file__).with_name("data") / "golden_v1.bvq"
+    raw = fixture.read_bytes()
+    layer = read_artifact(fixture)[1]
     path = tmp_path / "m.bvq"
-    write_artifact([layer], path)
-    raw = path.read_bytes()
     index = pack_stream(layer.labels.ravel(), layer_codebook(layer))
     start = raw.index(len(index).to_bytes(8, "little") + index) + 8
     outcomes = {"rejected": 0, "read": 0}
-    for pos in range(start, start + len(index)):
+    for pos in range(start, start + 117):
         for flip in (0x01, 0x80, 0xFF):
             mutated = bytearray(raw)
             mutated[pos] ^= flip

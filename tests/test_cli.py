@@ -127,14 +127,33 @@ def test_exit_code_domain_error(tmp_path, capsys):
     assert not (tmp_path / "x.bvq").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_overflowing_scales_refused_at_write(tmp_path, capsys):
+def test_overflowing_scales_refused_at_quantize(tmp_path, capsys):
     # Weights near 1e5 overflow the binary16 shell scalars and row scales to inf.
     manifest = make_manifest(tmp_path, [
         ("big", "language", gaussian_matrix(0, (8, 8), sigma=1e5))])
-    assert main(["quantize", manifest, "-o", str(tmp_path / "x.bvq"), "--no-optimize"]) == 3
-    assert "layer 'big'" in capsys.readouterr().err
-    assert not (tmp_path / "x.bvq").exists()
+    for flags in ([], ["--no-optimize"]):
+        assert main(["quantize", manifest, "-o", str(tmp_path / "x.bvq"), *flags]) == 3
+        err = capsys.readouterr().err
+        assert "layer 'big'" in err and "binary16" in err and "65504" in err
+        assert not (tmp_path / "x.bvq").exists()
+
+
+def test_report_decodes_no_stream(tmp_path, monkeypatch):
+    """The report of a version 2 file decodes no stream, and prints the CSV that
+    format version 1's reader printed for the same layers (tests/data)."""
+    data = Path(__file__).with_name("data")
+    want = (data / "golden_report.csv").read_bytes()
+    path, out = tmp_path / "golden.bvq", tmp_path / "report.csv"
+    binq.write_artifact(binq.read_artifact(data / "golden_v1.bvq"), path)
+    assert main(["report", str(data / "golden_v1.bvq"), "--csv", "-o", str(out)]) == 0
+    assert out.read_bytes() == want
+
+    def no_decoding(*args):
+        raise AssertionError("report decoded a stream")
+
+    monkeypatch.setattr(binq.bit_packer, "unpack_stream", no_decoding)
+    assert main(["report", str(path), "--csv", "-o", str(out)]) == 0
+    assert out.read_bytes() == want
 
 
 def test_import_and_report_load_no_process_pool(tmp_path):

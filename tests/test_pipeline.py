@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from binq import (DomainError, ModelManifest, QuantConfig, QuantizedLayer, Role,
-                  WeightMatrix, quantize_layer, quantize_model, read_manifest, reconstruct,
-                  reconstruction_error, write_artifact, write_tensor)
+                  WeightMatrix, quantize_layer, quantize_model, read_artifact,
+                  read_layer_headers, read_manifest, reconstruct, reconstruction_error,
+                  write_artifact, write_tensor)
 import binq.pipeline as pipeline
 import binq.saliency_optimizer as so
 from binq.bit_packer import storage_report
@@ -523,13 +525,12 @@ class TestQuantConfigValidation:
                 QuantConfig(alpha=alpha)
 
 
-def test_golden_artifact_and_objective(tmp_path):
-    """Artifact digest and error-CSV objectives of a seeded 3-layer set.
+def golden_layers(tmp_path):
+    """The layers and error-CSV rows of a seeded 3-layer set.
 
     The heavy-tailed layer is searched (interior optimum), the biased one is
     pinned to its cap with the search off, and the constant one degenerates
-    to a single shell. Frozen values; any change to the arithmetic or the
-    file format shows here.
+    to a single shell.
     """
     rng = np.random.default_rng(2024)
     specs = [("heavy", "vision",
@@ -547,9 +548,33 @@ def test_golden_artifact_and_objective(tmp_path):
                                           QuantConfig(optimize_saliency=search))
         layers += got
         rows += got_rows
+    return layers, rows
+
+
+def test_golden_artifact_and_objective(tmp_path):
+    """Artifact digest and error-CSV objectives of the golden layers.
+
+    Frozen values; any change to the arithmetic or the file format shows here.
+    """
+    layers, rows = golden_layers(tmp_path)
     path = tmp_path / "golden.bvq"
     write_artifact(layers, path)
     assert [r["p_sal_used"] for r in rows] == [0.02128, 0.01, 0.0]
     assert [r["J"] for r in rows] == [0.02965584063898835, 0.031770632309324004, 0.0]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "eaf59a567f129e832fd0d03809c8864f57752c9d824822b0b35af172cc57b3ed")
+        "df83d9f630a76cfc80f4220cc1070e08480e9cb49af22790607bf66c533d3d38")
+
+
+def test_version_1_golden_artifact_reads(tmp_path):
+    """tests/data/golden_v1.bvq holds the golden layers as format version 1
+    wrote them. Both readers take it, and its layers reconstruct bitwise as
+    those of the version 2 file written from the same layers."""
+    layers, _ = golden_layers(tmp_path)
+    path = tmp_path / "golden.bvq"
+    write_artifact(layers, path)
+    v1 = Path(__file__).with_name("data") / "golden_v1.bvq"
+    for old in (read_artifact(v1), read_layer_headers(v1)):
+        for got, want in zip(old, read_artifact(path), strict=True):
+            assert reconstruct(got).data.tobytes() == reconstruct(want).data.tobytes()
+            assert np.array_equal(got.counts, want.counts)
+            assert storage_report(got) == storage_report(want)

@@ -1,5 +1,7 @@
 import json
 import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binq import (FormatError, QuantConfig, Role, TruncationError, WeightMatrix,
-                  quantize_layer, read_artifact, read_attention, read_manifest,
-                  read_tensor, write_artifact, write_attention, write_tensor)
-from binq.bit_packer import storage_report
+                  quantize_layer, read_artifact, read_attention, read_layer_headers,
+                  read_manifest, read_tensor, reconstruct, write_artifact,
+                  write_attention, write_tensor)
+from binq.bit_packer import layer_codebook, storage_report
+from binq.cli import main
 from binq.tensor_store import AttentionTensor
 from conftest import gaussian_matrix, outlier_matrix
+
+DATA = Path(__file__).with_name("data")
 
 
 def layers_equal(a, b):
@@ -177,10 +183,16 @@ class TestArtifactRoundTrip:
         path = tmp_path / "v.bvq"
         write_artifact([quantize_layer(mat)], path)
         raw = bytearray(path.read_bytes())
-        raw[4] = 2
+        assert raw[4:6] == struct.pack("<H", 2)
+        for readable in (path, DATA / "golden_v1.bvq"):  # versions 2 and 1
+            read_artifact(readable)
+            read_layer_headers(readable)
+        raw[4] = 3
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             read_artifact(path)
+        with pytest.raises(FormatError):
+            read_layer_headers(path)
 
     def test_degenerate_constant_layer(self, tmp_path):
         mat = WeightMatrix("c", Role.LANGUAGE, np.full((6, 6), 2.0, np.float32))
@@ -189,6 +201,11 @@ class TestArtifactRoundTrip:
         write_artifact([layer], path)
         (back,) = read_artifact(path)
         assert layers_equal(layer, back)
+
+
+def reseal(raw):
+    """Recompute the CRC of a one-layer file's record, after the 10-byte file header."""
+    raw[-4:] = struct.pack("<I", zlib.crc32(raw[10:-4]))
 
 
 def _fields_offset(layer):
@@ -229,12 +246,18 @@ def _nan_scalar(raw, layer):
     raw[off:off + 2] = np.array([np.nan], "<f2").tobytes()
 
 
-def _nan_field(fields_before):
-    """Damage: NaN in the float64 header field that follows `fields_before`."""
+def _float_field(fields_before, value=np.nan):
+    """Damage: `value` in the float64 header field that follows `fields_before`."""
     def corrupt(raw, layer):
         off = _fields_offset(layer) + struct.calcsize("<" + fields_before)
-        raw[off:off + 8] = struct.pack("<d", np.nan)
+        raw[off:off + 8] = struct.pack("<d", value)
     return corrupt
+
+
+def _count_off_by_one(raw, layer):
+    off = _code_length_offset(layer) + layer.config.n_uns + 2
+    (count,) = struct.unpack_from("<Q", raw, off)
+    struct.pack_into("<Q", raw, off, count + 1)
 
 
 def _zero_shells(raw, layer):
@@ -268,8 +291,12 @@ MALFORMED = {
     "solo_out_of_range": (_corrupt_solo, True),
     "negative_scalar": (_negative_scalar, False),
     "nan_scalar": (_nan_scalar, False),
-    "nan_alpha": (_nan_field("BQQBBBB"), False),
-    "nan_p_sal_max": (_nan_field("BQQBBBBdHB"), False),
+    "nan_alpha": (_float_field("BQQBBBB"), False),
+    "nan_p_sal_max": (_float_field("BQQBBBBdHB"), False),
+    "p_sal_used_above_cap": (_float_field("BQQBBBBdHBd", 0.5), False),
+    "nan_mu_b": (_float_field("BQQBBBBdHBdd"), False),
+    "inf_sigma_b": (_float_field("BQQBBBBdHBddd", np.inf), False),
+    "counts_off_by_one": (_count_off_by_one, False),
     "zero_shells": (_zero_shells, False),
     "shells_beyond_int8": (_int8_overflow_shells, False),
     "huge_columns": (_huge_columns, True),
@@ -290,11 +317,73 @@ def test_malformed_artifact_rejected(tmp_path, capsys, case):
     write_artifact([layer], path)
     raw = bytearray(path.read_bytes())
     corrupt(raw, layer)
+    reseal(raw)  # so that the check under test meets the damage
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         read_artifact(path)
+    with pytest.raises(FormatError):
+        read_layer_headers(path)
     assert main(["report", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_mutations_and_truncations_rejected_or_identical(tmp_path, capsys):
+    """Every single-byte mutation and every truncation of a two-layer file is
+    refused by both readers, or reads back to the same reconstructions and report."""
+    layers = [quantize_layer(outlier_matrix(1, shape=(6, 8), frac=0.05, magnitude=6.0,
+                                            name="a")),
+              quantize_layer(gaussian_matrix(2, shape=(4, 8), name="b"))]
+    path, report = tmp_path / "m.bvq", tmp_path / "r.csv"
+    write_artifact(layers, path)
+    raw = path.read_bytes()
+    assert main(["report", str(path), "--csv", "-o", str(report)]) == 0
+    want_report = report.read_bytes()
+    want = [reconstruct(layer).data.tobytes() for layer in layers]
+    damaged = [raw[:cut] for cut in range(len(raw))]
+    for pos in range(len(raw)):
+        for flip in (0x01, 0x80, 0xFF):
+            mutated = bytearray(raw)
+            mutated[pos] ^= flip
+            damaged.append(bytes(mutated))
+    rejected = 0
+    for data in damaged:
+        path.write_bytes(data)
+        code = main(["report", str(path), "--csv", "-o", str(report)])
+        try:
+            back = read_artifact(path)
+        except FormatError:
+            assert code == 2
+            rejected += 1
+            continue
+        assert code == 0 and report.read_bytes() == want_report
+        assert [reconstruct(layer).data.tobytes() for layer in back] == want
+    capsys.readouterr()
+    # None reads back: each record is under its CRC, and a changed magic,
+    # version or layer count in the file header is refused.
+    assert rejected == len(damaged)
+
+
+def test_decoded_counts_must_match_stored(tmp_path):
+    """Two shells with codes of one length swap their stored counts, and the
+    CRC is recomputed. The codebook and stream lengths still agree with the
+    counts, so the header reader, which decodes nothing, takes the record;
+    read_artifact decodes the index stream and refuses it."""
+    layer = quantize_layer(outlier_matrix(1, shape=(16, 16), frac=0.02, magnitude=6.0))
+    path = tmp_path / "m.bvq"
+    write_artifact([layer], path)
+    raw = bytearray(path.read_bytes())
+    lengths = layer_codebook(layer).lengths
+    i, j = next((i, j) for i in range(layer.config.n_uns) for j in range(i)
+                if lengths[i] == lengths[j] and layer.counts[i] != layer.counts[j])
+    off = _code_length_offset(layer) + layer.config.n_uns + 2
+    counts = list(layer.counts)
+    counts[i], counts[j] = counts[j], counts[i]
+    raw[off:off + 8 * len(counts)] = struct.pack(f"<{len(counts)}Q", *counts)
+    reseal(raw)
+    path.write_bytes(bytes(raw))
+    read_layer_headers(path)
+    with pytest.raises(FormatError, match="decoded group counts"):
+        read_artifact(path)
 
 
 def _manifest(**fields):
