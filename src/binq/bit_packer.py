@@ -147,15 +147,15 @@ class CodeBook:
         return int(np.sum(counts * np.asarray(self.lengths, dtype=np.int64)))
 
 
-# Marks a table cell past a code's length; code bits are 0 or 1.
-_NO_BIT = 2
-
-
 def pack_stream(symbols, codebook: CodeBook) -> bytes:
     """Pack a symbol stream with the codebook; MSB-first, zero-padded to bytes.
 
-    Each symbol gathers its group's row of a (group, bit) table, whose cells
-    past the code length are _NO_BIT; one compress leaves the code bits.
+    Runs of k symbols index a table of their joined codes and lengths, items
+    are joined pairwise in uint64 while any two fit in 64 bits, and each item
+    goes to its bit offset: its high part into its 64-bit word, one OR-reduce
+    per word, and any spill into the next word. On 4M symbols of 6 groups
+    (numpy 2.4, Xeon) this takes 28-30 ms and peaks at 7.7 bytes per symbol;
+    a gather of per-bit rows and a compress took 73-101 ms and 12.1 bytes.
     """
     symbols = np.asarray(symbols).ravel()
     if symbols.size == 0:
@@ -166,16 +166,52 @@ def pack_stream(symbols, codebook: CodeBook) -> bytes:
         if np.any(symbols != codebook.solo):
             raise DomainError("stream contains a group with no code")
         return b""
-    width = codebook.max_length
-    table = np.full((codebook.n_groups, width), _NO_BIT, dtype=np.uint8)
-    for group, (code, length) in enumerate(zip(codebook.codes, codebook.lengths)):
+    for group, length in enumerate(codebook.lengths):
         if length == 0 and np.any(symbols == group):
             raise DomainError("stream contains a group with no code")
-        table[group, :length] = [(code >> (length - 1 - k)) & 1 for k in range(length)]
-    # Gathering rows as void scalars is one element copy per symbol; on 4M
-    # symbols of 6 groups (numpy 2.4, Xeon) it takes 30 ms, table[symbols] 75 ms.
-    bits = table.view(np.dtype((np.void, width))).ravel()[symbols].view(np.uint8)
-    return np.packbits(bits[bits != _NO_BIT]).tobytes()
+
+    # The k-tuple table, indexed in base n_groups, squares while it stays at
+    # 4096 entries and 32-bit codes: k = 4 for six groups of codes up to 8
+    # bits, 1 for 20-bit codes.
+    groups, k = codebook.n_groups, 1
+    codes = one_codes = np.asarray(codebook.codes, dtype=np.uint64)
+    lengths = one_lengths = np.asarray(codebook.lengths, dtype=np.uint8)
+    while groups ** (2 * k) <= 4096 and 2 * k * codebook.max_length <= 32:
+        codes = (codes[:, None] << lengths | codes).ravel()
+        lengths = (lengths[:, None] + lengths).ravel()
+        k *= 2
+    # Then single symbols, for the tail, and an empty item, for padding.
+    codes = np.concatenate((codes, one_codes, [np.uint64(0)]))
+    lengths = np.concatenate((lengths, one_lengths, [np.uint8(0)]))
+
+    full = symbols.size - symbols.size % k
+    index = symbols[0:full:k].astype(np.intp)
+    for j in range(1, k):
+        index *= groups
+        np.add(index, symbols[j:full:k], out=index, casting="unsafe")  # any integer dtype
+    # Empty items make the count a multiple of 2**rounds: each merge halves it.
+    rounds = (64 // (k * codebook.max_length)).bit_length() - 1
+    tail = symbols[full:].astype(np.intp) + groups ** k
+    index = np.concatenate((index, tail, np.full(-(index.size + tail.size) % (1 << rounds), -1)))
+    codes, lengths = codes[index], lengths[index]
+    del index
+    for _ in range(rounds):
+        codes = codes[0::2] << lengths[1::2] | codes[1::2]
+        lengths = lengths[0::2] + lengths[1::2]
+
+    # An item of length l from bit b of word w fills bits [b, b + l) of the
+    # 128-bit pair (w, w + 1): with r = 128 - b - l its part in w is
+    # c >> (64 - r) | c << (r - 64) and its spill c << r. numpy shifts by 64
+    # or more give 0, and the uint64 differences wrap to such shifts.
+    ends = np.cumsum(lengths, dtype=np.uint64)
+    word = (ends - lengths) >> 6
+    shift = (word << 6) + 128 - ends
+    runs = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])  # offsets are monotone
+    words = np.zeros(int(word[-1]) + 2, dtype=np.uint64)
+    high = codes >> (64 - shift) | codes << (shift - 64)
+    words[word[runs]] = np.bitwise_or.reduceat(high, runs)
+    words[word[runs] + 1] |= np.bitwise_or.reduceat(codes << shift, runs)
+    return words.astype(">u8").view(np.uint8)[:(int(ends[-1]) + 7) // 8].tobytes()
 
 
 # Bytes per decode block. Every block is run from every automaton state at

@@ -44,35 +44,38 @@ def reconstruction_error(matrix: WeightMatrix, layer: QuantizedLayer) -> float:
 
 def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
               cap_override: float | None, score: bool):
-    """The quantized layer and, if `score`, its J (else None).
+    """The quantized layer and, if `score`, its J (else None); a failure names the layer.
 
     J is the search's best evaluation, or one evaluation at the pinned
     share; an all-zero layer, whose J is 0/0, gets 0.
     """
     config = config or QuantConfig()
-    matrix.require_finite()
-    if matrix.m < 1 or matrix.n < 1:
-        raise DomainError(f"layer {matrix.name!r} is empty")
-    cap = config.resolve_p_sal_max(matrix.role, cap_override)
-    cfg = replace(config, p_sal_max=cap)
-    fit = fit_gaussian(matrix)
-    objective = LayerObjective(matrix, fit, cfg)
+    try:
+        matrix.require_finite()
+        if matrix.m < 1 or matrix.n < 1:
+            raise DomainError("empty matrix")
+        cap = config.resolve_p_sal_max(matrix.role, cap_override)
+        cfg = replace(config, p_sal_max=cap)
+        fit = fit_gaussian(matrix)
+        objective = LayerObjective(matrix, fit, cfg)
 
-    j = None
-    # An all-zero matrix has sigma 0 too.
-    if fit.sigma == 0.0:
-        p_used = 0.0
-    elif cfg.optimize_saliency:
-        best = optimize_saliency(objective)
-        p_used, j = best.p_sal, best.j
-    else:
-        p_used = objective.p_cap
-    if score and j is None:
-        if fit.mu or fit.sigma:  # a pinned share is scored on the shells its layer picks
-            layer, ev = objective.scored_layer(p_used)
-            return layer, ev.j
-        j = 0.0  # mu = sigma = 0 only for an all-zero layer
-    return objective.layer(p_used), j
+        j = None
+        # An all-zero matrix has sigma 0 too.
+        if fit.sigma == 0.0:
+            p_used = 0.0
+        elif cfg.optimize_saliency:
+            best = optimize_saliency(objective)
+            p_used, j = best.p_sal, best.j
+        else:
+            p_used = objective.p_cap
+        if score and j is None:
+            if fit.mu or fit.sigma:  # a pinned share is scored on the shells its layer picks
+                layer, ev = objective.scored_layer(p_used)
+                return layer, ev.j
+            j = 0.0  # mu = sigma = 0 only for an all-zero layer
+        return objective.layer(p_used), j
+    except (BinqError, ValueError) as exc:
+        raise type(exc)(f"layer {matrix.name!r}: {exc}") from exc
 
 
 def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
@@ -89,10 +92,11 @@ def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
 def _quantize_entry(entry, config: QuantConfig):
     """(layer, J, storage report) of one manifest entry; a failure names the layer."""
     try:
-        layer, j = _quantize(entry.load(), config, entry.p_sal_max, score=True)
-        return layer, j, bit_packer.storage_report(layer)
+        matrix = entry.load()
     except (BinqError, ValueError) as exc:
         raise type(exc)(f"layer {entry.name!r}: {exc}") from exc
+    layer, j = _quantize(matrix, config, entry.p_sal_max, score=True)
+    return layer, j, bit_packer.storage_report(layer)
 
 
 def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):

@@ -586,6 +586,9 @@ def read_layer_headers(path) -> list[LayerHeader]:
     A version 2 record is checked whole (CRC, counts, stream lengths and
     stored values) and no stream is decoded. A version 1 record stores no
     counts, so its layer is decoded and validated as `read_artifact` does.
+    The CRC-covered counts are trusted: swapping the counts of two shells
+    whose codes have one length, then recomputing the CRC, passes here and
+    is refused only by `read_artifact`. Damage cannot do that; an edit can.
     """
     return [header or decode() for header, decode in _layer_records(path)]
 

@@ -334,6 +334,58 @@ def test_pack_unpack_match_oracles(kind, length, seed, random_bytes):
         assert got.dtype == np.uint8 and np.array_equal(got, expected)
 
 
+def packer_books():
+    """Codebooks for the packer's edges; k is the tuple size pack_stream picks."""
+    return {
+        "six": CodeBook.from_frequencies([0.3, 0.25, 0.2, 0.15, 0.08, 0.02]),  # k = 4
+        "fixed2": CodeBook.fixed(4, 2),  # k = 4: a 256-entry tuple table
+        "binary": CodeBook.fixed(2, 1),  # k = 8: merged items are full words
+        "deep": fibonacci_book(),  # k = 1: 20-bit codes
+        "fixed8": CodeBook.fixed(256, 8),  # k = 1: every uint8 symbol
+        "wide": CodeBook.from_frequencies(np.arange(20) + 10),  # k = 2: 400 pairs
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(packer_books()))
+def test_pack_matches_oracle_at_edges(kind):
+    book = packer_books()[kind]
+    if kind == "wide":
+        assert book.max_length <= 16  # so pairs of its 20 groups are tabled
+    rng = np.random.default_rng(8)
+    # Every length up to 2k + 1 for any k the packer picks (k <= 8), so each
+    # tail length occurs with and without whole tuples before it.
+    for length in range(18):
+        for dtype in (np.int64, np.uint64, np.uint16 if kind == "fixed8" else np.int8):
+            symbols = rng.integers(0, book.n_groups, length).astype(dtype)
+            assert pack_stream(symbols, book) == bitwise_pack(symbols, book)
+    # Streams of exactly 1, 2 and 5 64-bit words: the last code ends on a
+    # word boundary and no byte is padded.
+    for words in (1, 2, 5):
+        ends = []
+        while 64 * words not in ends:
+            symbols = rng.integers(0, book.n_groups, 64 * words)
+            ends = np.cumsum(np.asarray(book.lengths)[symbols])
+        symbols = symbols[:np.searchsorted(ends, 64 * words) + 1]
+        assert pack_stream(symbols, book) == bitwise_pack(symbols, book)
+
+
+@pytest.mark.parametrize("kind", ["six", "deep", "wide"])
+def test_pack_codes_straddling_words_match_oracle(kind):
+    book = packer_books()[kind]
+    short = int(np.argmin(book.lengths))
+    long = int(np.argmax(book.lengths))
+    rng = np.random.default_rng(9)
+    for before in range(64):
+        # Short codes up to `before` bits, so that the longest code after
+        # them starts at offsets across the first word, then random symbols.
+        head = [short] * (before // book.lengths[short])
+        symbols = np.array(head + [long] + list(rng.integers(0, book.n_groups, 300)))
+        lens = np.asarray(book.lengths)[symbols]
+        ends = np.cumsum(lens)
+        assert np.any((ends - lens) // 64 != (ends - 1) // 64)
+        assert pack_stream(symbols, book) == bitwise_pack(symbols, book)
+
+
 @pytest.mark.parametrize("kind", ["deep", "fixed2", "fixed8", "skewed"])
 def test_every_prefix_decodes_or_is_truncated(kind):
     rng = np.random.default_rng(5)
@@ -392,3 +444,20 @@ def test_decode_memory_per_symbol():
         tracemalloc.stop()
     assert np.array_equal(out, labels)
     assert peak / labels.size < 24
+
+
+def test_pack_memory_per_symbol():
+    # Traced peak per packed symbol on this stream (numpy 2.4): 12.1 bytes for
+    # a packer gathering a (group, bit) byte table and compressing it; 7.7
+    # bytes for the k-symbol tuple packer.
+    rng = np.random.default_rng(31)
+    labels = rng.choice(6, size=10 ** 6, p=[0.4, 0.3, 0.15, 0.1, 0.04, 0.01])
+    book = CodeBook.from_frequencies(np.bincount(labels, minlength=6))
+    tracemalloc.start()
+    try:
+        packed = pack_stream(labels, book)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert packed == bitwise_pack(labels, book)
+    assert peak / labels.size < 12

@@ -135,6 +135,7 @@ def test_overflowing_scales_refused_at_quantize(tmp_path, capsys):
         assert main(["quantize", manifest, "-o", str(tmp_path / "x.bvq"), *flags]) == 3
         err = capsys.readouterr().err
         assert "layer 'big'" in err and "binary16" in err and "65504" in err
+        assert err.count("'big'") == 1
         assert not (tmp_path / "x.bvq").exists()
 
 

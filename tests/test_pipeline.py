@@ -165,6 +165,16 @@ class TestQuantizeLayer:
         report = storage_report(layer)
         assert not report.over_budget
 
+    def test_error_names_the_layer(self):
+        # Shell means past 65504 overflow the binary16 scales.
+        mat = gaussian_matrix(0, (8, 8), sigma=1e5, name="big")
+        for search in (True, False):
+            with pytest.raises(DomainError) as info:
+                quantize_layer(mat, QuantConfig(optimize_saliency=search))
+            message = str(info.value)
+            assert message.startswith("layer 'big': ") and "65504" in message
+            assert message.count("'big'") == 1
+
 
 def build_manifest(tmp_path, specs):
     doc = []
