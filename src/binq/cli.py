@@ -77,22 +77,13 @@ _REPORT_COLUMNS = ["layer", "m", "n", "p_sal_used", "salient_frac", "L_B",
 
 def cmd_report(args) -> int:
     layers = tensor_store.read_layer_headers(args.artifact)
-    rows = []
-    reports = []
-    for layer in layers:
-        rep = bit_packer.storage_report(layer)
-        reports.append(rep)
-        rows.append([layer.name, layer.m, layer.n, f"{layer.p_sal_used:.6g}",
-                     f"{rep.salient_fraction:.6g}", f"{rep.l_b:.6f}",
-                     f"{rep.l_a:.6f}", f"{rep.l_model:.6f}", f"{rep.l_i:.6f}",
-                     f"{rep.l_i_realized:.6f}", f"{rep.bits_per_weight:.6f}",
-                     "yes" if rep.over_budget else "no"])
+    reports = [bit_packer.storage_report(layer) for layer in layers]
     total = bit_packer.aggregate_reports(reports)
-    rows.append(["TOTAL", "", "", "", f"{total.salient_fraction:.6g}",
-                 f"{total.l_b:.6f}", f"{total.l_a:.6f}", f"{total.l_model:.6f}",
-                 f"{total.l_i:.6f}", f"{total.l_i_realized:.6f}",
-                 f"{total.bits_per_weight:.6f}",
-                 "yes" if total.over_budget else "no"])
+    cells = lambda r: [f"{r.salient_fraction:.6g}", *(f"{x:.6f}" for x in (
+        r.l_b, r.l_a, r.l_model, r.l_i, r.l_i_realized, r.bits_per_weight)),
+        "yes" if r.over_budget else "no"]
+    rows = [[layer.name, layer.m, layer.n, f"{layer.p_sal_used:.6g}", *cells(rep)]
+            for layer, rep in zip(layers, reports)] + [["TOTAL", "", "", "", *cells(total)]]
     if args.csv:
         _write_rows(args.output, _REPORT_COLUMNS, rows)
     else:

@@ -31,6 +31,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from pathlib import Path
 
@@ -96,7 +97,7 @@ class WeightMatrix:
 
     def require_finite(self):
         if not np.all(np.isfinite(self.data)):
-            raise ValueError(f"tensor {self.name!r} contains non-finite values")
+            raise ValueError("tensor contains non-finite values")
 
     def squared_norm(self) -> float:
         """Squared Frobenius norm, accumulated in float64 (one copy, squared in place)."""
@@ -325,6 +326,11 @@ class LayerHeader:
     p_sal_max: float
     config: QuantConfig
 
+    @cached_property
+    def codebook(self) -> "bit_packer.CodeBook":
+        """Canonical Huffman codebook over the group counts, built once per header."""
+        return bit_packer.CodeBook.from_frequencies(self.counts)
+
     def validate(self):
         # A Python-int sum: int64 counts cannot wrap around to m * n.
         if (self.counts.shape != (self.config.n_uns + 1,) or self.counts.min() < 0
@@ -429,7 +435,7 @@ def write_artifact(layers, path):
             raise ValidationError("write_artifact expects QuantizedLayer values")
         layer.validate()
         cfg, sal = layer.config, layer.salient
-        book = bit_packer.layer_codebook(layer)
+        book = layer.codebook
         index = bit_packer.pack_stream(layer.labels.ravel(), book)
         if len(index) != _stream_sizes(layer.counts, book, cfg.n_bits)[0]:
             raise ValidationError(f"layer {layer.name!r}: labels disagree with the group counts")
@@ -529,7 +535,7 @@ def _layer_record(reader: _Reader, version: int):
         try:
             header.validate()
             _check_levels(name, scalars, scales, centers, mu_b, sigma_b)
-            book = bit_packer.layer_codebook(header)
+            book = header.codebook
         except (ValidationError, DomainError) as exc:
             raise FormatError(f"{origin}: {exc}") from exc
         if (book.lengths, book.solo) != (tuple(lengths), solo):
@@ -541,8 +547,8 @@ def _layer_record(reader: _Reader, version: int):
     def decode() -> QuantizedLayer:
         index, codes, signs = streams
         # Group indices are at most n_uns <= 127, so the int8 view keeps them.
-        labels = bit_packer.unpack_stream(index, book, m * n).view(np.int8).reshape(m, n)
-        counts = np.bincount(labels.ravel(), minlength=n_uns + 1)
+        labels, counts = bit_packer.unpack_stream(index, book, m * n, return_counts=True)
+        labels = labels.view(np.int8).reshape(m, n)
         if stored is not None and not np.array_equal(counts, stored):
             raise FormatError(f"{where}: decoded group counts differ from the stored ones")
         salient_count = int(counts[-1])
@@ -554,7 +560,7 @@ def _layer_record(reader: _Reader, version: int):
             raise TruncationError(f"{where}: sign stream too short")
         layer = QuantizedLayer(counts=counts, labels=labels, salient=salient, scalars=scalars,
                                signs=np.unpackbits(np.frombuffer(signs, dtype=np.uint8),
-                                                   count=m * n - salient_count).astype(bool),
+                                                   count=m * n - salient_count).view(bool),
                                **fields)
         try:
             layer.validate()

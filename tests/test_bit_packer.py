@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binq import DomainError, FormatError, QuantConfig, TruncationError, read_artifact
-from binq.bit_packer import (MAX_CODE_LEN, CodeBook, index_bits, layer_codebook,
+from binq import DomainError, FormatError, QuantConfig, TruncationError, bit_packer, read_artifact
+from binq.bit_packer import (MAX_CODE_LEN, CodeBook, index_bits,
                              max_partitions, pack_stream, storage_budget, unpack_stream)
 
 
@@ -412,7 +412,7 @@ def test_index_stream_mutations_rejected_or_valid(tmp_path):
     raw = fixture.read_bytes()
     layer = read_artifact(fixture)[1]
     path = tmp_path / "m.bvq"
-    index = pack_stream(layer.labels.ravel(), layer_codebook(layer))
+    index = pack_stream(layer.labels.ravel(), layer.codebook)
     start = raw.index(len(index).to_bytes(8, "little") + index) + 8
     outcomes = {"rejected": 0, "read": 0}
     for pos in range(start, start + 117):
@@ -431,7 +431,8 @@ def test_index_stream_mutations_rejected_or_valid(tmp_path):
 def test_decode_memory_per_symbol():
     # Traced peak per decoded symbol on this stream (numpy 2.4): 119 bytes
     # for a decoder holding per-bit int64 windows and jump maps, as the
-    # jump-doubling one did; 8.8 bytes for the byte automaton.
+    # jump-doubling one did; 8.8 bytes for the byte automaton that ran every
+    # state through every block, 6.6 once the states' runs merge.
     rng = np.random.default_rng(31)
     labels = rng.choice(6, size=10 ** 6, p=[0.4, 0.3, 0.15, 0.1, 0.04, 0.01])
     book = CodeBook.from_frequencies(np.bincount(labels, minlength=6))
@@ -461,3 +462,173 @@ def test_pack_memory_per_symbol():
         tracemalloc.stop()
     assert packed == bitwise_pack(labels, book)
     assert peak / labels.size < 12
+
+
+def bitwise_decode(data, book):
+    """Oracle: every whole symbol of a stream, read bit by bit from the root;
+    a bit path that no codeword covers ends the stream."""
+    codes = {(l, c): s for s, (c, l) in enumerate(zip(book.codes, book.lengths)) if l}
+    out, code, length = [], 0, 0
+    for bit in np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist():
+        code, length = 2 * code + bit, length + 1
+        if (length, code) in codes:
+            out.append(codes[length, code])
+            code = length = 0
+        elif length == book.max_length:
+            break
+    return np.array(out, dtype=np.int64)
+
+
+def assert_decodes(data, book, symbols, last=False):
+    """unpack_stream gives these symbols, the oracle's, and their counts. Asked
+    for one more symbol it raises TruncationError if `last`, else agrees with
+    the oracle (which reads bits no codeword covers as empty codes)."""
+    count = symbols.size
+    assert np.array_equal(jump_doubling_decode(data, book, count), symbols)
+    got, counts = unpack_stream(data, book, count, return_counts=True)
+    assert got.dtype == np.uint8 and np.array_equal(got, symbols)
+    assert np.array_equal(counts, np.bincount(symbols, minlength=book.n_groups))
+    try:
+        if last:
+            raise TruncationError("the stream ends here")
+        expected = jump_doubling_decode(data, book, count + 1)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            unpack_stream(data, book, count + 1)
+    else:
+        assert np.array_equal(unpack_stream(data, book, count + 1), expected)
+
+
+def decoder_books():
+    return {
+        "six": CodeBook.from_frequencies([0.3, 0.25, 0.2, 0.15, 0.08, 0.02]),
+        "deep": fibonacci_book(),
+        "even": CodeBook.from_lengths([2, 2, 2, 4, 4, 4, 4]),  # depth parity never merges
+        "incomplete": CodeBook.from_lengths([1, 3, 3]),  # no codeword starts 11
+    }
+
+
+@pytest.mark.parametrize("block", [16, 32, 64, 128])
+def test_decode_matches_oracle_at_every_length(block, monkeypatch):
+    # Every stream length from 0 to two blocks plus one, at each block size
+    # _block_size can pick; the streams are cut from one packed stream, so
+    # the bits after the last whole symbol start a symbol they do not end.
+    monkeypatch.setattr(bit_packer, "_block_size", lambda nbytes: block)
+    rng = np.random.default_rng(block)
+    for kind, book in decoder_books().items():
+        symbols = rng.integers(0, book.n_groups, 16 * block)
+        data = pack_stream(symbols, book)
+        ends = np.cumsum(np.asarray(book.lengths)[symbols])
+        for size in range(2 * block + 2):
+            whole = int(np.searchsorted(ends, 8 * size, side="right"))
+            assert_decodes(data[:size], book, symbols[:whole])
+
+
+@pytest.mark.parametrize("sync_at", [0, 1, 6, 7, 8, 14, 15, None])
+def test_decode_matches_oracle_where_states_merge_at_a_block_edge(sync_at, monkeypatch):
+    # Under the 20-deep comb code of fibonacci_book a one bit moves every
+    # state one level deeper (the deepest back to the root), so 0xff bytes
+    # keep all 20 live states apart, and a zero byte sends every state to
+    # the root. With the zero byte at offset 15 of 16-byte blocks the states
+    # agree only at the blocks' last byte; with None they never agree.
+    monkeypatch.setattr(bit_packer, "_block_size", lambda nbytes: 16)
+    book = fibonacci_book()
+    block = np.full(16, 0xFF, dtype=np.uint8)
+    if sync_at is not None:
+        block[sync_at] = 0
+    for blocks in (1, 2, 5):
+        for tail in (0, 1, 9):
+            data = np.tile(block, blocks).tobytes() + b"\xff" * tail
+            assert_decodes(data, book, bitwise_decode(data, book))
+
+
+def test_decode_never_merging_code_matches_oracle():
+    # All code lengths even: a state's depth parity never changes, so the
+    # states never agree and every block runs from every state.
+    book = decoder_books()["even"]
+    rng = np.random.default_rng(12)
+    for size in (1, 100, 5000, 70_000):
+        symbols = rng.integers(0, book.n_groups, size)
+        assert_decodes(pack_stream(symbols, book), book, symbols)
+
+
+@pytest.mark.parametrize("dead_at", [3, 15, 16, 17, 40])
+def test_dead_state_carries_into_the_next_blocks(dead_at, monkeypatch):
+    # Codes 0, 100 and 101: zero bits are 0 symbols, and the bits 11 from the
+    # root enter the dead state. dead_at bytes of whole symbols are followed
+    # by 0xc0 and zeros, so the stream ends at byte dead_at, and the zero
+    # bytes of the blocks after it must not decode.
+    monkeypatch.setattr(bit_packer, "_block_size", lambda nbytes: 16)
+    book = decoder_books()["incomplete"]
+    symbols = np.random.default_rng(dead_at).integers(0, 3, 8 * dead_at)
+    whole = np.searchsorted(np.cumsum(np.asarray(book.lengths)[symbols]), 8 * dead_at, "right")
+    head = pack_stream(symbols[:whole], book).ljust(dead_at, b"\0")
+    data = head + b"\xc0" + bytes(60)
+    expected = bitwise_decode(data, book)
+    assert expected.size < bitwise_decode(head + bytes(61), book).size
+    assert_decodes(data, book, expected, last=True)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_fixed_width_codes_match_oracle(width):
+    rng = np.random.default_rng(width)
+    for groups in {2 ** width, 2 ** width - 1, 2 ** (width - 1) + 1}:
+        book = CodeBook.fixed(groups, width)
+        for length in range(20):
+            symbols = rng.integers(0, groups, length)
+            data = pack_stream(symbols, book)
+            assert_decodes(data, book, symbols)
+            # Bits after the last symbol are ignored, whatever they hold.
+            assert np.array_equal(unpack_stream(data + b"\xff", book, length), symbols)
+        if groups < 2 ** width:
+            # A field no code covers before `count` ends the stream.
+            fields = np.r_[symbols[:5], groups, symbols[5:]]
+            data = bitwise_pack(np.minimum(fields, groups - 1), book)
+            bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+            bits[5 * width:6 * width] = np.unpackbits(np.array([groups], dtype=np.uint8))[-width:]
+            data = np.packbits(bits).tobytes()
+            assert np.array_equal(unpack_stream(data, book, 5), symbols[:5])
+            with pytest.raises(TruncationError):
+                unpack_stream(data, book, 6)
+
+
+@pytest.mark.parametrize("kind", ["six", "deep", "even"])
+def test_decoded_counts_ignore_symbols_past_count(kind):
+    # Bytes after the last symbol decode to extra symbols under a complete
+    # code; the counts cover the first `count` symbols only.
+    book = decoder_books()[kind]
+    rng = np.random.default_rng(4)
+    symbols = rng.integers(0, book.n_groups, 3000)
+    for extra in (b"", b"\x00", b"\xff" * 7, rng.integers(0, 256, 500, dtype=np.uint8).tobytes()):
+        data = pack_stream(symbols, book) + extra
+        for count in (0, 1, 999, 3000):
+            got, counts = unpack_stream(data, book, count, return_counts=True)
+            assert np.array_equal(got, symbols[:count])
+            assert np.array_equal(counts, np.bincount(symbols[:count], minlength=book.n_groups))
+
+
+@pytest.mark.parametrize("kind", ["deep", "deep_ones", "even112"])
+def test_decode_memory_per_input_byte(kind):
+    # Traced peak per input byte (numpy 2.4): 27.0, 25.1 and 18.5 bytes on
+    # these streams, against 36.3, 35.0 and 29.6 for the decoder that ran
+    # every state through every block. The stream of fibonacci_book's
+    # longest code, all one bits, never lets the states agree.
+    rng = np.random.default_rng(6)
+    if kind == "even112":
+        book = CodeBook.from_lengths([6] * 48 + [8] * 64)
+    else:
+        book = fibonacci_book()
+    if kind == "deep_ones":
+        symbols = np.full(100_000, int(np.argmax(book.lengths)))
+    else:
+        p = 2.0 ** -np.asarray(book.lengths, dtype=np.float64)
+        symbols = rng.choice(book.n_groups, 300_000, p=p / p.sum())
+    data = pack_stream(symbols, book)
+    tracemalloc.start()
+    try:
+        out = unpack_stream(data, book, symbols.size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, symbols)
+    assert peak / len(data) < 32

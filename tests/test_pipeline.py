@@ -175,6 +175,15 @@ class TestQuantizeLayer:
             assert message.startswith("layer 'big': ") and "65504" in message
             assert message.count("'big'") == 1
 
+    def test_nonfinite_error_names_the_layer_once(self):
+        mat = gaussian_matrix(0, (4, 4), name="w")
+        mat.data[1, 2] = np.nan
+        with pytest.raises(ValueError) as info:
+            quantize_layer(mat)
+        message = str(info.value)
+        assert message.startswith("layer 'w': ") and "non-finite" in message
+        assert message.count("'w'") == 1
+
 
 def build_manifest(tmp_path, specs):
     doc = []
@@ -395,8 +404,9 @@ class TestWorkerPool:
     def test_failing_layer_is_named(self, tmp_path, monkeypatch, capsys):
         manifest = mixed_manifest(tmp_path, bad="outliers")
         built = force_pool(monkeypatch)
-        with pytest.raises(ValueError, match="layer 'outliers': .*non-finite"):
+        with pytest.raises(ValueError, match="layer 'outliers': .*non-finite") as info:
             quantize_model(read_manifest(manifest))
+        assert str(info.value).count("'outliers'") == 1
         assert main(["quantize", str(manifest), "-o", str(tmp_path / "m.bvq")]) == 3
         assert "layer 'outliers'" in capsys.readouterr().err
         assert len(built) == 2

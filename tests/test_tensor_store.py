@@ -12,7 +12,7 @@ from binq import (FormatError, QuantConfig, Role, TruncationError, WeightMatrix,
                   quantize_layer, read_artifact, read_attention, read_layer_headers,
                   read_manifest, read_tensor, reconstruct, write_artifact,
                   write_attention, write_tensor)
-from binq.bit_packer import layer_codebook, storage_report
+from binq.bit_packer import storage_report
 from binq.cli import main
 from binq.tensor_store import AttentionTensor
 from conftest import gaussian_matrix, outlier_matrix
@@ -372,7 +372,7 @@ def test_decoded_counts_must_match_stored(tmp_path):
     path = tmp_path / "m.bvq"
     write_artifact([layer], path)
     raw = bytearray(path.read_bytes())
-    lengths = layer_codebook(layer).lengths
+    lengths = layer.codebook.lengths
     i, j = next((i, j) for i in range(layer.config.n_uns) for j in range(i)
                 if lengths[i] == lengths[j] and layer.counts[i] != layer.counts[j])
     off = _code_length_offset(layer) + layer.config.n_uns + 2
