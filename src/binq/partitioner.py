@@ -48,6 +48,6 @@ def magnitude_thresholds(fit: GaussianFit, cutoffs) -> np.ndarray:
 def magnitude_labels(magnitudes: np.ndarray, thresholds) -> np.ndarray:
     """Label = number of (ascending) thresholds |w| exceeds; a tie goes to the lower group."""
     labels = np.zeros(magnitudes.shape, dtype=np.int8)
-    for t in thresholds:
+    for t in np.asarray(thresholds):  # a Python float would be rounded to |w|'s dtype first
         labels += (magnitudes > t).view(np.int8)
     return labels

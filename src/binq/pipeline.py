@@ -24,9 +24,9 @@ from .weight_stats import fit_gaussian
 # Columns of the per-layer error CSV, consumed by downstream plotting.
 ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
-# A worker's allocations peak at 5.32 times its layer's tensor file (traced on
-# 1024x1024, 4096x1024 and a biased 512x256 layer, search on and off; 4.00 to
-# 4.46 with the search off), with a margin.
+# A worker's allocations peak at 5.46 times its layer's tensor file (traced in
+# fresh processes on 1024x1024 and 4096x1024 Student-t and a biased 512x256
+# layer, search on and off; 4.00 to 4.22 with the search off), with a margin.
 WORKER_PEAK_PER_FILE_BYTE = 7
 
 

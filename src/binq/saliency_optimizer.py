@@ -6,14 +6,15 @@ with golden-section fallback) minimizes J over [0, p_sal_max]; because the
 quantile cutoffs move in discrete steps J need not be unimodal, so the
 search result is additionally compared against both interval endpoints and
 the overall best evaluation is returned. `LayerObjective` owns the share
-range: it both scores a share and builds the quantized layer at it; an
-evaluation builds no layer, and a layer built at a pinned share can be
-scored on the shells it picks.
+range: an evaluation fits only the groups no earlier one fitted and builds
+no layer; the layer at a scored share is built from the stored groups, and
+a layer built at a pinned share can be scored on the shells it picks.
 """
 
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,21 @@ class ObjectiveEval:
     denom: float
 
 
+class _Group(NamedTuple):
+    """A shell's unrounded mean |w| or the salient fit, its residual (or None) and size."""
+    fit: object
+    residual: float | None
+    count: int
+
+
+def _below32(values) -> np.ndarray:
+    """float64 values rounded down to float32: float32 x > t exactly when x > _below32(t)."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        near = values.astype(np.float32)
+    return np.where(near > values, np.nextafter(near, np.float32(-np.inf)), near)
+
+
 def _between(values: np.ndarray, lo, hi) -> np.ndarray:
     """Mask of the values in (lo, hi]; an infinite bound compares nothing."""
     if lo == -np.inf:
@@ -58,12 +74,16 @@ class LayerObjective:
     (moving it only where rounding breaks that order), so group k lies in its
     window, the |w| in (t_{k-1}(cap), t_k(0)], at every share. A window is
     gathered from |w| (float32, exact, taken once) in row-major order at its
-    first use, the salient one with each member's row and float64 w.
-    `__call__` picks each group from its window, in the same order, so an
-    evaluation makes no full-matrix pass. `layer` labels all of |w| for the
-    artifact, so an objective only asked for a layer (a pinned share) gathers
-    only the salient window, and `__call__` scores exactly the layer `layer`
-    builds. ||W||^2 is taken at the first score, before any window is held.
+    first use, the salient one with each member's row and float64 w; |w| is
+    compared in float32 with each cutoff rounded down, which splits it
+    exactly as the float64 cutoff does. A group is fixed by its key, the
+    number of window members above each of its two cutoffs: `__call__`
+    fits (shell mean and residual, salient fit and residual) and stores
+    each distinct group once, and `layer` at a scored share takes all its
+    groups from there, labelling |w| only for the index stream. At a share
+    never scored (a pinned share) `layer` picks each shell from the labels
+    and gathers only the salient window; `scored_layer` scores that layer
+    bitwise as `__call__` would. ||W||^2 is taken at the first score.
     """
 
     def __init__(self, matrix, fit: GaussianFit, config: QuantConfig):
@@ -73,6 +93,9 @@ class LayerObjective:
         # Each cutoff's range over [0, cap]: its values at the cap and at 0, in order.
         self.lo, self.hi = np.sort([self._cutoffs(self.p_cap), self._cutoffs(0.0)], axis=0)
         self.windows: list = [None] * (config.n_uns + 1)
+        # Each group's results by key, and the groups of each scored share.
+        self.results: list[dict] = [{} for _ in self.windows]
+        self.scored: dict[float, list[_Group]] = {}
 
     @cached_property
     def denom(self) -> float:
@@ -94,42 +117,52 @@ class LayerObjective:
 
     def _gather(self, k: int) -> list:
         """Group k's window, the |w| in (lo[k], hi[k + 1]], with the salient rows and w."""
-        mask = _between(self.mag, self.lo[k], self.hi[k + 1])
+        mask = _between(self.mag, *_below32([self.lo[k], self.hi[k + 1]]))
         window = [np.compress(mask, self.mag)]
         if k == self.config.n_uns:
             window += [np.flatnonzero(mask) // self.matrix.n,
                        np.compress(mask, self.matrix.data).astype(np.float64)]
         return window
 
-    def _pick(self, k: int, edges):
-        """Group k's window, gathered at first use, and its members at the cutoffs `edges`."""
+    def _group(self, k: int, bounds) -> _Group:
+        """Group k at the float32 cutoffs `bounds`, from its window: fitted once per key."""
         if self.windows[k] is None:
             self.windows[k] = self._gather(k)
-        return self.windows[k], _between(self.windows[k][0], edges[k], edges[k + 1])
+        window = self.windows[k]
+        # The masks above each cutoff (a bool for an infinite one); their counts are the key.
+        above = [window[0] > t if np.isfinite(t) else bool(t < 0) for t in bounds[k:k + 2]]
+        key = tuple(np.count_nonzero(a) if np.ndim(a) else window[0].size * a for a in above)
+        results = self.results[k]
+        if key not in results:
+            keep = np.greater(*above, out=np.empty(window[0].shape, dtype=bool))
+            del above  # the masks are not held while the group is fitted
+            if k < self.config.n_uns:
+                results[key] = self._shell(np.compress(keep, window[0]).astype(np.float64), True)
+            else:
+                rows, w = (np.compress(keep, a) for a in window[1:])
+                sal = quantize_salient(rows, w, self.matrix.m, self.config)
+                approx = sal.scales.astype(np.float64)[rows] * sal.centers[sal.codes]
+                results[key] = _Group(sal, float(np.sum(np.square(w - approx))), rows.size)
+        return results[key]
 
-    def _salient(self, edges):
-        """The salient members (rows, float64 w) at the cutoffs `edges`, and their fit."""
-        (_, rows, w), keep = self._pick(self.config.n_uns, edges)
-        rows, w = np.compress(keep, rows), np.compress(keep, w)
-        return rows, w, quantize_salient(rows, w, self.matrix.m, self.config)
+    def _shell(self, shell: np.ndarray, score: bool) -> _Group:
+        """A shell of float64 |w|: its mean, residual under the stored mean if `score`, size."""
+        mean, width = shell_scalar(shell), self.config.scale_width
+        return _Group(mean, shell_residual(shell, store_scales(mean, width)) if score else None,
+                      shell.size)
 
     @staticmethod
-    def _score(p_sal, denom, uns_res, rows, w, sal) -> ObjectiveEval:
-        approx = sal.scales.astype(np.float64)[rows] * sal.centers[sal.codes]
-        sal_res = float(np.sum(np.square(w - approx)))
+    def _score(p_sal: float, denom: float, groups) -> ObjectiveEval:
+        uns_res, sal_res = [g.residual for g in groups[:-1]], groups[-1].residual
         return ObjectiveEval(p_sal=p_sal, j=(sal_res + sum(uns_res)) / denom,
                              salient_residual=sal_res, unsalient_residuals=tuple(uns_res),
                              denom=denom)
 
     def __call__(self, p_sal: float) -> ObjectiveEval:
         denom = self.denom
-        edges = self._edges(p_sal)
-        width, uns_res = self.config.scale_width, []
-        for k in range(self.config.n_uns):
-            (window,), keep = self._pick(k, edges)
-            shell = np.compress(keep, window).astype(np.float64)
-            uns_res.append(shell_residual(shell, store_scales(shell_scalar(shell), width)))
-        return self._score(p_sal, denom, uns_res, *self._salient(edges))
+        bounds = _below32(self._edges(p_sal))
+        self.scored[p_sal] = [self._group(k, bounds) for k in range(self.config.n_uns + 1)]
+        return self._score(p_sal, denom, self.scored[p_sal])
 
     def layer(self, p_sal: float) -> QuantizedLayer:
         """The quantized layer at p, whose residual is J(p)."""
@@ -142,26 +175,21 @@ class LayerObjective:
     def _build(self, p_sal: float, score: bool):
         """A sign is True for +1, also for an exact zero. One shell is held at a time."""
         denom = self.denom if score else None
-        edges = self._edges(p_sal)
-        labels = magnitude_labels(self.mag, edges[1:-1])
-        rows, w, salient = self._salient(edges)
+        bounds = _below32(self._edges(p_sal))
+        labels = magnitude_labels(self.mag, bounds[1:-1])
         n_uns, width, m = self.config.n_uns, self.config.scale_width, self.matrix
-        scalars, uns_res, counts = [], [], []
-        for k in range(n_uns):
-            shell = np.compress(labels == k, self.mag).astype(np.float64)
-            scalars.append(shell_scalar(shell))
-            counts.append(shell.size)
-            if score:
-                uns_res.append(shell_residual(shell, store_scales(scalars[-1], width)))
-            del shell
+        groups = self.scored.get(p_sal)
+        if groups is None:  # a share never scored: each shell picked from all of |w|
+            groups = [self._shell(np.compress(labels == k, self.mag).astype(np.float64), score)
+                      for k in range(n_uns)] + [self._group(n_uns, bounds)]
         signs = (m.data >= 0.0).ravel()[labels < n_uns]
         layer = QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
-                               counts=np.array(counts + [rows.size], dtype=np.int64),
-                               labels=labels.reshape(m.m, m.n), salient=salient,
-                               scalars=store_scales(scalars, width),
+                               counts=np.array([g.count for g in groups], dtype=np.int64),
+                               labels=labels.reshape(m.m, m.n), salient=groups[-1].fit,
+                               scalars=store_scales([g.fit for g in groups[:-1]], width),
                                signs=signs, p_sal_used=p_sal, p_sal_max=self.p_cap,
                                config=self.config)
-        return layer, (self._score(p_sal, denom, uns_res, rows, w, salient) if score else None)
+        return layer, (self._score(p_sal, denom, groups) if score else None)
 
 
 def evaluate_objective(matrix, fit: GaussianFit, p_sal: float, config: QuantConfig,

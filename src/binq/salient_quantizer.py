@@ -47,17 +47,19 @@ def fit_rowwise(rows: np.ndarray, w: np.ndarray, m: int, iters: int, atol: float
         raise DomainError(f"iters must be >= 1, got {iters}")
     relaxed = np.sign(w)
     scales = np.zeros(m, dtype=np.float64)
+    product = np.empty_like(relaxed)
 
     for _ in range(iters):
         prev = scales
-        num = np.bincount(rows, weights=w * relaxed, minlength=m)
-        den = np.bincount(rows, weights=relaxed * relaxed, minlength=m)
+        num = np.bincount(rows, weights=np.multiply(w, relaxed, out=product), minlength=m)
+        den = np.bincount(rows, weights=np.multiply(relaxed, relaxed, out=product), minlength=m)
         scales = np.divide(num, den, out=np.zeros(m), where=den > 0.0)
-        row_scale = scales[rows]
+        row_scale = scales.take(rows)
         # Members of a zero-scale row keep their value, already in [-1, 1].
         np.divide(w, row_scale, out=relaxed, where=row_scale != 0.0)
-        np.clip(relaxed, -1.0, 1.0, out=relaxed)
-        if atol > 0.0 and (scales.size == 0 or np.max(np.abs(scales - prev)) < atol):
+        np.maximum(np.minimum(relaxed, 1.0, out=relaxed), -1.0, out=relaxed)
+        if atol > 0.0 and (scales.size == 0
+                           or np.abs(np.subtract(scales, prev, out=prev)).max() < atol):
             break
 
     return scales, relaxed

@@ -299,7 +299,7 @@ def _validate_tensor_header(path):
         size = Path(path).stat().st_size
         with open(path, "rb") as fh:
             head = fh.read(28)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise FormatError(f"manifest references unreadable tensor {path}: {exc}") from exc
     _, m, n = _tensor_header(_Reader(head, str(path)))
     if size != 28 + 4 * m * n:

@@ -42,7 +42,9 @@ def stream_entropy_bits(counts):
 
 def jump_doubling_decode(data, book, count):
     """Oracle decoder: resolve every bit offset through a 2**max_length window
-    table, then materialize the chain of symbol starts by doubling the jump map."""
+    table, then materialize the chain of symbol starts by doubling the jump map.
+    A chain that reaches bits no codeword covers, or the end of the stream,
+    before `count` symbols raises TruncationError."""
     out = np.zeros(count, dtype=np.int64)
     if count == 0:
         return out
@@ -72,6 +74,8 @@ def jump_doubling_decode(data, book, count):
         starts[filled:filled + take] = jump[starts[:take]]
         filled += take
         jump = jump[jump]
+    if not len_at[starts].all():
+        raise TruncationError("no codeword covers the bits at a symbol start")
     if starts[-1] + len_at[starts[-1]] > nbits:
         raise TruncationError("stream ends inside the last symbol")
     out[:] = sym_at[starts]
@@ -222,6 +226,16 @@ class TestPackUnpack:
         assert np.array_equal(unpack_stream(pack_stream(labels, book), book, 5), labels)
         with pytest.raises(TruncationError):
             unpack_stream(bytes([0b00011100]), book, 3)
+
+    @pytest.mark.parametrize("decode", [jump_doubling_decode, unpack_stream])
+    def test_uncovered_bits_truncate_both_decoders(self, decode):
+        book = CodeBook.from_lengths([1, 3, 3])  # codes 0, 100, 101: none starts 11
+        with pytest.raises(TruncationError):
+            decode(bytes([0xc0]), book, 3)
+        data = bytes([0b01001100])  # 0, 100, then the uncovered 11
+        assert np.array_equal(decode(data, book, 2), [0, 1])
+        with pytest.raises(TruncationError):
+            decode(data, book, 3)
 
     def test_symbol_outside_codebook(self):
         book = CodeBook.from_frequencies([1, 1])
@@ -482,7 +496,7 @@ def bitwise_decode(data, book):
 def assert_decodes(data, book, symbols, last=False):
     """unpack_stream gives these symbols, the oracle's, and their counts. Asked
     for one more symbol it raises TruncationError if `last`, else agrees with
-    the oracle (which reads bits no codeword covers as empty codes)."""
+    the oracle."""
     count = symbols.size
     assert np.array_equal(jump_doubling_decode(data, book, count), symbols)
     got, counts = unpack_stream(data, book, count, return_counts=True)

@@ -111,6 +111,13 @@ class TestPartition:
         assert np.array_equal(magnitude_labels(mag, t), want)
         assert magnitude_labels(mag, np.full(5, np.inf)).max() == 0
 
+    def test_python_float_threshold_splits_float32_at_its_value(self):
+        # The float32 |w| lies above t, and t rounds to it in float32.
+        mag, t = np.array([0.32246715], np.float32), 0.3224671334028244
+        assert float(mag[0]) > t and np.float32(t) == mag[0]
+        for thresholds in ([t], (t,), np.array([t])):
+            assert magnitude_labels(mag, thresholds).tolist() == [1]
+
     def test_statistical_fractions_five_subsets(self):
         rng = np.random.default_rng(13)
         mat = WeightMatrix("t", Role.LANGUAGE,

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import binq.saliency_optimizer as so
 from binq import (DomainError, OptimizationError, QuantConfig, Role, WeightMatrix,
                   quantize_layer)
 from binq.partitioner import compute_cutoffs, magnitude_thresholds
+from binq.salient_quantizer import SalientQuant
 from binq.saliency_optimizer import (LayerObjective, brent_minimize, evaluate_objective,
                                      optimize_saliency, sweep_thresholds)
 from binq.weight_stats import GaussianFit, fit_gaussian
@@ -292,12 +296,18 @@ class TestLayerObjective:
         edges = objective._edges(p)
         assert edges[3] == at_cap[3]
         assert np.array_equal(np.delete(edges, 3), np.delete(raw, 3))
-        # Group k at p is window k's members at the clipped edges, in row-major order.
+        # Group k at p is window k's members at the clipped edges, in row-major order,
+        # in the layer built before p is scored and in the one built from its groups.
+        pinned = objective.layer(p).labels.ravel()
+        objective(p)
         labels = objective.layer(p).labels.ravel()
+        assert np.array_equal(labels, pinned)
         for k in range(config.n_uns + 1):
             assert objective.lo[k] <= edges[k] and edges[k + 1] <= objective.hi[k + 1]
-            window, keep = objective._pick(k, edges)
-            assert np.array_equal(np.compress(keep, window[0]), objective.mag[labels == k])
+            window = objective.windows[k][0]
+            keep = (window > edges[k]) & (window <= edges[k + 1])  # float64 comparisons
+            assert np.array_equal(window[keep], objective.mag[labels == k])
+            assert objective.scored[p][k].count == np.count_nonzero(keep)
         got, want = objective(p), score_layer(mat, objective.layer(p))
         assert (got.j, got.salient_residual, got.unsalient_residuals) == (
             want.j, want.salient_residual, want.unsalient_residuals)
@@ -321,11 +331,99 @@ class TestLayerObjective:
         assert mat.data.size <= total < (1.0 + 0.05 * 3 + 0.02) * mat.data.size
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+TINY32 = float(np.finfo(np.float32).smallest_subnormal)
+
+
+@st.composite
+def values_and_edge(draw):
+    """float32 values (subnormals and +-inf included) and a float64 edge: anywhere,
+    tied with a value, between a value and its float32 neighbours, or past the range."""
+    values = draw(st.lists(st.floats(width=32, allow_nan=False), min_size=1, max_size=16))
+    x = np.float32(draw(st.sampled_from(values)))
+    below, above = (float(np.nextafter(x, np.float32(s))) for s in (-np.inf, np.inf))
+    near = [float(x), (below + float(x)) / 2, (float(x) + above) / 2,
+            float(np.nextafter(float(x), -np.inf)), float(np.nextafter(float(x), np.inf))]
+    far = [np.inf, -np.inf, 2 * F32_MAX, -2 * F32_MAX, float(np.nextafter(F32_MAX, np.inf)),
+           TINY32 / 2, -TINY32 / 2, 1.5 * TINY32, 0.0, -0.0]
+    edge = draw(st.one_of(st.sampled_from([e for e in near if not np.isnan(e)]),
+                          st.sampled_from(far), st.floats(allow_nan=False)))
+    return np.array(values, dtype=np.float32), edge
+
+
+@given(values_and_edge())
+def test_rounded_down_edge_splits_float32_as_float64(case):
+    values, edge = case
+    edge = np.float64(edge)  # compared with float32 as float64, as a Python float would not be
+    (down,) = so._below32([edge])
+    assert down.dtype == np.float32 and down <= edge
+    with np.errstate(over="ignore"):
+        assert np.nextafter(down, np.float32(np.inf)) > edge or down == edge == np.inf
+    assert np.array_equal(values > down, values.astype(np.float64) > edge)
+
+
 def seeded_layer(seed, stream, role, shape, biased):
     """A layer drawn as the benchmark draws its model layers (scale 0.02)."""
     rng = np.random.default_rng([seed, stream])
     data = 0.5 + rng.standard_normal(shape) if biased else rng.standard_t(5, size=shape)
     return WeightMatrix(f"s{seed}.{stream}", role, (0.02 * data).astype(np.float32))
+
+
+class TestStoredGroups:
+    """A search fits each distinct group of its layer once and builds the layer from them."""
+
+    def test_each_distinct_salient_set_fitted_once(self, monkeypatch):
+        mat = seeded_layer(11, 2, Role.VISION, (512, 256), True)
+        objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig())
+        fitted, shares = [], []
+        real_fit, real_eval = so.quantize_salient, so.evaluate_objective
+        monkeypatch.setattr(so, "quantize_salient",
+                            lambda rows, *a: fitted.append(rows.size) or real_fit(rows, *a))
+        monkeypatch.setattr(so, "evaluate_objective",
+                            lambda *a: shares.append(a[2]) or real_eval(*a))
+        best = optimize_saliency(objective)
+        mag = objective.mag.astype(np.float64)
+        counts = {np.count_nonzero(mag > objective._edges(p)[-2]) for p in shares}
+        assert len(counts) < len(shares)  # some evaluations repeat a salient set
+        assert sorted(fitted) == sorted(counts)
+
+        # The layer at p* takes every group from the search: no fit, no shell picked
+        # from all of |w|, and the same layer as one built without the search.
+        fitted.clear()
+        compressed, means = [], []
+        real_compress, real_mean = np.compress, so.shell_scalar
+        monkeypatch.setattr(np, "compress",
+                            lambda c, a, *r: compressed.append(a) or real_compress(c, a, *r))
+        monkeypatch.setattr(so, "shell_scalar", lambda x: means.append(x) or real_mean(x))
+        layer = objective.layer(best.p_sal)
+        assert fitted == [] and means == []
+        assert not any(a is objective.mag for a in compressed)
+        monkeypatch.undo()
+        pinned = LayerObjective(mat, objective.fit, objective.config).layer(best.p_sal)
+        for field in ("counts", "labels", "scalars", "signs"):
+            assert np.array_equal(getattr(layer, field), getattr(pinned, field))
+        for field in ("scales", "codes", "centers"):
+            got, want = getattr(layer.salient, field), getattr(pinned.salient, field)
+            assert got.tobytes() == want.tobytes()
+
+    def test_stored_groups_hold_no_float64_or_index_member_arrays(self):
+        mat = seeded_layer(201, 6, Role.LANGUAGE, (256, 512), False)
+        config = QuantConfig()
+        objective = LayerObjective(mat, fit_gaussian(mat), config)
+        optimize_saliency(objective)
+        for k, results in enumerate(objective.results):
+            assert results
+            for group in results.values():
+                assert isinstance(group.residual, float) and isinstance(group.count, int)
+                if k < config.n_uns:
+                    assert np.ndim(group.fit) == 0
+                    continue
+                assert isinstance(group.fit, SalientQuant)
+                arrays = [v for v in vars(group.fit).values() if isinstance(v, np.ndarray)]
+                wide = [a for a in arrays if a.dtype in (np.float64, np.intp)]
+                assert [a.size for a in wide] == [2 ** config.n_bits]  # the centers
+                assert group.fit.codes.dtype == np.uint8
+                assert group.fit.codes.size == group.count
 
 
 @pytest.mark.parametrize("seed, stream, role, shape, biased, p_star", [

@@ -5,7 +5,7 @@ import pytest
 
 from binq import DomainError, QuantConfig, Role, WeightMatrix
 from binq.partitioner import compute_cutoffs, magnitude_labels, magnitude_thresholds
-from binq.salient_quantizer import (adaptive_levels, assign_codes, fit_rowwise,
+from binq.salient_quantizer import (FIT_ATOL, adaptive_levels, assign_codes, fit_rowwise,
                                     level_grid, quantize_salient)
 from binq.weight_stats import fit_gaussian
 from conftest import gaussian_matrix, outlier_matrix, rowwise_residuals, salient_members
@@ -58,7 +58,59 @@ def fit_rowwise_oracle(rows, w, m, iters, atol=0.0):
     return scales, relaxed
 
 
+def fit_rowwise_unbuffered(rows, w, m, iters, atol=0.0):
+    """The row-wise fit with a fresh array per product, fancy indexing and np.clip."""
+    relaxed = np.sign(w)
+    scales = np.zeros(m, dtype=np.float64)
+    for _ in range(iters):
+        prev = scales
+        num = np.bincount(rows, weights=w * relaxed, minlength=m)
+        den = np.bincount(rows, weights=relaxed * relaxed, minlength=m)
+        scales = np.divide(num, den, out=np.zeros(m), where=den > 0.0)
+        row_scale = scales[rows]
+        np.divide(w, row_scale, out=relaxed, where=row_scale != 0.0)
+        np.clip(relaxed, -1.0, 1.0, out=relaxed)
+        if atol > 0.0 and (scales.size == 0 or np.max(np.abs(scales - prev)) < atol):
+            break
+    return scales, relaxed
+
+
+def rowwise_case(case):
+    """(rows, w, m, iters, atol) of a seeded salient set exercising one corner of the fit."""
+    rng = np.random.default_rng(["empty_rows", "zero_members", "one_iteration",
+                                 "early_stop"].index(case))
+    m, size = 40, 900
+    rows = np.sort(rng.integers(0, m, size))
+    w = 0.02 * rng.standard_t(5, size)
+    iters, atol = 15, FIT_ATOL
+    if case == "empty_rows":
+        rows = np.sort(rng.choice([1, 4, 5, 17, 38], size))
+    elif case == "zero_members":
+        w[rng.random(size) < 0.3] = 0.0
+        w[rows == 7] = 0.0
+    elif case == "one_iteration":
+        iters = 1
+    else:  # the scales move by less than this from about the 7th iteration on
+        atol = 0.02
+    return rows, w, m, iters, atol
+
+
 class TestFitRowwise:
+    @pytest.mark.parametrize("case", ["empty_rows", "zero_members", "one_iteration",
+                                      "early_stop"])
+    def test_bitwise_equal_to_unbuffered_loop(self, case):
+        rows, w, m, iters, atol = rowwise_case(case)
+        got = fit_rowwise(rows, w, m, iters, atol)
+        want = fit_rowwise_unbuffered(rows, w, m, iters, atol)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if case == "empty_rows":
+            assert not got[0][np.setdiff1d(np.arange(m), rows)].any()
+        if case == "zero_members":
+            assert not got[0][7] and not got[1][w == 0.0].any()
+        if case == "early_stop":  # the fit stopped before its last iteration
+            assert got[0].tobytes() != fit_rowwise(rows, w, m, iters)[0].tobytes()
+
     def test_bitwise_equal_to_oracle(self):
         rng = np.random.default_rng(300)
         for case in range(300):

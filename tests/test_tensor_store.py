@@ -398,6 +398,7 @@ MALFORMED_MANIFESTS = {
     "role_is_list": _manifest(role=["language"]),
     "p_sal_max_is_list": _manifest(p_sal_max=[0.01]),
     "p_sal_max_is_string": _manifest(p_sal_max="x"),
+    "path_with_nul": _manifest(path="a\u0000.bvw"),
 }
 
 
