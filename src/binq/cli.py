@@ -21,7 +21,10 @@ from .saliency_optimizer import sweep_thresholds
 
 def _output(path):
     """Context manager for the file at path, or for stdout (left open) without one."""
-    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_rows(path, header, rows):

@@ -6,18 +6,17 @@ Three container formats, all little-endian with fixed field widths:
     magic "BVW1", version u16, dtype u8 (0 = IEEE 754 binary32), role u8,
     rank u32 (always 2), dims as two u64, then the row-major f32 payload.
 
-``.bvq`` quantized artifact, version 2 (version 1 still reads)
+``.bvq`` quantized artifact, version 2
     magic "BVQ1", version u16, layer count u32, then per layer: name
     (u16 length + UTF-8), role u8, m and n (u64), config echo, salient level
     parameters and centers, salient row-scales (binary16 by default),
     unsalient scalars, the group codebook, the n_uns + 1 group counts (u64,
-    salient last; not in version 1), the three packed streams (group
-    indices, salient codes, sign bits), each length-prefixed, and a CRC32
-    (u32, not in version 1) of the record from the name length to the end
-    of the sign stream. The counts fix every stream's length, so
-    `read_layer_headers` checks a record without decoding a stream, and its
-    header is all a storage report needs; a version 1 record has no counts
-    and is decoded.
+    salient last), the three packed streams (group indices, salient codes,
+    sign bits), each length-prefixed, and a CRC32 (u32) of the record from
+    the name length to the end of the sign stream. The counts fix every
+    stream's length, so `read_layer_headers` checks a record without
+    decoding a stream, and its header is all a storage report needs.
+    Version 1, which stored neither counts nor CRC, is refused.
 
 ``.bva`` attention scores, version 1
     magic "BVA1", version u16, layer count u32, then per layer: layer index
@@ -46,7 +45,7 @@ from .salient_quantizer import SalientQuant
 TENSOR_MAGIC = b"BVW1"
 ARTIFACT_MAGIC = b"BVQ1"
 ATTENTION_MAGIC = b"BVA1"
-# The version each writer stores. A .bvq reader also reads version 1.
+# The one version of each format that its writer stores and its reader reads.
 TENSOR_VERSION = 1
 ARTIFACT_VERSION = 2
 ATTENTION_VERSION = 1
@@ -207,15 +206,15 @@ class _Reader:
             raise FormatError(f"{self.origin}: {len(self.buf) - self.pos} trailing bytes")
 
 
-def _check_magic(reader: _Reader, magic: bytes, latest: int) -> int:
-    """Check the magic and return the version, one of 1 .. latest."""
+def _check_magic(reader: _Reader, magic: bytes, version: int, remedy: str = ""):
+    """Check the magic and that the file is of `version`, the one the reader reads."""
     got = reader.take(len(magic))
     if got != magic:
         raise FormatError(f"{reader.origin}: bad magic {got!r}, expected {magic!r}")
-    (version,) = reader.unpack("H")
-    if not 1 <= version <= latest:
-        raise FormatError(f"{reader.origin}: unsupported version {version}")
-    return version
+    (got,) = reader.unpack("H")
+    if got != version:
+        raise FormatError(f"{reader.origin}: unsupported version {got} "
+                          f"(binq reads version {version}){remedy}")
 
 
 # --- weight tensors ---------------------------------------------------------
@@ -267,10 +266,12 @@ def read_manifest(path) -> ModelManifest:
     raw = _read_bytes(path)
     try:
         doc = json.loads(raw)
-    except ValueError as exc:  # also undecodable (non-UTF) text
+    except (ValueError, RecursionError) as exc:  # also non-UTF text, too deep nesting
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise FormatError(f"{path}: manifest must be a JSON array")
+    if not doc:
+        raise FormatError(f"{path}: manifest lists no layers")
     base = Path(path).parent
     entries = []
     seen = set()
@@ -458,35 +459,14 @@ def write_artifact(layers, path):
     _write_bytes(path, b"".join(chunks))
 
 
-def _index_codebook(lengths: list[int], solo: int | None, origin: str):
-    """Codebook of a stored group-index stream, checked before any decoding.
-
-    The writer stores either a complete Huffman code over the n_uns + 1
-    groups, whose depth is at most n_uns (and MAX_CODE_LEN), or all-zero
-    lengths with a solo group in range. Anything else would decode to
-    garbage or ask for a decode table of 2**length entries.
-    """
-    depth = min(len(lengths) - 1, bit_packer.MAX_CODE_LEN)
-    if solo is None:
-        valid = (0 < max(lengths) <= depth
-                 and sum(1 << (depth - l) for l in lengths if l) == 1 << depth)
-    else:
-        valid = max(lengths) == 0 and solo < len(lengths)
-    if not valid:
-        raise FormatError(f"{origin}: invalid group codebook (lengths {lengths}, "
-                          f"solo {solo})")
-    return bit_packer.CodeBook.from_lengths(lengths, solo=solo)
-
-
-def _layer_record(reader: _Reader, version: int):
+def _layer_record(reader: _Reader):
     """Parse one .bvq layer record into (header, decode).
 
-    header is the record's checked LayerHeader, or None for a version 1
-    record, which stores no group counts; decode() decodes the streams into
-    the validated QuantizedLayer. A version 2 record's CRC is checked before
-    its streams are looked at; then the counts must add up to m x n, the
-    codebook must be the Huffman code of the counts, and each stream must be
-    as long as the counts make it.
+    header is the record's checked LayerHeader; decode() decodes the streams
+    into the validated QuantizedLayer. The record's CRC is checked before its
+    streams are looked at; then the counts must add up to m x n, the codebook
+    must be the Huffman code of the counts, and each stream must be as long
+    as the counts make it.
     """
     start, origin = reader.pos, reader.origin
     (name_len,) = reader.unpack("H")
@@ -505,11 +485,6 @@ def _layer_record(reader: _Reader, version: int):
                           l_i_max=l_i_max, optimize_saliency=bool(optimize))
     except DomainError as exc:
         raise FormatError(f"{where}: {exc}") from exc
-    # Every weight costs at least one stored bit: an index code, a sign
-    # or a salient code. Checked before any (m, n)-sized allocation.
-    if m * n > 8 * (len(reader.buf) - reader.pos):
-        raise TruncationError(f"{where} declares {m}x{n} weights, "
-                              f"more than the remaining bytes can hold")
     mu_b, sigma_b = reader.unpack("dd")
     centers = reader.array("f8", 2 ** n_bits)
     scale_dt = "f2" if scale_width == 16 else "f4"
@@ -519,45 +494,41 @@ def _layer_record(reader: _Reader, version: int):
     (solo,) = reader.unpack("B")
     solo = None if solo == 0xFF else solo
     # Stored as u64; a count from 2**63 on reads negative here and is refused.
-    stored = reader.array("i8", n_uns + 1) if version > 1 else None
+    stored = reader.array("i8", n_uns + 1)
     streams = [reader.take(*reader.unpack("Q")) for _ in range(3)]
+    (crc,) = reader.unpack("I")
+    if crc != zlib.crc32(memoryview(reader.buf)[start:reader.pos - 4]):
+        raise FormatError(f"{where}: CRC mismatch, the record is damaged")
 
     fields = dict(name=name, role=_ROLE_FROM_CODE[role_code], m=m, n=n,
                   p_sal_used=p_sal_used, p_sal_max=p_sal_max, config=cfg)
-    header = None
-    if stored is None:
-        book = _index_codebook(lengths, solo, where)
-    else:
-        (crc,) = reader.unpack("I")
-        if crc != zlib.crc32(memoryview(reader.buf)[start:reader.pos - 4]):
-            raise FormatError(f"{where}: CRC mismatch, the record is damaged")
-        header = LayerHeader(counts=stored, **fields)
-        try:
-            header.validate()
-            _check_levels(name, scalars, scales, centers, mu_b, sigma_b)
-            book = header.codebook
-        except (ValidationError, DomainError) as exc:
-            raise FormatError(f"{origin}: {exc}") from exc
-        if (book.lengths, book.solo) != (tuple(lengths), solo):
-            raise FormatError(f"{where}: group codebook is not the Huffman code of "
-                              f"the group counts")
-        if [len(s) for s in streams] != list(_stream_sizes(stored, book, n_bits)):
-            raise FormatError(f"{where}: stream lengths disagree with the group counts")
+    header = LayerHeader(counts=stored, **fields)
+    try:
+        header.validate()
+        _check_levels(name, scalars, scales, centers, mu_b, sigma_b)
+        book = header.codebook
+    except (ValidationError, DomainError) as exc:
+        raise FormatError(f"{origin}: {exc}") from exc
+    if (book.lengths, book.solo) != (tuple(lengths), solo):
+        raise FormatError(f"{where}: group codebook is not the Huffman code of "
+                          f"the group counts")
+    # Each of the m x n weights has a bit in some stream, so these lengths
+    # bound m x n by the file size before decode makes (m, n) arrays.
+    if [len(s) for s in streams] != list(_stream_sizes(stored, book, n_bits)):
+        raise FormatError(f"{where}: stream lengths disagree with the group counts")
 
     def decode() -> QuantizedLayer:
         index, codes, signs = streams
         # Group indices are at most n_uns <= 127, so the int8 view keeps them.
         labels, counts = bit_packer.unpack_stream(index, book, m * n, return_counts=True)
         labels = labels.view(np.int8).reshape(m, n)
-        if stored is not None and not np.array_equal(counts, stored):
+        if not np.array_equal(counts, stored):
             raise FormatError(f"{where}: decoded group counts differ from the stored ones")
         salient_count = int(counts[-1])
         code_book = bit_packer.CodeBook.fixed(2 ** n_bits, n_bits)
         salient = SalientQuant(scales=scales, centers=centers, mu_b=mu_b, sigma_b=sigma_b,
                                alpha=alpha, codes=bit_packer.unpack_stream(
                                    codes, code_book, salient_count))
-        if len(signs) * 8 < m * n - salient_count:
-            raise TruncationError(f"{where}: sign stream too short")
         layer = QuantizedLayer(counts=counts, labels=labels, salient=salient, scalars=scalars,
                                signs=np.unpackbits(np.frombuffer(signs, dtype=np.uint8),
                                                    count=m * n - salient_count).view(bool),
@@ -574,9 +545,9 @@ def _layer_record(reader: _Reader, version: int):
 def _layer_records(path) -> list:
     """The (header, decode) pair of each layer record of a .bvq file."""
     reader = _Reader(_read_bytes(path), str(path))
-    version = _check_magic(reader, ARTIFACT_MAGIC, ARTIFACT_VERSION)
+    _check_magic(reader, ARTIFACT_MAGIC, ARTIFACT_VERSION, "; re-quantize the model")
     (layer_count,) = reader.unpack("I")
-    records = [_layer_record(reader, version) for _ in range(layer_count)]
+    records = [_layer_record(reader) for _ in range(layer_count)]
     reader.done()
     return records
 
@@ -589,14 +560,13 @@ def read_artifact(path) -> list[QuantizedLayer]:
 def read_layer_headers(path) -> list[LayerHeader]:
     """Each layer's checked header from a .bvq file, for storage reports.
 
-    A version 2 record is checked whole (CRC, counts, stream lengths and
-    stored values) and no stream is decoded. A version 1 record stores no
-    counts, so its layer is decoded and validated as `read_artifact` does.
-    The CRC-covered counts are trusted: swapping the counts of two shells
-    whose codes have one length, then recomputing the CRC, passes here and
-    is refused only by `read_artifact`. Damage cannot do that; an edit can.
+    Each record is checked whole (CRC, counts, stream lengths and stored
+    values) and no stream is decoded. The CRC-covered counts are trusted:
+    swapping the counts of two shells whose codes have one length, then
+    recomputing the CRC, passes here and is refused only by `read_artifact`.
+    Damage cannot do that; an edit can.
     """
-    return [header or decode() for header, decode in _layer_records(path)]
+    return [header for header, _ in _layer_records(path)]
 
 
 # --- attention tensors ------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,47 @@ def capped_layer(cap, seed):
         data[0, 0] = (lo + hi) / 2
     assert lo < data[0, 0] <= hi
     return WeightMatrix("capped", Role.LANGUAGE, data)
+
+
+def build_manifest(tmp_path, specs):
+    """Write each (name, role, matrix) as tmp_path/<name>.bvw and a manifest listing them."""
+    from binq import write_tensor
+
+    doc = []
+    for name, role, matrix in specs:
+        write_tensor(matrix, tmp_path / f"{name}.bvw")
+        doc.append({"name": name, "path": f"{name}.bvw", "role": role})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def golden_layers(tmp_path):
+    """The layers and error-CSV rows of a seeded 3-layer set.
+
+    The heavy-tailed layer is searched (interior optimum), the biased one is
+    pinned to its cap with the search off, and the constant one degenerates
+    to a single shell.
+    """
+    from binq import ModelManifest, QuantConfig, quantize_model, read_manifest
+
+    rng = np.random.default_rng(2024)
+    specs = [("heavy", "vision",
+              WeightMatrix("heavy", Role.VISION,
+                           0.02 * rng.standard_t(5, (48, 64)))),
+             ("plain", "language",
+              WeightMatrix("plain", Role.LANGUAGE,
+                           0.02 * (0.5 + rng.standard_normal((32, 48))))),
+             ("flat", "adaptor",
+              WeightMatrix("flat", Role.ADAPTOR, np.full((8, 16), 0.25)))]
+    entries = read_manifest(build_manifest(tmp_path, specs)).entries
+    layers, rows = [], []
+    for entry, search in zip(entries, (True, False, True)):
+        got, _, got_rows = quantize_model(ModelManifest([entry]),
+                                          QuantConfig(optimize_saliency=search))
+        layers += got
+        rows += got_rows
+    return layers, rows
 
 
 def relative_error(matrix, layer):

@@ -12,7 +12,8 @@ import binq
 from binq import write_attention, write_tensor
 from binq.cli import main
 from binq.tensor_store import AttentionTensor
-from conftest import gaussian_matrix, outlier_matrix, straddling_outlier_matrix
+from conftest import (gaussian_matrix, golden_layers, outlier_matrix,
+                      straddling_outlier_matrix)
 
 
 def make_manifest(tmp_path, specs):
@@ -118,6 +119,28 @@ def test_exit_code_format_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "quantize", "report", "sweep",
+                                     "prune-scores"])
+def test_unopenable_output_exits_2(tmp_path, capsys, command):
+    """An output path in a missing directory is an IoError naming the path."""
+    manifest = make_manifest(tmp_path, [("l", "language", gaussian_matrix(0, (8, 8)))])
+    artifact, attention = tmp_path / "m.bvq", tmp_path / "a.bva"
+    assert main(["quantize", manifest, "-o", str(artifact)]) == 0
+    write_attention([AttentionTensor(layer_index=0,
+                                     group_sums=np.full((1, 4), 0.25, np.float32),
+                                     image_scores=np.full((1, 2), 0.125, np.float32),
+                                     group_sizes=(1, 2, 1, 1))], attention)
+    bad = str(tmp_path / "missing" / "out")
+    argv = {"analyze": ["analyze", manifest, "-o", bad],
+            "quantize": ["quantize", manifest, "-o", str(tmp_path / "q.bvq"), "--csv", bad],
+            "report": ["report", str(artifact), "-o", bad],
+            "sweep": ["sweep", manifest, "--thresholds", "0.01", "-o", bad],
+            "prune-scores": ["prune-scores", str(attention), "--ratio", "0.5", "-o", bad]}
+    capsys.readouterr()
+    assert main(argv[command]) == 2
+    assert f"error: cannot write {bad}" in capsys.readouterr().err
+
+
 def test_exit_code_domain_error(tmp_path, capsys):
     manifest = make_manifest(tmp_path, [
         ("l", "language", gaussian_matrix(0, (8, 8)))])
@@ -140,16 +163,14 @@ def test_overflowing_scales_refused_at_quantize(tmp_path, capsys):
 
 
 def test_report_decodes_no_stream(tmp_path, monkeypatch):
-    """The report of a version 2 file decodes no stream, and prints the CSV that
-    format version 1's reader printed for the same layers (tests/data)."""
-    data = Path(__file__).with_name("data")
-    want = (data / "golden_report.csv").read_bytes()
+    """The report of the golden layers' file decodes no stream and prints the
+    frozen CSV in tests/data."""
+    want = (Path(__file__).with_name("data") / "golden_report.csv").read_bytes()
+    layers, _ = golden_layers(tmp_path)
     path, out = tmp_path / "golden.bvq", tmp_path / "report.csv"
-    binq.write_artifact(binq.read_artifact(data / "golden_v1.bvq"), path)
-    assert main(["report", str(data / "golden_v1.bvq"), "--csv", "-o", str(out)]) == 0
-    assert out.read_bytes() == want
+    binq.write_artifact(layers, path)
 
-    def no_decoding(*args):
+    def no_decoding(*args, **kwargs):
         raise AssertionError("report decoded a stream")
 
     monkeypatch.setattr(binq.bit_packer, "unpack_stream", no_decoding)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binq import (DomainError, ModelManifest, QuantConfig, QuantizedLayer, Role,
-                  WeightMatrix, quantize_layer, quantize_model, read_artifact,
+from binq import (DomainError, FormatError, ModelManifest, QuantConfig, QuantizedLayer,
+                  Role, WeightMatrix, quantize_layer, quantize_model, read_artifact,
                   read_layer_headers, read_manifest, reconstruct, reconstruction_error,
                   write_artifact, write_tensor)
 import binq.pipeline as pipeline
@@ -19,8 +19,8 @@ import binq.saliency_optimizer as so
 from binq.bit_packer import storage_report
 from binq.cli import main
 from binq.weight_stats import fit_gaussian
-from conftest import (capped_layer, gaussian_matrix, outlier_matrix, relative_error,
-                      score_layer)
+from conftest import (build_manifest, capped_layer, gaussian_matrix, golden_layers,
+                      outlier_matrix, relative_error, score_layer)
 
 
 def onebit_relative_error(mat):
@@ -183,16 +183,6 @@ class TestQuantizeLayer:
         message = str(info.value)
         assert message.startswith("layer 'w': ") and "non-finite" in message
         assert message.count("'w'") == 1
-
-
-def build_manifest(tmp_path, specs):
-    doc = []
-    for name, role, matrix in specs:
-        write_tensor(matrix, tmp_path / f"{name}.bvw")
-        doc.append({"name": name, "path": f"{name}.bvw", "role": role})
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(doc))
-    return path
 
 
 def csv_objective_case(tmp_path, monkeypatch, search):
@@ -545,32 +535,6 @@ class TestQuantConfigValidation:
                 QuantConfig(alpha=alpha)
 
 
-def golden_layers(tmp_path):
-    """The layers and error-CSV rows of a seeded 3-layer set.
-
-    The heavy-tailed layer is searched (interior optimum), the biased one is
-    pinned to its cap with the search off, and the constant one degenerates
-    to a single shell.
-    """
-    rng = np.random.default_rng(2024)
-    specs = [("heavy", "vision",
-              WeightMatrix("heavy", Role.VISION,
-                           0.02 * rng.standard_t(5, (48, 64)))),
-             ("plain", "language",
-              WeightMatrix("plain", Role.LANGUAGE,
-                           0.02 * (0.5 + rng.standard_normal((32, 48))))),
-             ("flat", "adaptor",
-              WeightMatrix("flat", Role.ADAPTOR, np.full((8, 16), 0.25)))]
-    entries = read_manifest(build_manifest(tmp_path, specs)).entries
-    layers, rows = [], []
-    for entry, search in zip(entries, (True, False, True)):
-        got, _, got_rows = quantize_model(ModelManifest([entry]),
-                                          QuantConfig(optimize_saliency=search))
-        layers += got
-        rows += got_rows
-    return layers, rows
-
-
 def test_golden_artifact_and_objective(tmp_path):
     """Artifact digest and error-CSV objectives of the golden layers.
 
@@ -585,16 +549,14 @@ def test_golden_artifact_and_objective(tmp_path):
         "df83d9f630a76cfc80f4220cc1070e08480e9cb49af22790607bf66c533d3d38")
 
 
-def test_version_1_golden_artifact_reads(tmp_path):
+def test_version_1_artifact_refused(capsys):
     """tests/data/golden_v1.bvq holds the golden layers as format version 1
-    wrote them. Both readers take it, and its layers reconstruct bitwise as
-    those of the version 2 file written from the same layers."""
-    layers, _ = golden_layers(tmp_path)
-    path = tmp_path / "golden.bvq"
-    write_artifact(layers, path)
+    wrote them, with no group counts and no CRC. Both readers and `binq
+    report` refuse it, name the version and say to re-quantize."""
     v1 = Path(__file__).with_name("data") / "golden_v1.bvq"
-    for old in (read_artifact(v1), read_layer_headers(v1)):
-        for got, want in zip(old, read_artifact(path), strict=True):
-            assert reconstruct(got).data.tobytes() == reconstruct(want).data.tobytes()
-            assert np.array_equal(got.counts, want.counts)
-            assert storage_report(got) == storage_report(want)
+    for reader in (read_artifact, read_layer_headers):
+        with pytest.raises(FormatError, match=r"unsupported version 1 \(.*re-quantize"):
+            reader(v1)
+    assert main(["report", str(v1)]) == 2
+    err = capsys.readouterr().err
+    assert "unsupported version 1 (" in err and "re-quantize" in err

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -179,20 +180,25 @@ class TestArtifactRoundTrip:
         assert layers_equal(layer, back)
 
     def test_version_mismatch(self, tmp_path):
+        """Both readers read version 2 and refuse versions 1 and 3: the written
+        file patched to each, and tests/data/golden_v1.bvq."""
         mat = gaussian_matrix(0, shape=(8, 8))
         path = tmp_path / "v.bvq"
         write_artifact([quantize_layer(mat)], path)
-        raw = bytearray(path.read_bytes())
+        raw = path.read_bytes()
         assert raw[4:6] == struct.pack("<H", 2)
-        for readable in (path, DATA / "golden_v1.bvq"):  # versions 2 and 1
-            read_artifact(readable)
-            read_layer_headers(readable)
-        raw[4] = 3
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
-            read_artifact(path)
-        with pytest.raises(FormatError):
-            read_layer_headers(path)
+        read_artifact(path)
+        read_layer_headers(path)
+        refused = [(DATA / "golden_v1.bvq", 1)]
+        for version in (1, 3):
+            patched = tmp_path / f"v{version}.bvq"
+            patched.write_bytes(raw[:4] + struct.pack("<H", version) + raw[6:])
+            refused.append((patched, version))
+        for bad, version in refused:
+            for reader in (read_artifact, read_layer_headers):
+                with pytest.raises(FormatError, match=f"unsupported version {version} ") as info:
+                    reader(bad)
+                assert "re-quantize" in str(info.value)
 
     def test_degenerate_constant_layer(self, tmp_path):
         mat = WeightMatrix("c", Role.LANGUAGE, np.full((6, 6), 2.0, np.float32))
@@ -327,6 +333,17 @@ def test_malformed_artifact_rejected(tmp_path, capsys, case):
     assert "error:" in capsys.readouterr().err
 
 
+def damaged_copies(raw: bytes) -> list[bytes]:
+    """Every truncation of raw, then every single-byte xor 0x01, 0x80 and 0xff."""
+    damaged = [raw[:cut] for cut in range(len(raw))]
+    for pos in range(len(raw)):
+        for flip in (0x01, 0x80, 0xFF):
+            mutated = bytearray(raw)
+            mutated[pos] ^= flip
+            damaged.append(bytes(mutated))
+    return damaged
+
+
 def test_mutations_and_truncations_rejected_or_identical(tmp_path, capsys):
     """Every single-byte mutation and every truncation of a two-layer file is
     refused by both readers, or reads back to the same reconstructions and report."""
@@ -339,12 +356,7 @@ def test_mutations_and_truncations_rejected_or_identical(tmp_path, capsys):
     assert main(["report", str(path), "--csv", "-o", str(report)]) == 0
     want_report = report.read_bytes()
     want = [reconstruct(layer).data.tobytes() for layer in layers]
-    damaged = [raw[:cut] for cut in range(len(raw))]
-    for pos in range(len(raw)):
-        for flip in (0x01, 0x80, 0xFF):
-            mutated = bytearray(raw)
-            mutated[pos] ^= flip
-            damaged.append(bytes(mutated))
+    damaged = damaged_copies(raw)
     rejected = 0
     for data in damaged:
         path.write_bytes(data)
@@ -399,6 +411,8 @@ MALFORMED_MANIFESTS = {
     "p_sal_max_is_list": _manifest(p_sal_max=[0.01]),
     "p_sal_max_is_string": _manifest(p_sal_max="x"),
     "path_with_nul": _manifest(path="a\u0000.bvw"),
+    "deeply_nested": b"[" * 100000,
+    "empty": b"[]",
 }
 
 
@@ -412,6 +426,61 @@ def test_malformed_manifest_rejected(tmp_path, capsys, case):
     path.write_bytes(MALFORMED_MANIFESTS[case])
     assert main(["analyze", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def small_file(tmp_path, kind):
+    """(path, reader) of a small file: 988 bytes of .bvw, 282 of .bva or 71 of manifest."""
+    rng = np.random.default_rng(0)
+    if kind == "bvw":
+        path = tmp_path / "w.bvw"
+        write_tensor(WeightMatrix("w", Role.VISION, rng.normal(0, 1, (12, 20))), path)
+        return path, read_tensor
+    if kind == "bva":
+        path = tmp_path / "a.bva"
+        write_attention([AttentionTensor(layer_index=j, group_sums=rng.random((n, 4)),
+                                         image_scores=rng.random((n, n_img)),
+                                         group_sizes=(1, n_img, 2, n))
+                         for j, (n, n_img) in enumerate([(3, 2), (4, 5)])], path)
+        return path, read_attention
+    write_tensor(gaussian_matrix(0, (4, 4)), tmp_path / "a.bvw")
+    path = tmp_path / "m.json"
+    path.write_bytes(_manifest(p_sal_max=0.01))
+    return path, read_manifest
+
+
+# Traced peak of one read (numpy 2.4, Python 3.11): at most 5.8 KiB on the
+# files of small_file and their damaged copies, refused or not, and 12.7 KiB on
+# an empty file, which Python reads into an 8 KiB buffer. A read copies its
+# payload about twice, so the bound allows 4 bytes per file byte on top.
+READ_PEAK_BASE, READ_PEAK_PER_FILE_BYTE = 16384, 4
+
+
+@pytest.mark.parametrize("kind", ["bvw", "bva", "manifest"])
+def test_unchecksummed_mutations_read_or_refused(tmp_path, kind):
+    """Every truncation and single-byte mutation of a small .bvw, .bva or
+    manifest reads or raises FormatError, and no other exception, with a
+    traced peak bounded by the file size. These formats have no CRC, so a
+    mutated file may read back changed. A .bvw payload value made non-finite
+    would be a ValueError (test_nonfinite_rejected_on_read); none of these
+    mutations makes one: no flip of these payload bytes gives an all-ones exponent."""
+    path, read = small_file(tmp_path, kind)
+    raw = path.read_bytes()
+    refused = 0
+    tracemalloc.start()
+    try:
+        for data in damaged_copies(raw):
+            path.write_bytes(data)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                read(path)
+            except FormatError:
+                refused += 1
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak <= READ_PEAK_BASE + READ_PEAK_PER_FILE_BYTE * len(data), peak
+    finally:
+        tracemalloc.stop()
+    assert refused > 0
 
 
 class TestAttentionRoundTrip:
