@@ -19,10 +19,10 @@ from .errors import DomainError, FormatError, IoError, OptimizationError, Valida
 from .saliency_optimizer import sweep_thresholds
 
 
-def _output(path):
+def _output(path, mode="w"):
     """Context manager for the file at path, or for stdout (left open) without one."""
     try:
-        return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+        return open(path, mode, newline="") if path else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -60,13 +60,14 @@ def _config_from_args(args) -> QuantConfig:
 def cmd_quantize(args) -> int:
     manifest = tensor_store.read_manifest(args.manifest)
     config = _config_from_args(args)
-    layers, report, rows = pipeline.quantize_model(manifest, config)
-    tensor_store.write_artifact(layers, args.output)
     csv_path = args.csv or str(Path(args.output).with_suffix(".csv"))
-    _write_rows(csv_path, list(pipeline.ERROR_CSV_COLUMNS),
-                [[r["layer"], r["m"], r["n"], f"{r['p_sal_used']:.8g}",
-                  f"{r['J']:.8g}", f"{r['relative_error']:.8g}",
-                  f"{r['bits_per_weight']:.8g}"] for r in rows])
+    with _output(csv_path, "a") as out:  # opened first; emptied once the artifact is written
+        layers, report, rows = pipeline.quantize_model(manifest, config)
+        tensor_store.write_artifact(layers, args.output)
+        out.truncate(0)
+        csv.writer(out).writerows([pipeline.ERROR_CSV_COLUMNS] + [
+            [r["layer"], r["m"], r["n"], f"{r['p_sal_used']:.8g}", f"{r['J']:.8g}",
+             f"{r['relative_error']:.8g}", f"{r['bits_per_weight']:.8g}"] for r in rows])
     print(f"wrote {len(layers)} layers to {args.output} "
           f"({report.bits_per_weight:.4f} bits/weight realized, "
           f"L_model {report.l_model:.4f}); error CSV at {csv_path}")

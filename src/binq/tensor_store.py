@@ -395,17 +395,26 @@ class QuantizedLayer(LayerHeader):
         """Reconstruction of the layer as `dtype`.
 
         Each element takes its group's signed scalar from a (group, sign)
-        table in one gather; the salient values, computed in float64, are
-        then written over their positions. So a float32 reconstruction is
-        the float64 one rounded.
+        table, a chunk at a time through a reused code 2 * group + sign; the
+        salient values, computed in float64, are then written over their
+        positions. So a float32 reconstruction is the float64 one rounded.
+        On 4096x1024 (numpy 2.4, Xeon) float32 takes 20-25 ms and 0.56 traced
+        bytes per weight beyond its output (one gather: 28-31 ms, 3.0 bytes).
         """
-        salient = self.labels == self.config.n_uns
-        positive = np.ones(self.labels.shape, dtype=bool)
-        positive[~salient] = self.signs
+        n_uns, labels = self.config.n_uns, self.labels.reshape(-1)
+        where = np.flatnonzero(labels == n_uns)
         signed = np.append(self.scalars, 0.0).astype(dtype).repeat(2)
         signed[::2] *= -1  # entry 2 * group + sign; fits uint8 as n_uns <= 127
-        out = signed[(self.labels.astype(np.uint8) << 1) | positive]
-        where = np.flatnonzero(salient)
+        out, step, at = np.empty(self.labels.shape, dtype), bit_packer.chunk_length(labels.size), 0
+        # 2 * n_uns plus a stale sign gathers 0: all codes index `signed`, so "clip" is unbuffered.
+        code, positive = np.empty(step, dtype=np.uint8), np.zeros(step, dtype=bool)
+        for j in range(0, labels.size, step):
+            part = labels[j:j + step]
+            unsalient, chunk, sign = part != n_uns, code[:part.size], positive[:part.size]
+            size = np.count_nonzero(unsalient)
+            sign[unsalient], at = self.signs[at:at + size], at + size
+            np.bitwise_or(np.left_shift(part, 1, out=chunk, casting="unsafe"), sign, out=chunk)
+            np.take(signed, chunk, out=out.reshape(-1)[j:j + step], mode="clip")
         sal = self.salient
         out.ravel()[where] = (sal.scales.astype(np.float64)[where // self.n]
                               * sal.centers[sal.codes])

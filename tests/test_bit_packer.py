@@ -274,9 +274,13 @@ def test_roundtrip_property(data):
     book = CodeBook.from_frequencies(freqs)
     packed = pack_stream(labels, book)
     assert np.array_equal(unpack_stream(packed, book, labels.size), labels)
-    # canonical books rebuild identically from their lengths
-    rebuilt = CodeBook.from_lengths(book.lengths, solo=book.solo)
-    assert rebuilt.codes == book.codes
+    # canonical books rebuild identically from their lengths; a solo book has no code
+    if book.solo is None:
+        assert CodeBook.from_lengths(book.lengths).codes == book.codes
+    else:
+        assert book.codes == (0,) * n_groups
+        with pytest.raises(DomainError):
+            CodeBook.from_lengths(book.lengths)
 
 
 class TestStorageBudget:
@@ -445,7 +449,8 @@ def test_decode_memory_per_symbol():
     # Traced peak per decoded symbol on this stream (numpy 2.4): 119 bytes
     # for a decoder holding per-bit int64 windows and jump maps, as the
     # jump-doubling one did; 8.8 bytes for the byte automaton that ran every
-    # state through every block, 6.6 once the states' runs merge.
+    # state through every block, 6.6 once the states' runs merge, 3.9 once
+    # the used slots are compressed out in chunks.
     rng = np.random.default_rng(31)
     labels = rng.choice(6, size=10 ** 6, p=[0.4, 0.3, 0.15, 0.1, 0.04, 0.01])
     book = CodeBook.from_frequencies(np.bincount(labels, minlength=6))
@@ -565,14 +570,21 @@ def test_decode_never_merging_code_matches_oracle():
         assert_decodes(pack_stream(symbols, book), book, symbols)
 
 
-@pytest.mark.parametrize("dead_at", [3, 15, 16, 17, 40])
+def slots_per_cell(book):
+    """Symbol slots of one automaton cell, which the decoder's chunks count."""
+    return bit_packer._byte_automaton(book)[2].itemsize
+
+
+@pytest.mark.parametrize("dead_at", [3, 15, 16, 17, 40, 63, 64, 65, 100])
 def test_dead_state_carries_into_the_next_blocks(dead_at, monkeypatch):
     # Codes 0, 100 and 101: zero bits are 0 symbols, and the bits 11 from the
     # root enter the dead state. dead_at bytes of whole symbols are followed
     # by 0xc0 and zeros, so the stream ends at byte dead_at, and the zero
-    # bytes of the blocks after it must not decode.
-    monkeypatch.setattr(bit_packer, "_block_size", lambda nbytes: 16)
+    # bytes of the blocks after it must not decode. Chunks of two 16-byte
+    # blocks put the dead block from 64 on in a later chunk.
     book = decoder_books()["incomplete"]
+    monkeypatch.setattr(bit_packer, "_block_size", lambda nbytes: 16)
+    monkeypatch.setattr(bit_packer, "chunk_length", lambda size: 32 * slots_per_cell(book))
     symbols = np.random.default_rng(dead_at).integers(0, 3, 8 * dead_at)
     whole = np.searchsorted(np.cumsum(np.asarray(book.lengths)[symbols]), 8 * dead_at, "right")
     head = pack_stream(symbols[:whole], book).ljust(dead_at, b"\0")
@@ -580,6 +592,41 @@ def test_dead_state_carries_into_the_next_blocks(dead_at, monkeypatch):
     expected = bitwise_decode(data, book)
     assert expected.size < bitwise_decode(head + bytes(61), book).size
     assert_decodes(data, book, expected, last=True)
+
+
+@pytest.mark.parametrize("kind", ["six", "deep", "incomplete"])
+def test_decode_matches_oracle_at_chunk_edges(kind, monkeypatch):
+    # Chunks of four 16-byte blocks: streams one byte below, at and one above
+    # each of the first three chunk edges, cut from one packed stream.
+    book = decoder_books()[kind]
+    monkeypatch.setattr(bit_packer, "_block_size", lambda nbytes: 16)
+    monkeypatch.setattr(bit_packer, "chunk_length", lambda size: 64 * slots_per_cell(book))
+    symbols = np.random.default_rng(8).integers(0, book.n_groups, 3000)
+    data = pack_stream(symbols, book)
+    ends = np.cumsum(np.asarray(book.lengths)[symbols])
+    for size in (63, 64, 65, 127, 128, 129, 191, 192, 193):
+        whole = int(np.searchsorted(ends, 8 * size, side="right"))
+        assert_decodes(data[:size], book, symbols[:whole])
+
+
+def test_decode_at_chunk_edges_of_a_large_stream():
+    # From 128 KB on, six-group streams run 128-byte blocks in chunks of 64K
+    # slots: 16K bytes at 4 slots per byte. Cut one below, at and one above
+    # the 8th and the 16th chunk edge.
+    book = decoder_books()["six"]
+    assert slots_per_cell(book) == 4
+    rng = np.random.default_rng(15)
+    symbols = rng.choice(6, 1_000_000, p=[0.3, 0.25, 0.2, 0.15, 0.08, 0.02]).astype(np.uint8)
+    data = pack_stream(symbols, book)
+    ends = np.cumsum(np.asarray(book.lengths)[symbols])
+    for size in (8 * 16384 - 1, 8 * 16384, 8 * 16384 + 1, 16 * 16384 - 1, 16 * 16384,
+                 16 * 16384 + 1):
+        whole = int(np.searchsorted(ends, 8 * size, side="right"))
+        got, counts = unpack_stream(data[:size], book, whole, return_counts=True)
+        assert np.array_equal(got, symbols[:whole])
+        assert np.array_equal(counts, np.bincount(symbols[:whole], minlength=6))
+        with pytest.raises(TruncationError):
+            unpack_stream(data[:size], book, whole + 1)
 
 
 @pytest.mark.parametrize("width", range(1, 9))
@@ -622,10 +669,11 @@ def test_decoded_counts_ignore_symbols_past_count(kind):
 
 @pytest.mark.parametrize("kind", ["deep", "deep_ones", "even112"])
 def test_decode_memory_per_input_byte(kind):
-    # Traced peak per input byte (numpy 2.4): 27.0, 25.1 and 18.5 bytes on
-    # these streams, against 36.3, 35.0 and 29.6 for the decoder that ran
-    # every state through every block. The stream of fibonacci_book's
-    # longest code, all one bits, never lets the states agree.
+    # Traced peak per input byte (numpy 2.4): 25.3, 13.4 and 17.7 bytes on
+    # these streams; 27.0, 25.1 and 18.5 when the used slots of the whole
+    # stream were compressed at once, and 36.3, 35.0 and 29.6 for the
+    # decoder that ran every state through every block. The stream of
+    # fibonacci_book's longest code, all one bits, never lets the states agree.
     rng = np.random.default_rng(6)
     if kind == "even112":
         book = CodeBook.from_lengths([6] * 48 + [8] * 64)

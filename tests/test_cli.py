@@ -139,6 +139,28 @@ def test_unopenable_output_exits_2(tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv[command]) == 2
     assert f"error: cannot write {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "q.bvq").exists()
+
+
+def test_failed_quantize_keeps_the_error_csv(tmp_path, capsys, monkeypatch):
+    """The error CSV is opened before quantizing but emptied only once the
+    artifact is written; a rerun over a longer CSV leaves none of it."""
+    manifest = make_manifest(tmp_path, [("l", "language", gaussian_matrix(0, (8, 8)))])
+    artifact, errors = tmp_path / "m.bvq", tmp_path / "m.csv"
+    errors.write_text("an earlier run's rows\n" * 100)
+    assert main(["quantize", manifest, "-o", str(artifact)]) == 0
+    rows = read_csv(errors)
+    assert [r["layer"] for r in rows] == ["l"]
+
+    def fail(*args, **kwargs):
+        raise binq.DomainError("no layers today")
+
+    monkeypatch.setattr(binq.pipeline, "quantize_model", fail)
+    before = errors.read_bytes()
+    assert main(["quantize", manifest, "-o", str(tmp_path / "x.bvq"), "--csv", str(errors)]) == 3
+    assert "no layers today" in capsys.readouterr().err
+    assert errors.read_bytes() == before
+    assert not (tmp_path / "x.bvq").exists()
 
 
 def test_exit_code_domain_error(tmp_path, capsys):

@@ -13,9 +13,11 @@ from binq import (FormatError, QuantConfig, Role, TruncationError, WeightMatrix,
                   quantize_layer, read_artifact, read_attention, read_layer_headers,
                   read_manifest, read_tensor, reconstruct, write_artifact,
                   write_attention, write_tensor)
+from binq import bit_packer
 from binq.bit_packer import storage_report
 from binq.cli import main
-from binq.tensor_store import AttentionTensor
+from binq.salient_quantizer import SalientQuant
+from binq.tensor_store import AttentionTensor, QuantizedLayer
 from conftest import gaussian_matrix, outlier_matrix
 
 DATA = Path(__file__).with_name("data")
@@ -373,6 +375,87 @@ def test_mutations_and_truncations_rejected_or_identical(tmp_path, capsys):
     # None reads back: each record is under its CRC, and a changed magic,
     # version or layer count in the file header is refused.
     assert rejected == len(damaged)
+
+
+def dense_whole_layer(layer, dtype):
+    """Reference: the reconstruction as one gather over the whole layer."""
+    salient = layer.labels == layer.config.n_uns
+    positive = np.ones(layer.labels.shape, dtype=bool)
+    positive[~salient] = layer.signs
+    signed = np.append(layer.scalars, 0.0).astype(dtype).repeat(2)
+    signed[::2] *= -1
+    out = signed[(layer.labels.astype(np.uint8) << 1) | positive]
+    where = np.flatnonzero(salient)
+    sal = layer.salient
+    out.ravel()[where] = sal.scales.astype(np.float64)[where // layer.n] * sal.centers[sal.codes]
+    return out
+
+
+def planted_layer(shape, salient_at, seed, n_uns=5):
+    """A valid layer with random labels, signs and levels, salient at salient_at."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    labels = rng.integers(0, n_uns, m * n).astype(np.int8)
+    labels[rng.random(m * n) < 0.05] = n_uns
+    labels[salient_at] = n_uns
+    counts = np.bincount(labels, minlength=n_uns + 1).astype(np.int64)
+    salient = SalientQuant(scales=rng.uniform(0.5, 2.0, m).astype(np.float16),
+                           codes=rng.integers(0, 4, counts[-1]).astype(np.uint8),
+                           centers=np.array([-1.7, -0.4, 0.3, 1.9]), mu_b=0.0, sigma_b=1.0,
+                           alpha=1.4)
+    layer = QuantizedLayer(name="planted", role=Role.LANGUAGE, m=m, n=n, counts=counts,
+                           p_sal_used=0.05, p_sal_max=0.1, config=QuantConfig(n_uns=n_uns),
+                           labels=labels.reshape(m, n), salient=salient,
+                           scalars=rng.uniform(0.0, 1.0, n_uns).astype(np.float16),
+                           signs=rng.random(m * n - int(counts[-1])) < 0.5)
+    layer.validate()
+    return layer
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, chunk", [((40, 50), None), ((40, 50), 64), ((5, 7), 64),
+                                          ((1, 1), None), ((1, 9), None)],
+                         ids=["40x50", "40x50-chunk64", "5x7-chunk64", "1x1", "1x9"])
+def test_dense_matches_whole_layer_gather(shape, chunk, dtype, monkeypatch):
+    # Salient elements on every other chunk edge, so each edge has salient and
+    # unsalient elements on both sides across the layers; (5, 7) at 64 is
+    # smaller than one chunk.
+    if chunk is not None:
+        monkeypatch.setattr(bit_packer, "chunk_length", lambda size: chunk)
+    size = shape[0] * shape[1]
+    step = bit_packer.chunk_length(size)
+    edges = [e for k in range(2, size // step + 1, 2) for e in (k * step - 1, k * step)]
+    for seed in range(3):
+        layer = planted_layer(shape, [e for e in edges if e < size], seed)
+        got = layer.dense(dtype)
+        assert got.dtype == dtype and got.shape == shape
+        assert np.array_equal(got, dense_whole_layer(layer, dtype))
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_load_memory_per_weight(tmp_path):
+    # Traced peaks on a 1024x1024 Student-t layer (numpy 2.4): read_artifact
+    # 5.77 bytes per weight and dense(np.float32) 3.07 beyond its output with
+    # a whole-layer cell matrix and gather; 4.87 and 0.86 in chunks.
+    rng = np.random.default_rng(5)
+    mat = WeightMatrix("t", Role.LANGUAGE, 0.02 * rng.standard_t(5, (1024, 1024)))
+    path = tmp_path / "t.bvq"
+    write_artifact([quantize_layer(mat, QuantConfig(optimize_saliency=False))], path)
+    weights = mat.m * mat.n
+    (layer,), peak = traced_peak(lambda: read_artifact(path))
+    assert peak / weights < 5.3
+    out, peak = traced_peak(lambda: layer.dense(np.float32))
+    assert np.array_equal(out, dense_whole_layer(layer, np.float32))
+    assert (peak - out.nbytes) / weights < 1.5
 
 
 def test_decoded_counts_must_match_stored(tmp_path):
