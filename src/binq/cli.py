@@ -62,13 +62,12 @@ def cmd_quantize(args) -> int:
     config = _config_from_args(args)
     csv_path = args.csv or str(Path(args.output).with_suffix(".csv"))
     with _output(csv_path, "a") as out:  # opened first; emptied once the artifact is written
-        layers, report, rows = pipeline.quantize_model(manifest, config)
-        tensor_store.write_artifact(layers, args.output)
+        report, rows = pipeline.quantize_model(manifest, args.output, config)
         out.truncate(0)
         csv.writer(out).writerows([pipeline.ERROR_CSV_COLUMNS] + [
             [r["layer"], r["m"], r["n"], f"{r['p_sal_used']:.8g}", f"{r['J']:.8g}",
              f"{r['relative_error']:.8g}", f"{r['bits_per_weight']:.8g}"] for r in rows])
-    print(f"wrote {len(layers)} layers to {args.output} "
+    print(f"wrote {len(rows)} layers to {args.output} "
           f"({report.bits_per_weight:.4f} bits/weight realized, "
           f"L_model {report.l_model:.4f}); error CSV at {csv_path}")
     return 0

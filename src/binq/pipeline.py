@@ -1,16 +1,24 @@
 """Per-layer and per-model orchestration of the hybrid quantization pipeline.
 
 Each layer runs: Gaussian fit, the layer's `LayerObjective`, an optional
-saliency search over it, and the quantized layer the objective builds at
-the chosen share. No layer depends on another, so a model's layers run in
-forked worker processes, one per usable core, and are collected in manifest
-order: the artifact and error CSV are the same bytes as from one process.
+saliency search over it, the quantized layer the objective builds at the
+chosen share, and that layer packed into its .bvq record. No layer depends
+on another, so a model's layers run in forked worker processes, one per
+usable core that the affinity mask and the cgroup v2 CPU quota allow and as
+many as free memory holds. Each worker sends back its layer's packed record
+(about 0.44 bytes per weight), not the quantized layer (about 2), and the
+parent writes the records to the artifact in manifest order as they arrive,
+through a bounded window of submitted layers. So the parent's memory does
+not grow with the layer count, and the artifact and error CSV are the same
+bytes as from one process.
 """
 
+import collections
 import math
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -18,16 +26,25 @@ from . import bit_packer
 from .config import QuantConfig
 from .errors import BinqError, DomainError
 from .saliency_optimizer import LayerObjective, optimize_saliency
-from .tensor_store import ModelManifest, QuantizedLayer, WeightMatrix
+from .tensor_store import (ModelManifest, QuantizedLayer, WeightMatrix, _layer_record,
+                           _write_records)
 from .weight_stats import fit_gaussian
 
 # Columns of the per-layer error CSV, consumed by downstream plotting.
 ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
-# A worker's allocations peak at 5.46 times its layer's tensor file (traced in
-# fresh processes on 1024x1024 and 4096x1024 Student-t and a biased 512x256
-# layer, search on and off; 4.00 to 4.22 with the search off), with a margin.
+# A worker's allocations, packing its record included, peak at up to 5.27 times
+# its layer's tensor file (traced in fresh processes, numpy 2.4: 4.28 and 4.25
+# on 1024x1024 and 4096x1024 Student-t layers with the search on, 4.00 with
+# it off, 5.27 and 4.24 on a biased 512x256 layer); packing comes after the
+# search and adds 1.16 beyond the layer, below that peak. 7 leaves a margin.
 WORKER_PEAK_PER_FILE_BYTE = 7
+# Layers submitted to the pool and not yet written, per worker: finished records
+# that wait for an earlier, slower layer are at most this many per worker.
+WINDOW_PER_WORKER = 4
+# Where this process's cgroup v2 membership is read, and where the hierarchy is mounted.
+PROC_CGROUP = Path("/proc/self/cgroup")
+CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 
 def reconstruct(layer: QuantizedLayer) -> WeightMatrix:
@@ -90,52 +107,123 @@ def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
 
 
 def _quantize_entry(entry, config: QuantConfig):
-    """(layer, J, storage report) of one manifest entry; a failure names the layer."""
+    """(.bvq record, error-CSV row, storage report) of one manifest entry.
+
+    A failure names the layer. The quantized layer is packed here and goes
+    no further, so a worker sends back its record, not the layer.
+    """
     try:
         matrix = entry.load()
     except (BinqError, ValueError) as exc:
         raise type(exc)(f"layer {entry.name!r}: {exc}") from exc
     layer, j = _quantize(matrix, config, entry.p_sal_max, score=True)
-    return layer, j, bit_packer.storage_report(layer)
+    report = bit_packer.storage_report(layer)
+    row = {"layer": entry.name, "m": layer.m, "n": layer.n, "p_sal_used": layer.p_sal_used,
+           "J": j, "relative_error": math.sqrt(j), "bits_per_weight": report.bits_per_weight}
+    return _layer_record(layer), row, report
 
 
-def quantize_model(manifest: ModelManifest, config: QuantConfig | None = None):
-    """Quantize every manifest layer.
+def _cgroup_limits() -> tuple[float, float]:
+    """(CPUs, free bytes) that this process's cgroup v2 and its ancestors allow.
 
-    Returns (layers, model_report, csv_rows): the quantized layers in
-    manifest order, the size-weighted aggregate storage report, and one
-    error-CSV row per layer. Any layer failure aborts with the layer name.
-    Layers run in forked workers, one per usable core and layer and as many as
-    free memory holds; a daemonic or allocation-tracing caller runs them itself.
+    CPUs is the smallest ceil(quota / period) of a `cpu.max`, free bytes the
+    smallest `memory.max` - `memory.current`; "max", a missing file or no
+    cgroup v2 membership is no limit (inf).
+    """
+    cpus = free = math.inf
+    try:
+        own = CGROUP_ROOT / next(line[3:] for line in PROC_CGROUP.read_text().splitlines()
+                                 if line.startswith("0::")).strip().lstrip("/")
+    except (OSError, StopIteration):
+        return cpus, free
+    for folder in (own, *own.parents):
+        try:
+            quota, period = (folder / "cpu.max").read_text().split()
+            if quota != "max":
+                cpus = min(cpus, -(-int(quota) // int(period)))
+        except (OSError, ValueError):
+            pass
+        try:
+            limit = (folder / "memory.max").read_text().strip()
+            if limit != "max":
+                used = int((folder / "memory.current").read_text())
+                free = min(free, max(0, int(limit) - used))
+        except (OSError, ValueError):
+            pass
+        if folder == CGROUP_ROOT:
+            break
+    return cpus, free
+
+
+def _workers(entries) -> int:
+    """Worker processes for these entries: one per layer and usable core (the
+    affinity mask, capped by the cgroup v2 CPU quota), as many as free memory
+    (physical, and what the cgroup v2 memory limit leaves) holds at
+    WORKER_PEAK_PER_FILE_BYTE; 1 for a daemonic or allocation-tracing caller."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(entries), cores)
+    if workers < 2:
+        return workers
+    import tracemalloc
+
+    # A tracemalloc trace would miss the children, and a daemon may not
+    # start any; a process that never imported multiprocessing is no daemon.
+    mp = sys.modules.get("multiprocessing")
+    if tracemalloc.is_tracing() or (mp and mp.current_process().daemon):
+        return 1
+    cpus, free = _cgroup_limits()
+    free = min(free, os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    peak = WORKER_PEAK_PER_FILE_BYTE * max(e.path.stat().st_size for e in entries)
+    return int(min(workers, cpus, free // peak))
+
+
+def _in_order(pool, entries, config, window: int):
+    """The pool's results for the entries in manifest order, with at most
+    `window` entries submitted and not yet taken."""
+    pending = collections.deque()
+    for entry in entries:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_quantize_entry, entry, config))
+    while pending:
+        yield pending.popleft().result()
+
+
+def quantize_model(manifest: ModelManifest, path, config: QuantConfig | None = None):
+    """Quantize every manifest layer into the .bvq artifact at `path`.
+
+    Returns (model_report, csv_rows): the size-weighted aggregate storage
+    report and one error-CSV row per layer, in manifest order. Each layer's
+    record is written as it arrives, so only a few packed records wait at a
+    time; any layer failure aborts with the layer name and leaves `path` as
+    it was. Layers run in forked workers (see `_workers`).
     """
     config = config or QuantConfig()
     entries = manifest.entries
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(entries), cores)
-    if workers > 1:
-        import tracemalloc
+    reports, rows = [], []
 
-        # A tracemalloc trace would miss the children, and a daemon may not
-        # start any; a process that never imported multiprocessing is no daemon.
-        mp = sys.modules.get("multiprocessing")
-        free = (0 if tracemalloc.is_tracing() or (mp and mp.current_process().daemon)
-                else os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
-        peak = WORKER_PEAK_PER_FILE_BYTE * max(e.path.stat().st_size for e in entries)
-        workers = min(workers, free // peak)
+    def records(results):
+        for record, row, report in results:
+            rows.append(row)
+            reports.append(report)
+            yield record
+
+    workers = _workers(entries)
     if workers < 2:
-        results = list(map(_quantize_entry, entries, [config] * len(entries)))
+        _write_records(path, len(entries), records(
+            _quantize_entry(entry, config) for entry in entries))
     else:  # fork: no re-imports, and the executor forks before it starts a thread
         import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         try:
             with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-                results = list(pool.map(_quantize_entry, entries, [config] * len(entries)))
+                try:
+                    _write_records(path, len(entries), records(
+                        _in_order(pool, entries, config, WINDOW_PER_WORKER * workers)))
+                except BaseException:  # quantize no layer whose record would be thrown away
+                    pool.shutdown(cancel_futures=True)
+                    raise
         except BrokenProcessPool as exc:
             raise DomainError("a layer worker died (killed, or out of memory)") from exc
-    rows = [{"layer": entry.name, "m": layer.m, "n": layer.n,
-             "p_sal_used": layer.p_sal_used, "J": j, "relative_error": math.sqrt(j),
-             "bits_per_weight": report.bits_per_weight}
-            for entry, (layer, j, report) in zip(entries, results)]
-    return ([layer for layer, _, _ in results],
-            bit_packer.aggregate_reports([report for _, _, report in results]), rows)
+    return bit_packer.aggregate_reports(reports), rows

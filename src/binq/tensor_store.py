@@ -27,6 +27,7 @@ The manifest is a JSON array of {"name", "path", "role", "p_sal_max"?}.
 """
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -437,38 +438,76 @@ def _stream_sizes(counts, book: "bit_packer.CodeBook", n_bits: int) -> tuple[int
             (weights - salient + 7) // 8)
 
 
+def _layer_record(layer: QuantizedLayer) -> bytes:
+    """One layer's .bvq record followed by its CRC32; the layer is validated first."""
+    if not isinstance(layer, QuantizedLayer):
+        raise ValidationError("a .bvq record is written from a QuantizedLayer")
+    layer.validate()
+    cfg, sal = layer.config, layer.salient
+    book = layer.codebook
+    index = bit_packer.pack_stream(layer.labels.ravel(), book)
+    if len(index) != _stream_sizes(layer.counts, book, cfg.n_bits)[0]:
+        raise ValidationError(f"layer {layer.name!r}: labels disagree with the group counts")
+    code_book = bit_packer.CodeBook.fixed(2 ** cfg.n_bits, cfg.n_bits)
+    name_bytes = layer.name.encode("utf-8")
+    record = b"".join([
+        struct.pack("<H", len(name_bytes)), name_bytes,
+        struct.pack("<BQQBBBBdHBdd", _ROLE_CODES[layer.role], layer.m, layer.n,
+                    cfg.n_uns, cfg.n_bits, cfg.scale_width, cfg.l_i_max, cfg.alpha,
+                    cfg.iters, int(cfg.optimize_saliency), layer.p_sal_max,
+                    layer.p_sal_used),
+        struct.pack("<dd", sal.mu_b, sal.sigma_b), sal.centers.astype("<f8").tobytes(),
+        _pack_scales(sal.scales, cfg.scale_width),
+        _pack_scales(layer.scalars, cfg.scale_width),
+        bytes(book.lengths), struct.pack("<B", 0xFF if book.solo is None else book.solo),
+        layer.counts.astype("<u8").tobytes(),
+        _blob(index), _blob(bit_packer.pack_stream(sal.codes, code_book)),
+        _blob(np.packbits(layer.signs).tobytes())])
+    return record + struct.pack("<I", zlib.crc32(record))
+
+
+def _write_records(path, count: int, records):
+    """Write a version 2 .bvq file of `count` records, each as it comes from `records`.
+
+    The file is written as a temporary sibling of `path` and replaced into
+    place only once every record is in (no fsync), so a failure (in the
+    writer or in whatever yields the records) leaves no partial file and
+    any earlier file at `path` as it was. A record count other than `count`
+    is refused.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+    def io(call, *args):  # an OSError of the file, not of what yields the records
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from exc
+
+    written = 0
+    try:
+        with io(open, tmp, "wb") as out:
+            io(out.write, ARTIFACT_MAGIC + struct.pack("<HI", ARTIFACT_VERSION, count))
+            for record in records:
+                written += 1
+                if written > count:
+                    break
+                io(out.write, record)
+            io(out.flush)
+        if written != count:
+            raise ValidationError(f"{path}: {'more' if written > count else 'fewer'} "
+                                  f"than the {count} layer records announced")
+        io(os.replace, tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_artifact(layers, path):
     """Serialize quantized layers to a version 2 .bvq file (lossless round trip)."""
-    chunks = [ARTIFACT_MAGIC, struct.pack("<HI", ARTIFACT_VERSION, len(layers))]
-    for layer in layers:
-        if not isinstance(layer, QuantizedLayer):
-            raise ValidationError("write_artifact expects QuantizedLayer values")
-        layer.validate()
-        cfg, sal = layer.config, layer.salient
-        book = layer.codebook
-        index = bit_packer.pack_stream(layer.labels.ravel(), book)
-        if len(index) != _stream_sizes(layer.counts, book, cfg.n_bits)[0]:
-            raise ValidationError(f"layer {layer.name!r}: labels disagree with the group counts")
-        code_book = bit_packer.CodeBook.fixed(2 ** cfg.n_bits, cfg.n_bits)
-        name_bytes = layer.name.encode("utf-8")
-        record = b"".join([
-            struct.pack("<H", len(name_bytes)), name_bytes,
-            struct.pack("<BQQBBBBdHBdd", _ROLE_CODES[layer.role], layer.m, layer.n,
-                        cfg.n_uns, cfg.n_bits, cfg.scale_width, cfg.l_i_max, cfg.alpha,
-                        cfg.iters, int(cfg.optimize_saliency), layer.p_sal_max,
-                        layer.p_sal_used),
-            struct.pack("<dd", sal.mu_b, sal.sigma_b), sal.centers.astype("<f8").tobytes(),
-            _pack_scales(sal.scales, cfg.scale_width),
-            _pack_scales(layer.scalars, cfg.scale_width),
-            bytes(book.lengths), struct.pack("<B", 0xFF if book.solo is None else book.solo),
-            layer.counts.astype("<u8").tobytes(),
-            _blob(index), _blob(bit_packer.pack_stream(sal.codes, code_book)),
-            _blob(np.packbits(layer.signs).tobytes())])
-        chunks += [record, struct.pack("<I", zlib.crc32(record))]
-    _write_bytes(path, b"".join(chunks))
+    _write_records(path, len(layers), map(_layer_record, layers))
 
 
-def _layer_record(reader: _Reader):
+def _parse_record(reader: _Reader):
     """Parse one .bvq layer record into (header, decode).
 
     header is the record's checked LayerHeader; decode() decodes the streams
@@ -551,19 +590,19 @@ def _layer_record(reader: _Reader):
     return header, decode
 
 
-def _layer_records(path) -> list:
+def _parsed_records(path) -> list:
     """The (header, decode) pair of each layer record of a .bvq file."""
     reader = _Reader(_read_bytes(path), str(path))
     _check_magic(reader, ARTIFACT_MAGIC, ARTIFACT_VERSION, "; re-quantize the model")
     (layer_count,) = reader.unpack("I")
-    records = [_layer_record(reader) for _ in range(layer_count)]
+    records = [_parse_record(reader) for _ in range(layer_count)]
     reader.done()
     return records
 
 
 def read_artifact(path) -> list[QuantizedLayer]:
     """Parse a .bvq file back into QuantizedLayer values, each validated."""
-    return [decode() for _, decode in _layer_records(path)]
+    return [decode() for _, decode in _parsed_records(path)]
 
 
 def read_layer_headers(path) -> list[LayerHeader]:
@@ -575,7 +614,7 @@ def read_layer_headers(path) -> list[LayerHeader]:
     recomputing the CRC, passes here and is refused only by `read_artifact`.
     Damage cannot do that; an edit can.
     """
-    return [header for header, _ in _layer_records(path)]
+    return [header for header, _ in _parsed_records(path)]
 
 
 # --- attention tensors ------------------------------------------------------

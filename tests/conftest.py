@@ -90,7 +90,7 @@ def golden_layers(tmp_path):
     pinned to its cap with the search off, and the constant one degenerates
     to a single shell.
     """
-    from binq import ModelManifest, QuantConfig, quantize_model, read_manifest
+    from binq import ModelManifest, QuantConfig, quantize_model, read_artifact, read_manifest
 
     rng = np.random.default_rng(2024)
     specs = [("heavy", "vision",
@@ -104,9 +104,10 @@ def golden_layers(tmp_path):
     entries = read_manifest(build_manifest(tmp_path, specs)).entries
     layers, rows = [], []
     for entry, search in zip(entries, (True, False, True)):
-        got, _, got_rows = quantize_model(ModelManifest([entry]),
-                                          QuantConfig(optimize_saliency=search))
-        layers += got
+        path = tmp_path / f"{entry.name}.bvq"
+        _, got_rows = quantize_model(ModelManifest([entry]), path,
+                                     QuantConfig(optimize_saliency=search))
+        layers += read_artifact(path)
         rows += got_rows
     return layers, rows
 

@@ -152,7 +152,7 @@ def test_failed_quantize_keeps_the_error_csv(tmp_path, capsys, monkeypatch):
     rows = read_csv(errors)
     assert [r["layer"] for r in rows] == ["l"]
 
-    def fail(*args, **kwargs):
+    def fail(manifest, path, config=None):
         raise binq.DomainError("no layers today")
 
     monkeypatch.setattr(binq.pipeline, "quantize_model", fail)

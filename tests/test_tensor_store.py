@@ -202,6 +202,35 @@ class TestArtifactRoundTrip:
                     reader(bad)
                 assert "re-quantize" in str(info.value)
 
+    def test_write_is_all_or_nothing(self, tmp_path):
+        """A write that fails, on a bad layer, a record count other than the one
+        announced or an unwritable path, leaves no temporary file and an earlier
+        file at the path as it was."""
+        from binq.errors import IoError, ValidationError
+        from binq.tensor_store import _layer_record, _write_records
+
+        layers = [quantize_layer(gaussian_matrix(seed, shape=(8, 8), name=f"l{seed}"))
+                  for seed in range(2)]
+        path = tmp_path / "m.bvq"
+        write_artifact(layers[:1], path)
+        earlier = path.read_bytes()
+        bad = quantize_layer(gaussian_matrix(2, shape=(8, 8), name="bad"))
+        bad.scalars = bad.scalars[:-1]
+        with pytest.raises(ValidationError, match="'bad'"):
+            write_artifact([layers[1], bad], path)
+        records = [_layer_record(layer) for layer in layers]
+        for count, given in ((3, records), (1, records), (1, [])):
+            with pytest.raises(ValidationError, match="layer records announced"):
+                _write_records(path, count, iter(given))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bvq"]
+        assert path.read_bytes() == earlier
+        with pytest.raises(IoError, match="cannot write"):
+            write_artifact(layers, tmp_path / "missing" / "m.bvq")
+        _write_records(path, 2, iter(records))
+        assert path.read_bytes()[10:] == b"".join(records)
+        assert all(layers_equal(a, b) for a, b in zip(layers, read_artifact(path)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bvq"]
+
     def test_degenerate_constant_layer(self, tmp_path):
         mat = WeightMatrix("c", Role.LANGUAGE, np.full((6, 6), 2.0, np.float32))
         layer = quantize_layer(mat)
