@@ -19,8 +19,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .config import QuantConfig
     from .tensor_store import LayerHeader
 
-# Longest code `CodeBook.from_frequencies` builds and the .bvq reader
-# accepts. Decoding cost does not depend on it.
+# Longest code `CodeBook.from_frequencies` builds and the .bvq reader accepts. The decoder's
+# tables do not grow with it, but its time does: each block first runs from every live state
+# (up to n_groups - 1), so a 112-group code decodes 6-10x slower per MB than a six-group one.
 MAX_CODE_LEN = 20
 
 
@@ -119,19 +120,9 @@ class CodeBook:
                    solo=solo)
 
     @classmethod
-    def from_lengths(cls, lengths) -> "CodeBook":
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.max(initial=0) == 0:
-            raise DomainError("all-zero code lengths: a one-group book comes from frequencies")
-        return cls(lengths=tuple(int(x) for x in lengths),
-                   codes=tuple(int(x) for x in _canonical_codes(lengths)))
-
-    @classmethod
-    def fixed(cls, n_groups: int, width: int) -> "CodeBook":
-        """Fixed-width code: every group gets `width` bits, code value = index."""
-        if n_groups > 2 ** width:
-            raise DomainError(f"{n_groups} groups do not fit in {width}-bit codes")
-        return cls.from_lengths([width] * n_groups)
+    def fixed(cls, width: int) -> "CodeBook":
+        """Fixed-width code of all 2**width groups: `width` bits each, code value = index."""
+        return cls(lengths=(width,) * 2 ** width, codes=tuple(range(2 ** width)))
 
     @property
     def n_groups(self) -> int:
@@ -141,10 +132,12 @@ class CodeBook:
     def max_length(self) -> int:
         return max(self.lengths)
 
-    def encoded_bits(self, counts) -> int:
-        """Exact payload bits for a stream with the given per-group counts."""
-        counts = np.asarray(counts, dtype=np.int64)
-        return int(np.sum(counts * np.asarray(self.lengths, dtype=np.int64)))
+
+def stream_bytes(counts, book: CodeBook, n_bits: int) -> tuple[int, int, int]:
+    """Bytes of the index, salient code and sign streams of a layer with these group counts."""
+    salient, weights = int(counts[-1]), sum(counts.tolist())
+    payload = sum(c * l for c, l in zip(counts.tolist(), book.lengths))
+    return (payload + 7) // 8, (salient * n_bits + 7) // 8, (weights - salient + 7) // 8
 
 
 def pack_stream(symbols, codebook: CodeBook) -> bytes:
@@ -228,8 +221,9 @@ def _block_size(nbytes: int) -> int:
 def _byte_automaton(codebook: CodeBook):
     """Decoding automaton tables of (states x 256) cells, cell = state * 256 + byte.
 
-    States are the code tree's internal nodes (root 0), then a dead state for
-    bit paths no codeword covers. Returns the dead state's first cell and per
+    States are the code tree's internal nodes (root 0), then a dead state that
+    emits nothing and only exits to itself; the code is complete, so it only
+    marks cells past a stream's end. Returns the dead state's first cell and per
     cell the next state's first cell, a mask of the slots filled and the
     symbols the byte completes in them, as rows of 1, 2, 4 or 8 uint8 slots.
     """
@@ -246,7 +240,7 @@ def _byte_automaton(codebook: CodeBook):
     for (depth, prefix), state in nodes.items():
         for bit in (0, 1):
             child = (depth + 1, 2 * prefix + bit)
-            bit_next[state, bit] = nodes.get(child, 0 if child in leaves else dead)
+            bit_next[state, bit] = nodes.get(child, 0)  # a leaf returns to the root
             bit_sym[state, bit] = leaves.get(child, -1)
 
     state, byte = np.divmod(np.arange((dead + 1) * 256), 256)
@@ -275,8 +269,9 @@ def unpack_stream(data: bytes, codebook: CodeBook, count: int, return_counts: bo
     live state until all agree in every block, then as one run, and compress
     the symbols out in chunks. On 4M symbols of 6 groups (numpy 2.4, Xeon)
     this takes 35-42 ms and 13 traced bytes per input byte, 8 of them cell
-    indices (one compress: 38-58 ms, 25 bytes). Raises TruncationError if
-    the stream holds fewer than `count` whole symbols; later bits are ignored.
+    indices (one compress: 38-58 ms, 25 bytes). The code must be complete, as
+    binq's are: any bits decode. Raises TruncationError if the stream holds
+    fewer than `count` whole symbols; later bits are ignored.
     """
     if count < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
@@ -293,8 +288,6 @@ def unpack_stream(data: bytes, codebook: CodeBook, count: int, return_counts: bo
         pairs = rows.astype(np.uint16) << 8 | np.pad(rows[:, 1:], ((0, 0), (0, 1)))
         fields = [pairs[:, j * width // 8] >> 16 - j * width % 8 - width for j in range(8)]
         symbols = (np.stack(fields, axis=1) & (1 << width) - 1).astype(np.uint8).ravel()[:whole]
-        # A field that no code covers ends the stream.
-        symbols = symbols[:np.argmax(np.append(symbols >= groups, True))]
     else:
         symbols, counts = _run_automaton(raw, codebook)
     if symbols.size < count:
@@ -312,7 +305,7 @@ def _run_automaton(raw: np.ndarray, codebook: CodeBook):
     n_blocks = max(1, -(-raw.size // block))
     blocks = np.pad(raw, (0, n_blocks * block - raw.size)).reshape(n_blocks, block).T.copy()
     # Row t holds byte t of every block. Live states run until all agree,
-    # checked after 1, 2, 4, ... bytes; the dead state only exits to itself.
+    # checked after 1, 2, 4, ... bytes.
     state, t = np.arange(0, dead, 256)[:, None].repeat(n_blocks, axis=1), 0
     while len(state) > 1 and t < block:
         state = next_row[np.add(state, blocks[t], out=state)]
@@ -329,15 +322,13 @@ def _run_automaton(raw: np.ndarray, codebook: CodeBook):
         entry = [0]
         with memoryview(state) as exits:
             for k in range(n_blocks - 1):
-                entry.append(dead if entry[k] == dead else exits[entry[k] >> 8, k])
+                entry.append(exits[entry[k] >> 8, k])
         entry = np.array(entry, dtype=np.intp)
     del state
-    gone = np.flatnonzero(entry == dead)
     for u in range(t):  # the first t bytes, from each block's entry state
         np.add(entry, blocks[u], out=cells[u])
         np.take(next_row, cells[u], out=entry)
-    # Cells past the stream's end (padding, or from the first dead block on) turn dead: no symbols.
-    cells.T.flat[block * gone[0] if gone.size else raw.size:] = dead
+    cells.T.flat[raw.size:] = dead  # the padding's cells: no symbols
     # Each cell's count times its symbols gives the group counts and their sum.
     hit = used.view(bool).reshape(len(used), -1)
     tally = np.bincount(cells.ravel(), minlength=len(used))[:, None] * hit
@@ -390,22 +381,16 @@ def storage_budget(m: int, n: int, config: "QuantConfig", p_sal_max: float) -> t
 def storage_report(layer: "LayerHeader") -> StorageReport:
     """Storage accounting for a quantized layer, or a layer header read from a file.
 
-    Realized sizes are derived arithmetically from group counts and code
-    lengths, which matches the artifact writer byte for byte.
+    Realized stream sizes come from `stream_bytes`, as the artifact
+    writer's and reader's do, so they match the artifact byte for byte.
     """
     cfg = layer.config
     weights = layer.m * layer.n
     p_cap = layer.p_sal_max
     l_b, l_a, l_i, l_model = storage_budget(layer.m, layer.n, cfg, p_cap)
 
-    counts = layer.counts
-    salient = int(counts[cfg.n_uns])
-    unsalient = weights - salient
-    book = layer.codebook
-    index_payload = book.encoded_bits(counts)
-    index_bytes = (index_payload + 7) // 8
-    code_bytes = (salient * cfg.n_bits + 7) // 8
-    sign_bytes = (unsalient + 7) // 8
+    salient = int(layer.counts[cfg.n_uns])
+    index_bytes, code_bytes, sign_bytes = stream_bytes(layer.counts, layer.codebook, cfg.n_bits)
     scale_bits = cfg.scale_width * layer.m + cfg.scale_width * cfg.n_uns
     realized = scale_bits + 8 * (index_bytes + code_bytes + sign_bytes)
     bpw = realized / weights

@@ -45,6 +45,7 @@ WINDOW_PER_WORKER = 4
 # Where this process's cgroup v2 membership is read, and where the hierarchy is mounted.
 PROC_CGROUP = Path("/proc/self/cgroup")
 CGROUP_ROOT = Path("/sys/fs/cgroup")
+PROC_MEMINFO = Path("/proc/meminfo")  # its MemAvailable counts reclaimable page cache
 
 
 def reconstruct(layer: QuantizedLayer) -> WeightMatrix:
@@ -95,15 +96,14 @@ def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
         raise type(exc)(f"layer {matrix.name!r}: {exc}") from exc
 
 
-def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None,
-                   cap_override: float | None = None) -> QuantizedLayer:
+def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None) -> QuantizedLayer:
     """Quantize one layer: fit, saliency search, and the layer built at the share found.
 
     With optimize_saliency off the salient share is pinned to the resolved
     cap. All-zero and constant layers degenerate to a single binarized group
     without error.
     """
-    return _quantize(matrix, config, cap_override, score=False)[0]
+    return _quantize(matrix, config, None, score=False)[0]
 
 
 def _quantize_entry(entry, config: QuantConfig):
@@ -158,7 +158,7 @@ def _cgroup_limits() -> tuple[float, float]:
 def _workers(entries) -> int:
     """Worker processes for these entries: one per layer and usable core (the
     affinity mask, capped by the cgroup v2 CPU quota), as many as free memory
-    (physical, and what the cgroup v2 memory limit leaves) holds at
+    (MemAvailable, and what the cgroup v2 memory limit leaves) holds at
     WORKER_PEAK_PER_FILE_BYTE; 1 for a daemonic or allocation-tracing caller."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(entries), cores)
@@ -172,7 +172,11 @@ def _workers(entries) -> int:
     if tracemalloc.is_tracing() or (mp and mp.current_process().daemon):
         return 1
     cpus, free = _cgroup_limits()
-    free = min(free, os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    try:
+        kb = PROC_MEMINFO.read_text().partition("MemAvailable:")[2].split()[0]
+        free = min(free, 1024 * int(kb))
+    except (OSError, IndexError, ValueError):  # no file or no field: MemFree, without page cache
+        free = min(free, os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     peak = WORKER_PEAK_PER_FILE_BYTE * max(e.path.stat().st_size for e in entries)
     return int(min(workers, cpus, free // peak))
 

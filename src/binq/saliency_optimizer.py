@@ -36,9 +36,6 @@ class ObjectiveEval:
 
     p_sal: float
     j: float
-    salient_residual: float
-    unsalient_residuals: tuple[float, ...]
-    denom: float
 
 
 class _Group(NamedTuple):
@@ -153,10 +150,9 @@ class LayerObjective:
 
     @staticmethod
     def _score(p_sal: float, denom: float, groups) -> ObjectiveEval:
-        uns_res, sal_res = [g.residual for g in groups[:-1]], groups[-1].residual
-        return ObjectiveEval(p_sal=p_sal, j=(sal_res + sum(uns_res)) / denom,
-                             salient_residual=sal_res, unsalient_residuals=tuple(uns_res),
-                             denom=denom)
+        """J: the salient residual plus the shells' sum, in that order, over ||W||^2."""
+        return ObjectiveEval(p_sal, (groups[-1].residual + sum(g.residual for g in groups[:-1]))
+                             / denom)
 
     def __call__(self, p_sal: float) -> ObjectiveEval:
         denom = self.denom

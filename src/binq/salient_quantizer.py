@@ -30,7 +30,6 @@ class SalientQuant:
     centers: np.ndarray   # (2**n_bits,) float64
     mu_b: float
     sigma_b: float
-    alpha: float
 
 
 def fit_rowwise(rows: np.ndarray, w: np.ndarray, m: int, iters: int, atol: float = 0.0):
@@ -146,4 +145,4 @@ def quantize_salient(rows: np.ndarray, w: np.ndarray, m: int,
     scales = np.divide(num, den, out=np.zeros(m), where=den > 0.0)
     return SalientQuant(scales=store_scales(scales, config.scale_width),
                         codes=codes, centers=centers,
-                        mu_b=mu_b, sigma_b=sigma_b, alpha=config.alpha)
+                        mu_b=mu_b, sigma_b=sigma_b)

@@ -431,13 +431,6 @@ def _blob(data: bytes) -> bytes:
     return struct.pack("<Q", len(data)) + data
 
 
-def _stream_sizes(counts, book: "bit_packer.CodeBook", n_bits: int) -> tuple[int, int, int]:
-    """Bytes of the index, salient code and sign streams of a layer with these group counts."""
-    salient, weights = int(counts[-1]), sum(counts.tolist())
-    return ((book.encoded_bits(counts) + 7) // 8, (salient * n_bits + 7) // 8,
-            (weights - salient + 7) // 8)
-
-
 def _layer_record(layer: QuantizedLayer) -> bytes:
     """One layer's .bvq record followed by its CRC32; the layer is validated first."""
     if not isinstance(layer, QuantizedLayer):
@@ -446,9 +439,8 @@ def _layer_record(layer: QuantizedLayer) -> bytes:
     cfg, sal = layer.config, layer.salient
     book = layer.codebook
     index = bit_packer.pack_stream(layer.labels.ravel(), book)
-    if len(index) != _stream_sizes(layer.counts, book, cfg.n_bits)[0]:
+    if len(index) != bit_packer.stream_bytes(layer.counts, book, cfg.n_bits)[0]:
         raise ValidationError(f"layer {layer.name!r}: labels disagree with the group counts")
-    code_book = bit_packer.CodeBook.fixed(2 ** cfg.n_bits, cfg.n_bits)
     name_bytes = layer.name.encode("utf-8")
     record = b"".join([
         struct.pack("<H", len(name_bytes)), name_bytes,
@@ -460,8 +452,8 @@ def _layer_record(layer: QuantizedLayer) -> bytes:
         _pack_scales(sal.scales, cfg.scale_width),
         _pack_scales(layer.scalars, cfg.scale_width),
         bytes(book.lengths), struct.pack("<B", 0xFF if book.solo is None else book.solo),
-        layer.counts.astype("<u8").tobytes(),
-        _blob(index), _blob(bit_packer.pack_stream(sal.codes, code_book)),
+        layer.counts.astype("<u8").tobytes(), _blob(index),
+        _blob(bit_packer.pack_stream(sal.codes, bit_packer.CodeBook.fixed(cfg.n_bits))),
         _blob(np.packbits(layer.signs).tobytes())])
     return record + struct.pack("<I", zlib.crc32(record))
 
@@ -511,10 +503,10 @@ def _parse_record(reader: _Reader):
     """Parse one .bvq layer record into (header, decode).
 
     header is the record's checked LayerHeader; decode() decodes the streams
-    into the validated QuantizedLayer. The record's CRC is checked before its
-    streams are looked at; then the counts must add up to m x n, the codebook
-    must be the Huffman code of the counts, and each stream must be as long
-    as the counts make it.
+    into the QuantizedLayer. The CRC is checked first; then the counts must
+    add up to m x n, the levels pass `_check_levels`, the codebook must be the
+    Huffman code of the counts, each stream as long as the counts make it, and
+    the decoded counts the stored ones, so `QuantizedLayer.validate` holds.
     """
     start, origin = reader.pos, reader.origin
     (name_len,) = reader.unpack("H")
@@ -562,7 +554,7 @@ def _parse_record(reader: _Reader):
                           f"the group counts")
     # Each of the m x n weights has a bit in some stream, so these lengths
     # bound m x n by the file size before decode makes (m, n) arrays.
-    if [len(s) for s in streams] != list(_stream_sizes(stored, book, n_bits)):
+    if [len(s) for s in streams] != list(bit_packer.stream_bytes(stored, book, n_bits)):
         raise FormatError(f"{where}: stream lengths disagree with the group counts")
 
     def decode() -> QuantizedLayer:
@@ -573,19 +565,13 @@ def _parse_record(reader: _Reader):
         if not np.array_equal(counts, stored):
             raise FormatError(f"{where}: decoded group counts differ from the stored ones")
         salient_count = int(counts[-1])
-        code_book = bit_packer.CodeBook.fixed(2 ** n_bits, n_bits)
         salient = SalientQuant(scales=scales, centers=centers, mu_b=mu_b, sigma_b=sigma_b,
-                               alpha=alpha, codes=bit_packer.unpack_stream(
-                                   codes, code_book, salient_count))
-        layer = QuantizedLayer(counts=counts, labels=labels, salient=salient, scalars=scalars,
-                               signs=np.unpackbits(np.frombuffer(signs, dtype=np.uint8),
-                                                   count=m * n - salient_count).view(bool),
-                               **fields)
-        try:
-            layer.validate()
-        except ValidationError as exc:
-            raise FormatError(f"{origin}: {exc}") from exc
-        return layer
+                               codes=bit_packer.unpack_stream(
+                                   codes, bit_packer.CodeBook.fixed(n_bits), salient_count))
+        return QuantizedLayer(counts=counts, labels=labels, salient=salient, scalars=scalars,
+                              signs=np.unpackbits(np.frombuffer(signs, dtype=np.uint8),
+                                                  count=m * n - salient_count).view(bool),
+                              **fields)
 
     return header, decode
 
@@ -601,7 +587,7 @@ def _parsed_records(path) -> list:
 
 
 def read_artifact(path) -> list[QuantizedLayer]:
-    """Parse a .bvq file back into QuantizedLayer values, each validated."""
+    """Parse a .bvq file back into QuantizedLayer values, each checked as `_parse_record` says."""
     return [decode() for _, decode in _parsed_records(path)]
 
 

@@ -25,7 +25,6 @@ class PruneDecision:
     layer_index: int
     lambda_img: float
     retained: tuple[int, ...]  # sorted ascending
-    ratio: float
 
 
 def retained_count(ratio: float, n_img: int) -> int:
@@ -95,7 +94,7 @@ def retain_mask(scores, ratio: float, n_img: int,
     order = np.lexsort((np.arange(n_img), -scores))
     retained = np.sort(order[:keep])
     return PruneDecision(layer_index=layer_index, lambda_img=lambda_img,
-                         retained=tuple(int(i) for i in retained), ratio=ratio)
+                         retained=tuple(int(i) for i in retained))
 
 
 def prune_decisions(tensors: list[AttentionTensor], ratio: float,

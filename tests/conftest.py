@@ -130,10 +130,8 @@ def score_layer(matrix, layer):
     labels = layer.labels.ravel()
     res = [float(np.sum(np.compress(labels == k, sq)))
            for k in range(layer.config.n_uns + 1)]
-    sal_res, uns_res, denom = res[-1], tuple(res[:-1]), matrix.squared_norm()
-    return ObjectiveEval(p_sal=layer.p_sal_used, j=(sal_res + sum(uns_res)) / denom,
-                         salient_residual=sal_res, unsalient_residuals=uns_res,
-                         denom=denom)
+    return ObjectiveEval(p_sal=layer.p_sal_used,
+                         j=(res[-1] + sum(res[:-1])) / matrix.squared_norm())
 
 
 def one_shell(values):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from binq import (DomainError, FormatError, QuantConfig, TruncationError, bit_packer,
@@ -174,7 +174,7 @@ class TestCodeBook:
         assert book.solo == 1
 
     def test_fixed_width(self):
-        book = CodeBook.fixed(4, 2)
+        book = CodeBook.fixed(2)
         assert book.lengths == (2, 2, 2, 2)
         assert book.codes == (0, 1, 2, 3)
 
@@ -221,23 +221,6 @@ class TestPackUnpack:
         with pytest.raises(TruncationError):
             unpack_stream(b"", book, 3)
 
-    def test_incomplete_code_stops_at_uncovered_bits(self):
-        book = CodeBook.fixed(3, 2)  # no codeword 11
-        labels = [0, 1, 2, 2, 1]
-        assert np.array_equal(unpack_stream(pack_stream(labels, book), book, 5), labels)
-        with pytest.raises(TruncationError):
-            unpack_stream(bytes([0b00011100]), book, 3)
-
-    @pytest.mark.parametrize("decode", [jump_doubling_decode, unpack_stream])
-    def test_uncovered_bits_truncate_both_decoders(self, decode):
-        book = CodeBook.from_lengths([1, 3, 3])  # codes 0, 100, 101: none starts 11
-        with pytest.raises(TruncationError):
-            decode(bytes([0xc0]), book, 3)
-        data = bytes([0b01001100])  # 0, 100, then the uncovered 11
-        assert np.array_equal(decode(data, book, 2), [0, 1])
-        with pytest.raises(TruncationError):
-            decode(data, book, 3)
-
     def test_symbol_outside_codebook(self):
         book = CodeBook.from_frequencies([1, 1])
         with pytest.raises(DomainError):
@@ -274,13 +257,39 @@ def test_roundtrip_property(data):
     book = CodeBook.from_frequencies(freqs)
     packed = pack_stream(labels, book)
     assert np.array_equal(unpack_stream(packed, book, labels.size), labels)
-    # canonical books rebuild identically from their lengths; a solo book has no code
-    if book.solo is None:
-        assert CodeBook.from_lengths(book.lengths).codes == book.codes
-    else:
+    if book.solo is not None:  # a solo book has no code
         assert book.codes == (0,) * n_groups
-        with pytest.raises(DomainError):
-            CodeBook.from_lengths(book.lengths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(min_value=0, max_value=1000), min_size=2, max_size=128),
+       width=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2 ** 31))
+@example(counts=[0, 5, 0, 9], width=1, seed=0)
+@example(counts=list(range(128)), width=8, seed=0)
+def test_every_codebook_is_complete(counts, width, seed):
+    # The decoders rely on it: under a complete code every bit path decodes,
+    # so they need no way out of a bit path that no codeword covers.
+    if not any(counts):
+        counts[0] = 1
+    try:
+        book = CodeBook.from_frequencies(counts)
+    except DomainError:  # codes longer than MAX_CODE_LEN
+        assume(False)
+    fixed = CodeBook.fixed(width)
+    assert fixed.lengths == (width,) * 2 ** width and fixed.codes == tuple(range(2 ** width))
+    books = [fixed]
+    if book.solo is None:
+        # Kraft's sum over the coded groups is 1, in integers.
+        coded = [length for length in book.lengths if length]
+        assert sum(2 ** (book.max_length - length) for length in coded) == 2 ** book.max_length
+        books.append(book)
+    data = np.random.default_rng(seed).integers(0, 256, 200, dtype=np.uint8).tobytes()
+    for b in books:
+        for size in (1, 7, 200):
+            count = 8 * size // b.max_length
+            expected = jump_doubling_decode(data[:size], b, count)
+            assert np.array_equal(unpack_stream(data[:size], b, count), expected)
 
 
 class TestStorageBudget:
@@ -328,8 +337,8 @@ def test_roundtrip_million_symbols():
 @example(kind="deep", length=0, seed=0, random_bytes=True)
 def test_pack_unpack_match_oracles(kind, length, seed, random_bytes):
     rng = np.random.default_rng(seed)
-    book = {"deep": fibonacci_book, "fixed2": lambda: CodeBook.fixed(4, 2),
-            "fixed8": lambda: CodeBook.fixed(256, 8),
+    book = {"deep": fibonacci_book, "fixed2": lambda: CodeBook.fixed(2),
+            "fixed8": lambda: CodeBook.fixed(8),
             "skewed": lambda: skewed_book(rng, int(rng.integers(2, 9)))}[kind]()
     if kind == "deep":
         assert book.max_length == MAX_CODE_LEN
@@ -357,10 +366,10 @@ def packer_books():
     """Codebooks for the packer's edges; k is the tuple size pack_stream picks."""
     return {
         "six": CodeBook.from_frequencies([0.3, 0.25, 0.2, 0.15, 0.08, 0.02]),  # k = 4
-        "fixed2": CodeBook.fixed(4, 2),  # k = 4: a 256-entry tuple table
-        "binary": CodeBook.fixed(2, 1),  # k = 8: merged items are full words
+        "fixed2": CodeBook.fixed(2),  # k = 4: a 256-entry tuple table
+        "binary": CodeBook.fixed(1),  # k = 8: merged items are full words
         "deep": fibonacci_book(),  # k = 1: 20-bit codes
-        "fixed8": CodeBook.fixed(256, 8),  # k = 1: every uint8 symbol
+        "fixed8": CodeBook.fixed(8),  # k = 1: every uint8 symbol
         "wide": CodeBook.from_frequencies(np.arange(20) + 10),  # k = 2: 400 pairs
     }
 
@@ -408,8 +417,8 @@ def test_pack_codes_straddling_words_match_oracle(kind):
 @pytest.mark.parametrize("kind", ["deep", "fixed2", "fixed8", "skewed"])
 def test_every_prefix_decodes_or_is_truncated(kind):
     rng = np.random.default_rng(5)
-    book = {"deep": fibonacci_book(), "fixed2": CodeBook.fixed(4, 2),
-            "fixed8": CodeBook.fixed(256, 8),
+    book = {"deep": fibonacci_book(), "fixed2": CodeBook.fixed(2),
+            "fixed8": CodeBook.fixed(8),
             "skewed": skewed_book(rng, 6)}[kind]
     labels = rng.integers(0, book.n_groups, 300)
     packed = pack_stream(labels, book)
@@ -483,8 +492,7 @@ def test_pack_memory_per_symbol():
 
 
 def bitwise_decode(data, book):
-    """Oracle: every whole symbol of a stream, read bit by bit from the root;
-    a bit path that no codeword covers ends the stream."""
+    """Oracle: every whole symbol of a stream, read bit by bit from the root."""
     codes = {(l, c): s for s, (c, l) in enumerate(zip(book.codes, book.lengths)) if l}
     out, code, length = [], 0, 0
     for bit in np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist():
@@ -492,23 +500,18 @@ def bitwise_decode(data, book):
         if (length, code) in codes:
             out.append(codes[length, code])
             code = length = 0
-        elif length == book.max_length:
-            break
     return np.array(out, dtype=np.int64)
 
 
-def assert_decodes(data, book, symbols, last=False):
+def assert_decodes(data, book, symbols):
     """unpack_stream gives these symbols, the oracle's, and their counts. Asked
-    for one more symbol it raises TruncationError if `last`, else agrees with
-    the oracle."""
+    for one more symbol it agrees with the oracle."""
     count = symbols.size
     assert np.array_equal(jump_doubling_decode(data, book, count), symbols)
     got, counts = unpack_stream(data, book, count, return_counts=True)
     assert got.dtype == np.uint8 and np.array_equal(got, symbols)
     assert np.array_equal(counts, np.bincount(symbols, minlength=book.n_groups))
     try:
-        if last:
-            raise TruncationError("the stream ends here")
         expected = jump_doubling_decode(data, book, count + 1)
     except TruncationError:
         with pytest.raises(TruncationError):
@@ -517,12 +520,18 @@ def assert_decodes(data, book, symbols, last=False):
         assert np.array_equal(unpack_stream(data, book, count + 1), expected)
 
 
+def dyadic_book(lengths):
+    """The Huffman code of frequencies 2**-length: it has exactly these lengths."""
+    book = CodeBook.from_frequencies(2.0 ** -np.asarray(lengths, dtype=np.float64))
+    assert book.lengths == tuple(lengths)
+    return book
+
+
 def decoder_books():
     return {
         "six": CodeBook.from_frequencies([0.3, 0.25, 0.2, 0.15, 0.08, 0.02]),
         "deep": fibonacci_book(),
-        "even": CodeBook.from_lengths([2, 2, 2, 4, 4, 4, 4]),  # depth parity never merges
-        "incomplete": CodeBook.from_lengths([1, 3, 3]),  # no codeword starts 11
+        "even": dyadic_book([2, 2, 2, 4, 4, 4, 4]),  # depth parity never merges
     }
 
 
@@ -575,26 +584,7 @@ def slots_per_cell(book):
     return bit_packer._byte_automaton(book)[2].itemsize
 
 
-@pytest.mark.parametrize("dead_at", [3, 15, 16, 17, 40, 63, 64, 65, 100])
-def test_dead_state_carries_into_the_next_blocks(dead_at, monkeypatch):
-    # Codes 0, 100 and 101: zero bits are 0 symbols, and the bits 11 from the
-    # root enter the dead state. dead_at bytes of whole symbols are followed
-    # by 0xc0 and zeros, so the stream ends at byte dead_at, and the zero
-    # bytes of the blocks after it must not decode. Chunks of two 16-byte
-    # blocks put the dead block from 64 on in a later chunk.
-    book = decoder_books()["incomplete"]
-    monkeypatch.setattr(bit_packer, "_block_size", lambda nbytes: 16)
-    monkeypatch.setattr(bit_packer, "chunk_length", lambda size: 32 * slots_per_cell(book))
-    symbols = np.random.default_rng(dead_at).integers(0, 3, 8 * dead_at)
-    whole = np.searchsorted(np.cumsum(np.asarray(book.lengths)[symbols]), 8 * dead_at, "right")
-    head = pack_stream(symbols[:whole], book).ljust(dead_at, b"\0")
-    data = head + b"\xc0" + bytes(60)
-    expected = bitwise_decode(data, book)
-    assert expected.size < bitwise_decode(head + bytes(61), book).size
-    assert_decodes(data, book, expected, last=True)
-
-
-@pytest.mark.parametrize("kind", ["six", "deep", "incomplete"])
+@pytest.mark.parametrize("kind", ["six", "deep"])
 def test_decode_matches_oracle_at_chunk_edges(kind, monkeypatch):
     # Chunks of four 16-byte blocks: streams one byte below, at and one above
     # each of the first three chunk edges, cut from one packed stream.
@@ -632,24 +622,13 @@ def test_decode_at_chunk_edges_of_a_large_stream():
 @pytest.mark.parametrize("width", range(1, 9))
 def test_fixed_width_codes_match_oracle(width):
     rng = np.random.default_rng(width)
-    for groups in {2 ** width, 2 ** width - 1, 2 ** (width - 1) + 1}:
-        book = CodeBook.fixed(groups, width)
-        for length in range(20):
-            symbols = rng.integers(0, groups, length)
-            data = pack_stream(symbols, book)
-            assert_decodes(data, book, symbols)
-            # Bits after the last symbol are ignored, whatever they hold.
-            assert np.array_equal(unpack_stream(data + b"\xff", book, length), symbols)
-        if groups < 2 ** width:
-            # A field no code covers before `count` ends the stream.
-            fields = np.r_[symbols[:5], groups, symbols[5:]]
-            data = bitwise_pack(np.minimum(fields, groups - 1), book)
-            bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-            bits[5 * width:6 * width] = np.unpackbits(np.array([groups], dtype=np.uint8))[-width:]
-            data = np.packbits(bits).tobytes()
-            assert np.array_equal(unpack_stream(data, book, 5), symbols[:5])
-            with pytest.raises(TruncationError):
-                unpack_stream(data, book, 6)
+    book = CodeBook.fixed(width)
+    for length in range(20):
+        symbols = rng.integers(0, 2 ** width, length)
+        data = pack_stream(symbols, book)
+        assert_decodes(data, book, symbols)
+        # Bits after the last symbol are ignored, whatever they hold.
+        assert np.array_equal(unpack_stream(data + b"\xff", book, length), symbols)
 
 
 @pytest.mark.parametrize("kind", ["six", "deep", "even"])
@@ -676,7 +655,7 @@ def test_decode_memory_per_input_byte(kind):
     # fibonacci_book's longest code, all one bits, never lets the states agree.
     rng = np.random.default_rng(6)
     if kind == "even112":
-        book = CodeBook.from_lengths([6] * 48 + [8] * 64)
+        book = dyadic_book([6] * 48 + [8] * 64)
     else:
         book = fibonacci_book()
     if kind == "deep_ones":

@@ -65,9 +65,8 @@ class TestQuantizeLayer:
         mat = outlier_matrix(2, shape=(64, 64), frac=0.02, magnitude=6.0)
         layer = quantize_layer(mat)
         ev = so.LayerObjective(mat, fit_gaussian(mat), layer.config)(layer.p_sal_used)
-        numerator = ev.salient_residual + sum(ev.unsalient_residuals)
-        assert reconstruction_error(mat, layer) == pytest.approx(numerator,
-                                                                 rel=1e-12)
+        error = reconstruction_error(mat, layer) / mat.squared_norm()
+        assert error == pytest.approx(ev.j, rel=1e-12)
 
     def test_one_objective_per_layer(self, monkeypatch, tmp_path):
         import binq.pipeline as pipeline
@@ -482,17 +481,28 @@ class TestWorkerPool:
         assert out.stdout.splitlines()[-1] == "[]"
 
     def test_workers_bounded_by_free_memory(self, tmp_path, monkeypatch):
+        """Free memory is MemAvailable of /proc/meminfo; without the file or
+        the field it is the free physical pages, SC_AVPHYS_PAGES."""
         manifest = read_manifest(mixed_manifest(tmp_path))
         largest = max(e.path.stat().st_size for e in manifest.entries)
         assert largest == 28 + 4 * 48 * 64
         peak = pipeline.WORKER_PEAK_PER_FILE_BYTE * largest
         built = force_pool(monkeypatch, cores=range(8))
+        meminfo = tmp_path / "meminfo"
+        monkeypatch.setattr(pipeline, "PROC_MEMINFO", meminfo)
         real = os.sysconf
-        for free in (3 * peak - 1, 2 * peak - 1):
-            pages = {"SC_PAGE_SIZE": 1, "SC_AVPHYS_PAGES": free}
-            monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
-            quantize_model(manifest, tmp_path / "m.bvq")
-        assert [args[0] for args in built] == [2]  # one worker runs in this process
+        for field in (True, False):
+            for free in (3 * peak - 1, 2 * peak - 1):
+                # MemAvailable is in kB; the free pages bound the pool only without it.
+                meminfo.write_text(f"MemTotal: {8 * free} kB\nMemFree: 1 kB\n"
+                                   + (f"MemAvailable: {free // 1024} kB\n" if field else ""))
+                pages = {"SC_PAGE_SIZE": 1, "SC_AVPHYS_PAGES": 8 * free if field else free}
+                monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real(name))
+                quantize_model(manifest, tmp_path / "m.bvq")
+        meminfo.unlink()
+        quantize_model(manifest, tmp_path / "m.bvq")  # no file: the pages, 2 * peak - 1
+        # 3 * peak - 1 holds two workers; 2 * peak - 1 one, which runs in this process.
+        assert [args[0] for args in built] == [2, 2]
 
     def test_workers_bounded_by_cgroup_v2_limits(self, tmp_path, monkeypatch):
         """cpu.max caps the workers at ceil(quota / period) and memory.max less

@@ -93,13 +93,14 @@ class TestEvaluateObjective:
 
     def test_zero_share_equals_pure_binarization(self):
         mat = gaussian_matrix(2, shape=(32, 32))
-        ev = LayerObjective(mat, fit_gaussian(mat), QuantConfig(n_uns=1, p_sal_max=0.05))(0.0)
+        objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig(n_uns=1, p_sal_max=0.05))
+        ev = objective(0.0)
         # independent evaluation: sign * mean|w| with the stored-scale rounding
         w = mat.data.astype(np.float64)
         a = float(np.float16(np.abs(w).mean()))
         expected = float(np.sum((w - a * np.where(w >= 0, 1, -1)) ** 2) / np.sum(w * w))
         assert ev.j == pytest.approx(expected, rel=1e-12)
-        assert ev.salient_residual == 0.0
+        assert objective.scored[0.0][-1].residual == 0.0
 
     def test_outliers_reward_isolation(self):
         # 1% of entries at +/-6 sigma: isolating them must beat leaving them
@@ -132,9 +133,12 @@ class TestEvaluateObjective:
 
     def test_composition_matches_components(self):
         mat = outlier_matrix(5, shape=(48, 48), frac=0.02, magnitude=5.0)
-        ev = LayerObjective(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05))(0.02)
-        total = ev.salient_residual + sum(ev.unsalient_residuals)
-        assert ev.j == pytest.approx(total / ev.denom, rel=1e-14)
+        objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig(p_sal_max=0.05))
+        ev = objective(0.02)
+        # J is the salient residual plus the shells' sum, in that order, over ||W||^2.
+        groups = objective.scored[0.02]
+        total = groups[-1].residual + sum(g.residual for g in groups[:-1])
+        assert len(groups) == 6 and ev.j == total / mat.squared_norm()
 
 
 class TestOptimizeSaliency:
@@ -268,12 +272,7 @@ class TestLayerObjective:
             got = objective(p)
             want = score_layer(mat, objective.layer(p))
             # Bitwise: the J the search compares is the residual of the layer it builds.
-            assert got.p_sal == p
-            assert got.denom == want.denom
-            assert got.salient_residual == want.salient_residual
-            assert len(got.unsalient_residuals) == config.n_uns
-            assert got.unsalient_residuals == want.unsalient_residuals
-            assert got.j == want.j
+            assert got == want and got.p_sal == p
             # A pinned share is scored on the shells its layer picks, as bitwise.
             layer, scored = LayerObjective(mat, fit, config).scored_layer(p)
             assert scored == got
@@ -309,8 +308,7 @@ class TestLayerObjective:
             assert np.array_equal(window[keep], objective.mag[labels == k])
             assert objective.scored[p][k].count == np.count_nonzero(keep)
         got, want = objective(p), score_layer(mat, objective.layer(p))
-        assert (got.j, got.salient_residual, got.unsalient_residuals) == (
-            want.j, want.salient_residual, want.unsalient_residuals)
+        assert got == want
         for share in (cap, 0.0, p):
             objective(share)
         assert sorted(gathered) == list(range(config.n_uns + 1))  # each window once

@@ -35,7 +35,7 @@ def layers_equal(a, b):
             and np.array_equal(sa.codes, sb.codes)
             and np.array_equal(sa.centers, sb.centers)):
         return False
-    if (sa.mu_b, sa.sigma_b, sa.alpha) != (sb.mu_b, sb.sigma_b, sb.alpha):
+    if (sa.mu_b, sa.sigma_b) != (sb.mu_b, sb.sigma_b):
         return False
     return (np.array_equal(a.scalars, b.scalars)
             and np.array_equal(a.signs, b.signs))
@@ -430,8 +430,7 @@ def planted_layer(shape, salient_at, seed, n_uns=5):
     counts = np.bincount(labels, minlength=n_uns + 1).astype(np.int64)
     salient = SalientQuant(scales=rng.uniform(0.5, 2.0, m).astype(np.float16),
                            codes=rng.integers(0, 4, counts[-1]).astype(np.uint8),
-                           centers=np.array([-1.7, -0.4, 0.3, 1.9]), mu_b=0.0, sigma_b=1.0,
-                           alpha=1.4)
+                           centers=np.array([-1.7, -0.4, 0.3, 1.9]), mu_b=0.0, sigma_b=1.0)
     layer = QuantizedLayer(name="planted", role=Role.LANGUAGE, m=m, n=n, counts=counts,
                            p_sal_used=0.05, p_sal_max=0.1, config=QuantConfig(n_uns=n_uns),
                            labels=labels.reshape(m, n), salient=salient,
