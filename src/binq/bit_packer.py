@@ -47,51 +47,6 @@ def index_bits(n_uns: int, p_sal_max: float, p_uns: float, l_i_max: int) -> floa
     return total * p_uns + p_sal_max * l_i_max
 
 
-def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
-    """Huffman code lengths per symbol; zero-frequency symbols get length 0."""
-    heap: list[tuple[float, int, object]] = []
-    tick = 0
-    for sym, f in enumerate(freqs):
-        if f > 0:
-            heap.append((float(f), tick, sym))
-            tick += 1
-    heapq.heapify(heap)
-    lengths = np.zeros(freqs.size, dtype=np.int64)
-    if not heap:
-        raise DomainError("codebook needs at least one positive frequency")
-    if len(heap) == 1:
-        return lengths  # single group: zero-length code, count-only encoding
-    while len(heap) > 1:
-        f1, _, n1 = heapq.heappop(heap)
-        f2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (f1 + f2, tick, (n1, n2)))
-        tick += 1
-
-    def walk(node, depth):
-        if isinstance(node, int):
-            lengths[node] = depth
-            return
-        walk(node[0], depth + 1)
-        walk(node[1], depth + 1)
-
-    walk(heap[0][2], 0)
-    return lengths
-
-
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Canonical code values from lengths: sorted by (length, symbol)."""
-    codes = np.zeros(lengths.size, dtype=np.int64)
-    items = sorted((int(l), s) for s, l in enumerate(lengths) if l > 0)
-    code = 0
-    prev_len = 0
-    for length, sym in items:
-        code <<= length - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = length
-    return codes
-
-
 @dataclass(frozen=True)
 class CodeBook:
     """Prefix-free canonical code over group indices 0 .. n_groups-1.
@@ -107,17 +62,30 @@ class CodeBook:
 
     @classmethod
     def from_frequencies(cls, freqs) -> "CodeBook":
+        """Huffman code over the groups of positive frequency, in canonical order.
+
+        Heap entries are (frequency, age, groups), leaves aged first in group order; merging the
+        two lightest adds one bit to every group in both. Codes count up in (length, group) order.
+        """
         freqs = np.asarray(freqs, dtype=np.float64)
-        if freqs.size == 0 or np.any(freqs < 0) or freqs.sum() <= 0:
+        if freqs.size == 0 or not np.all(freqs >= 0) or freqs.sum() <= 0:
             raise DomainError("frequencies must be nonnegative with a positive sum")
-        lengths = _huffman_lengths(freqs)
-        if lengths.max(initial=0) > MAX_CODE_LEN:
+        live = np.flatnonzero(freqs).tolist()
+        lengths = np.zeros(freqs.size, dtype=np.int64)
+        heap = sorted((freqs[g], age, [g]) for age, g in enumerate(live))  # sorted: a valid heap
+        for age in range(len(live), 2 * len(live) - 1):
+            (f1, _, a), (f2, _, b) = heapq.heappop(heap), heapq.heappop(heap)
+            lengths[a + b] += 1
+            heapq.heappush(heap, (f1 + f2, age, a + b))
+        if lengths.max() > MAX_CODE_LEN:
             raise DomainError(f"code lengths exceed {MAX_CODE_LEN} bits; "
                               "too many groups or too skewed frequencies")
-        solo = int(np.argmax(freqs)) if lengths.max(initial=0) == 0 else None
-        return cls(lengths=tuple(int(x) for x in lengths),
-                   codes=tuple(int(x) for x in _canonical_codes(lengths)),
-                   solo=solo)
+        codes, code, prev = [0] * freqs.size, 0, 0
+        for length, g in sorted((l, g) for g, l in enumerate(lengths.tolist()) if l):
+            code <<= length - prev
+            codes[g], code, prev = code, code + 1, length
+        return cls(lengths=tuple(lengths.tolist()), codes=tuple(codes),
+                   solo=live[0] if len(live) == 1 else None)
 
     @classmethod
     def fixed(cls, width: int) -> "CodeBook":

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bit_packer
 from .config import QuantConfig
-from .errors import BinqError, DomainError
+from .errors import BinqError, DomainError, IoError
 from .saliency_optimizer import LayerObjective, optimize_saliency
 from .tensor_store import (ModelManifest, QuantizedLayer, WeightMatrix, _layer_record,
                            _write_records)
@@ -177,7 +177,10 @@ def _workers(entries) -> int:
         free = min(free, 1024 * int(kb))
     except (OSError, IndexError, ValueError):  # no file or no field: MemFree, without page cache
         free = min(free, os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
-    peak = WORKER_PEAK_PER_FILE_BYTE * max(e.path.stat().st_size for e in entries)
+    try:  # a tensor may be gone since the manifest was read
+        peak = WORKER_PEAK_PER_FILE_BYTE * max(e.path.stat().st_size for e in entries)
+    except OSError as exc:
+        raise IoError(f"cannot read {exc.filename}: {exc}") from exc
     return int(min(workers, cpus, free // peak))
 
 

@@ -520,7 +520,7 @@ def _parse_record(reader: _Reader):
     if role_code not in _ROLE_FROM_CODE:
         raise FormatError(f"{origin}: unknown role code {role_code}")
     try:
-        cfg = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=None,
+        cfg = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=p_sal_max,
                           alpha=alpha, iters=iters, scale_width=scale_width,
                           l_i_max=l_i_max, optimize_saliency=bool(optimize))
     except DomainError as exc:

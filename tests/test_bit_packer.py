@@ -1,3 +1,4 @@
+import heapq
 import math
 import tracemalloc
 
@@ -22,6 +23,41 @@ def is_prefix_free(book):
             if i != j and b.startswith(a):
                 return False
     return True
+
+
+def tree_huffman(freqs):
+    """Oracle: (lengths, codes, solo) from a Huffman tree of nested pairs, walked
+    for the depths, then canonical codes counted up in (length, group) order."""
+    heap, tick = [], 0
+    for group, f in enumerate(freqs):
+        if f > 0:
+            heap.append((float(f), tick, group))
+            tick += 1
+    heapq.heapify(heap)
+    lengths = [0] * len(freqs)
+    if len(heap) == 1:
+        return lengths, lengths, heap[0][2]
+    while len(heap) > 1:
+        f1, _, n1 = heapq.heappop(heap)
+        f2, _, n2 = heapq.heappop(heap)
+        heapq.heappush(heap, (f1 + f2, tick, (n1, n2)))
+        tick += 1
+
+    def walk(node, depth):
+        if isinstance(node, int):
+            lengths[node] = depth
+        else:
+            walk(node[0], depth + 1)
+            walk(node[1], depth + 1)
+
+    walk(heap[0][2], 0)
+    codes, code, prev_len = [0] * len(freqs), 0, 0
+    for length, group in sorted((l, g) for g, l in enumerate(lengths) if l > 0):
+        code <<= length - prev_len
+        codes[group] = code
+        code += 1
+        prev_len = length
+    return lengths, codes, None
 
 
 def average_length(book, freqs):
@@ -185,6 +221,26 @@ class TestCodeBook:
             entropy = -np.sum(probs * np.log2(probs))
             book = CodeBook.from_frequencies(freqs)
             assert entropy <= average_length(book, freqs) <= entropy + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(freqs=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6),
+                                st.sampled_from([0.5, 0.25, 2.0 ** -30]),
+                                st.floats(0.0, 1.0, allow_subnormal=False)),
+                      min_size=2, max_size=128))
+@example(freqs=[1, 1, 2, 2])  # the merged 1 + 1 ties both leaves of 2, and pops after them
+@example(freqs=[0, 5, 0])
+def test_codebook_matches_tree_walk_oracle(freqs):
+    """Zeros, ties, dyadic and skewed frequencies: the same lengths, codes and solo
+    as the tree-walk oracle, or DomainError where its lengths pass MAX_CODE_LEN."""
+    assume(sum(freqs) > 0)
+    lengths, codes, solo = tree_huffman(freqs)
+    if max(lengths) > MAX_CODE_LEN:
+        with pytest.raises(DomainError, match="code lengths exceed"):
+            CodeBook.from_frequencies(freqs)
+        return
+    book = CodeBook.from_frequencies(freqs)
+    assert (book.lengths, book.codes, book.solo) == (tuple(lengths), tuple(codes), solo)
 
 
 class TestPackUnpack:

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binq import (DomainError, FormatError, ModelManifest, QuantConfig, QuantizedLayer,
-                  Role, WeightMatrix, quantize_layer, quantize_model, read_artifact,
+from binq import (DomainError, FormatError, IoError, ModelManifest, QuantConfig,
+                  QuantizedLayer, Role, WeightMatrix, quantize_layer, quantize_model, read_artifact,
                   read_layer_headers, read_manifest, reconstruct, reconstruction_error,
                   write_artifact, write_tensor)
 import binq.pipeline as pipeline
@@ -428,6 +428,34 @@ class TestWorkerPool:
         assert sorted(os.listdir(out)) == ["m.bvq", "m.csv"]
         assert ((out / "m.bvq").read_bytes(), (out / "m.csv").read_bytes()) == earlier
         assert built is None or len(built) == 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_tensor_gone_after_manifest_is_io_error(self, tmp_path, monkeypatch, capsys,
+                                                    pooled):
+        """A tensor deleted after the manifest is read raises IoError naming it, and
+        `binq quantize` exits 2; no artifact, temporary file or child process is left."""
+        out = tmp_path / "out"
+        out.mkdir()
+        path = mixed_manifest(tmp_path)
+        gone = read_manifest(path).entries[2].path
+        tensor = gone.read_bytes()
+        built = force_pool(monkeypatch) if pooled else one_core(monkeypatch)
+
+        def read_then_delete(manifest):
+            gone.write_bytes(tensor)
+            entries = read_manifest(manifest)
+            gone.unlink()
+            return entries
+
+        monkeypatch.setattr("binq.tensor_store.read_manifest", read_then_delete)
+        with pytest.raises(IoError, match=f"cannot read {gone}"):
+            quantize_model(read_then_delete(path), out / "m.bvq")
+        argv = ["quantize", str(path), "-o", str(out / "m.bvq"), "--csv", str(tmp_path / "m.csv")]
+        assert main(argv) == 2
+        assert f"cannot read {gone}" in capsys.readouterr().err
+        assert os.listdir(out) == []
+        assert built is None or built == []
         assert multiprocessing.active_children() == []
 
     def test_one_core_or_one_layer_builds_no_pool(self, tmp_path, monkeypatch):

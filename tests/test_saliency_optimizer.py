@@ -279,9 +279,19 @@ class TestLayerObjective:
             assert np.array_equal(layer.labels, objective.layer(p).labels)
 
     def test_clamped_cutoffs_keep_each_group_in_its_window(self, monkeypatch):
-        # 23 floats below the cap, rounding puts the raw cutoff t_2 below its value
-        # at the cap, so group 3 would reach out of its window unclamped.
+        # Probit rounding can put a cutoff a float step below its value at the cap.
+        # Here t_2 is put there 23 floats below the cap, so group 3 would reach out
+        # of its window unclamped.
         p, cap = 0.07999999999999968, 0.08
+        real_cutoffs = so.compute_cutoffs
+
+        def inverted(p_sal, n_uns):
+            cutoffs = real_cutoffs(p_sal, n_uns)
+            if p_sal == p:
+                cutoffs[2] = float(np.nextafter(real_cutoffs(cap, n_uns)[2], -np.inf))
+            return cutoffs
+
+        monkeypatch.setattr(so, "compute_cutoffs", inverted)
         data = 0.02 * np.random.default_rng(8).standard_normal((64, 96))
         mat = WeightMatrix("w", Role.VISION, data.astype(np.float32))
         config = QuantConfig(p_sal_max=cap)
@@ -339,7 +349,8 @@ def values_and_edge(draw):
     tied with a value, between a value and its float32 neighbours, or past the range."""
     values = draw(st.lists(st.floats(width=32, allow_nan=False), min_size=1, max_size=16))
     x = np.float32(draw(st.sampled_from(values)))
-    below, above = (float(np.nextafter(x, np.float32(s))) for s in (-np.inf, np.inf))
+    with np.errstate(over="ignore"):  # the neighbours of +-F32_MAX are +-inf
+        below, above = (float(np.nextafter(x, np.float32(s))) for s in (-np.inf, np.inf))
     near = [float(x), (below + float(x)) / 2, (float(x) + above) / 2,
             float(np.nextafter(float(x), -np.inf)), float(np.nextafter(float(x), np.inf))]
     far = [np.inf, -np.inf, 2 * F32_MAX, -2 * F32_MAX, float(np.nextafter(F32_MAX, np.inf)),

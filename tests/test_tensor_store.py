@@ -28,7 +28,7 @@ def layers_equal(a, b):
         return False
     if not np.array_equal(a.labels, b.labels):
         return False
-    if a.p_sal_used != b.p_sal_used or a.p_sal_max != b.p_sal_max:
+    if (a.p_sal_used, a.p_sal_max, a.config) != (b.p_sal_used, b.p_sal_max, b.config):
         return False
     sa, sb = a.salient, b.salient
     if not (np.array_equal(sa.scales, sb.scales)
@@ -432,7 +432,8 @@ def planted_layer(shape, salient_at, seed, n_uns=5):
                            codes=rng.integers(0, 4, counts[-1]).astype(np.uint8),
                            centers=np.array([-1.7, -0.4, 0.3, 1.9]), mu_b=0.0, sigma_b=1.0)
     layer = QuantizedLayer(name="planted", role=Role.LANGUAGE, m=m, n=n, counts=counts,
-                           p_sal_used=0.05, p_sal_max=0.1, config=QuantConfig(n_uns=n_uns),
+                           p_sal_used=0.05, p_sal_max=0.1,
+                           config=QuantConfig(n_uns=n_uns, p_sal_max=0.1),
                            labels=labels.reshape(m, n), salient=salient,
                            scalars=rng.uniform(0.0, 1.0, n_uns).astype(np.float16),
                            signs=rng.random(m * n - int(counts[-1])) < 0.5)

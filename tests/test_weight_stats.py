@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +88,16 @@ class TestProbit:
         grid = np.linspace(1e-6, 1.0 - 1e-6, 2001)
         values = [probit(p) for p in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_within_8_ulps_of_mpmath(self):
+        grid = np.concatenate([np.linspace(0.5, 1.0, 401)[1:-1],
+                               0.5 + np.geomspace(1e-12, 0.4, 100),
+                               1.0 - np.geomspace(1e-12, 0.4, 200)]).tolist()
+        assert max(grid) == 1.0 - 1e-12  # the partitioner's largest argument
+        with mpmath.workdps(50):
+            for p in grid:
+                exact = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
+                assert abs(probit(p) - exact) <= 8 * math.ulp(exact), p
 
     def test_roundtrip_through_cdf(self):
         for p in np.linspace(1e-6, 1 - 1e-6, 501):
