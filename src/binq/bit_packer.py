@@ -19,10 +19,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .config import QuantConfig
     from .tensor_store import LayerHeader
 
-# Longest code `CodeBook.from_frequencies` builds and the .bvq reader accepts. The decoder's
-# tables do not grow with it, but its time does: each block first runs from every live state
-# (up to n_groups - 1), so a 112-group code decodes 6-10x slower per MB than a six-group one.
+# Longest code `CodeBook.from_frequencies` builds. A .bvq's six groups take at most 5 bits, so
+# longer codes come only from API callers of the codec; each decode block first runs from every
+# live state (up to n_groups - 1), so a 112-group code decodes 6-10x slower per MB.
 MAX_CODE_LEN = 20
+# A .bvq layer stores its scales and shell scalars as binary16, and its 3-bit index width
+# addresses at most max_partitions(INDEX_WIDTH) = 5 shells.
+SCALE_WIDTH = 16
+INDEX_WIDTH = 3
 
 
 def max_partitions(l_i_max: int) -> int:
@@ -340,9 +344,9 @@ def storage_budget(m: int, n: int, config: "QuantConfig", p_sal_max: float) -> t
     if m < 1 or n < 1:
         raise DomainError("storage budget needs positive dimensions")
     l_b = 1.0 + (config.n_bits - 1) * p_sal_max
-    l_a = (config.n_uns * config.scale_width + config.scale_width * m) / (m * n)
+    l_a = SCALE_WIDTH * (config.n_uns + m) / (m * n)
     p_uns = (1.0 - p_sal_max) / config.n_uns
-    l_i = index_bits(config.n_uns, p_sal_max, p_uns, config.l_i_max)
+    l_i = index_bits(config.n_uns, p_sal_max, p_uns, INDEX_WIDTH)
     return l_b, l_a, l_i, l_b + l_a
 
 
@@ -359,8 +363,7 @@ def storage_report(layer: "LayerHeader") -> StorageReport:
 
     salient = int(layer.counts[cfg.n_uns])
     index_bytes, code_bytes, sign_bytes = stream_bytes(layer.counts, layer.codebook, cfg.n_bits)
-    scale_bits = cfg.scale_width * layer.m + cfg.scale_width * cfg.n_uns
-    realized = scale_bits + 8 * (index_bytes + code_bytes + sign_bytes)
+    realized = SCALE_WIDTH * (layer.m + cfg.n_uns) + 8 * (index_bytes + code_bytes + sign_bytes)
     bpw = realized / weights
     l_i_real = 8.0 * index_bytes / weights
 

@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from .bit_packer import max_partitions
+from .bit_packer import INDEX_WIDTH, max_partitions
 from .errors import DomainError
 
 # Default cap on the salient share by component role; vision towers tolerate
@@ -15,8 +15,9 @@ ROLE_P_SAL_MAX = {"vision": 0.05, "language": 0.01, "adaptor": 0.01}
 class QuantConfig:
     """Tunables of the hybrid quantization pipeline.
 
-    p_sal_max of None defers to the per-role default (or a manifest
-    override). scale_width is the stored bit width of every scale factor.
+    Each field is a `binq quantize` flag. p_sal_max of None defers to the
+    per-role default (or a manifest override). n_uns is at most the
+    max_partitions(INDEX_WIDTH) = 5 shells that the .bvq index width addresses.
     """
 
     n_uns: int = 5
@@ -24,14 +25,13 @@ class QuantConfig:
     p_sal_max: float | None = None
     alpha: float = 1.4
     iters: int = 15
-    scale_width: int = 16
-    l_i_max: int = 3
     optimize_saliency: bool = True
 
     def __post_init__(self):
-        # Group labels 0..n_uns (n_uns is the salient group) are stored as int8.
-        if not 1 <= self.n_uns <= 127:
-            raise DomainError(f"n_uns must lie in [1, 127], got {self.n_uns}")
+        # Index codes of at most INDEX_WIDTH bits address one salient group plus n_uns shells.
+        if not 1 <= self.n_uns <= max_partitions(INDEX_WIDTH):
+            raise DomainError(f"n_uns must lie in [1, {max_partitions(INDEX_WIDTH)}] for "
+                              f"{INDEX_WIDTH}-bit index codes, got {self.n_uns}")
         # Salient codes 0..2**n_bits - 1 are stored as uint8.
         if not 1 <= self.n_bits <= 8:
             raise DomainError(f"n_bits must lie in [1, 8], got {self.n_bits}")
@@ -41,14 +41,6 @@ class QuantConfig:
             raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         if self.iters < 1:
             raise DomainError(f"iters must be >= 1, got {self.iters}")
-        if self.scale_width not in (16, 32):
-            raise DomainError(f"scale_width must be 16 or 32, got {self.scale_width}")
-        # Index codes of at most l_i_max bits must be able to address every
-        # group (one salient group plus n_uns unsalient ones).
-        if self.n_uns > max_partitions(self.l_i_max):
-            raise DomainError(
-                f"n_uns={self.n_uns} exceeds the {max_partitions(self.l_i_max)} shells "
-                f"addressable with l_i_max={self.l_i_max}")
 
     def resolve_p_sal_max(self, role, override: float | None = None) -> float:
         """Effective salient-share cap: explicit config > override > role default."""

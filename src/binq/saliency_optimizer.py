@@ -84,8 +84,9 @@ class LayerObjective:
     """
 
     def __init__(self, matrix, fit: GaussianFit, config: QuantConfig):
-        self.matrix, self.fit, self.config = matrix, fit, config
         self.p_cap = config.resolve_p_sal_max(matrix.role)
+        # The cap in the config, so that its layers' configs survive a .bvq round trip.
+        self.matrix, self.fit, self.config = matrix, fit, replace(config, p_sal_max=self.p_cap)
         self.mag = np.abs(matrix.data).ravel()
         # Each cutoff's range over [0, cap]: its values at the cap and at 0, in order.
         self.lo, self.hi = np.sort([self._cutoffs(self.p_cap), self._cutoffs(0.0)], axis=0)
@@ -144,8 +145,8 @@ class LayerObjective:
 
     def _shell(self, shell: np.ndarray, score: bool) -> _Group:
         """A shell of float64 |w|: its mean, residual under the stored mean if `score`, size."""
-        mean, width = shell_scalar(shell), self.config.scale_width
-        return _Group(mean, shell_residual(shell, store_scales(mean, width)) if score else None,
+        mean = shell_scalar(shell)
+        return _Group(mean, shell_residual(shell, store_scales(mean)) if score else None,
                       shell.size)
 
     @staticmethod
@@ -173,7 +174,7 @@ class LayerObjective:
         denom = self.denom if score else None
         bounds = _below32(self._edges(p_sal))
         labels = magnitude_labels(self.mag, bounds[1:-1])
-        n_uns, width, m = self.config.n_uns, self.config.scale_width, self.matrix
+        n_uns, m = self.config.n_uns, self.matrix
         groups = self.scored.get(p_sal)
         if groups is None:  # a share never scored: each shell picked from all of |w|
             groups = [self._shell(np.compress(labels == k, self.mag).astype(np.float64), score)
@@ -182,7 +183,7 @@ class LayerObjective:
         layer = QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
                                counts=np.array([g.count for g in groups], dtype=np.int64),
                                labels=labels.reshape(m.m, m.n), salient=groups[-1].fit,
-                               scalars=store_scales([g.fit for g in groups[:-1]], width),
+                               scalars=store_scales([g.fit for g in groups[:-1]]),
                                signs=signs, p_sal_used=p_sal, p_sal_max=self.p_cap,
                                config=self.config)
         return layer, (self._score(p_sal, denom, groups) if score else None)
@@ -192,6 +193,7 @@ def evaluate_objective(matrix, fit: GaussianFit, p_sal: float, config: QuantConf
                        objective: LayerObjective) -> ObjectiveEval:
     """J(p_sal) of `objective`, which must be built from these arguments. The search
     evaluates through here, so a tracer wrapping this function sees each evaluation."""
+    config = replace(config, p_sal_max=config.resolve_p_sal_max(matrix.role))  # as built
     if objective.matrix is not matrix or (objective.fit, objective.config) != (fit, config):
         raise DomainError("objective was built for another layer, fit or config")
     return objective(p_sal)

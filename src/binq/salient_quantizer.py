@@ -25,7 +25,7 @@ class SalientQuant:
     reconstruction at member (i, j) is scales[i] * centers[codes].
     """
 
-    scales: np.ndarray    # (m,) float16 or float32 per configured scale width
+    scales: np.ndarray    # (m,) float16, as a .bvq stores them
     codes: np.ndarray     # (S,) uint8
     centers: np.ndarray   # (2**n_bits,) float64
     mu_b: float
@@ -102,20 +102,16 @@ def assign_codes(relaxed: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(dist, axis=1).astype(np.uint8)
 
 
-def store_scales(values: np.ndarray, width: int) -> np.ndarray:
-    """Round scale factors to their stored precision (binary16 or binary32).
+def store_scales(values: np.ndarray) -> np.ndarray:
+    """Round scale factors to their stored binary16.
 
-    Raises DomainError for a scale that rounds to inf, naming the format's
-    largest finite value (65504 for binary16).
+    Raises DomainError for a scale that rounds to inf, past 65504.
     """
-    dtype = {16: np.float16, 32: np.float32}.get(width)
-    if dtype is None:
-        raise DomainError(f"unsupported scale width {width}")
     with np.errstate(over="ignore"):
-        stored = np.asarray(values, dtype=dtype)
+        stored = np.asarray(values, dtype=np.float16)
     if np.isinf(stored).any():
-        raise DomainError(f"scale {np.max(np.abs(values)):.6g} overflows binary{width}, "
-                          f"whose largest finite value is {np.finfo(dtype).max:g}")
+        raise DomainError(f"scale {np.max(np.abs(values)):.6g} overflows binary16, "
+                          "whose largest finite value is 65504")
     return stored
 
 
@@ -127,7 +123,7 @@ def quantize_salient(rows: np.ndarray, w: np.ndarray, m: int,
     exact update the relaxation loop uses, now against the discrete center
     values; without this closing step the center mapping rescales every row
     by a factor the relaxed-stage scales were never fitted for. Row scales
-    are rounded to the configured storage width so the result is exactly
+    are rounded to their stored binary16 so the result is exactly
     what an artifact would hold. An empty salient set yields zero scales,
     no codes, and a degenerate all-zero center table.
     """
@@ -143,6 +139,6 @@ def quantize_salient(rows: np.ndarray, w: np.ndarray, m: int,
     num = np.bincount(rows, weights=w * quantized, minlength=m)
     den = np.bincount(rows, weights=quantized * quantized, minlength=m)
     scales = np.divide(num, den, out=np.zeros(m), where=den > 0.0)
-    return SalientQuant(scales=store_scales(scales, config.scale_width),
+    return SalientQuant(scales=store_scales(scales),
                         codes=codes, centers=centers,
                         mu_b=mu_b, sigma_b=sigma_b)

@@ -8,9 +8,10 @@ Three container formats, all little-endian with fixed field widths:
 
 ``.bvq`` quantized artifact, version 2
     magic "BVQ1", version u16, layer count u32, then per layer: name
-    (u16 length + UTF-8), role u8, m and n (u64), config echo, salient level
-    parameters and centers, salient row-scales (binary16 by default),
-    unsalient scalars, the group codebook, the n_uns + 1 group counts (u64,
+    (u16 length + UTF-8), role u8, m and n (u64), config echo (its scale
+    width always 16 and index width always 3; other values are refused),
+    salient level parameters and centers, salient row-scales and unsalient
+    scalars (binary16), the group codebook, the n_uns + 1 group counts (u64,
     salient last), the three packed streams (group indices, salient codes,
     sign bits), each length-prefixed, and a CRC32 (u32) of the record from
     the name length to the end of the sign stream. The counts fix every
@@ -38,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bit_packer
+from .bit_packer import INDEX_WIDTH, SCALE_WIDTH
 from .config import QuantConfig
 from .errors import (DomainError, FormatError, IoError, TruncationError,
                      ValidationError)
@@ -364,7 +366,7 @@ class QuantizedLayer(LayerHeader):
     unsalient reconstructions have disjoint supports that cover the matrix.
     counts counts the labels; it is set where the labels are made, and
     nothing counts them again. scalars holds one nonnegative scalar per
-    shell at the stored scale width; signs holds one bool per unsalient
+    shell as stored, in binary16; signs holds one bool per unsalient
     element in row-major order (True = +1), which is the packed sign stream.
     An unsalient element reconstructs as scalars[label] times its sign, a
     salient one from `salient`.
@@ -405,7 +407,7 @@ class QuantizedLayer(LayerHeader):
         n_uns, labels = self.config.n_uns, self.labels.reshape(-1)
         where = np.flatnonzero(labels == n_uns)
         signed = np.append(self.scalars, 0.0).astype(dtype).repeat(2)
-        signed[::2] *= -1  # entry 2 * group + sign; fits uint8 as n_uns <= 127
+        signed[::2] *= -1  # entry 2 * group + sign; fits uint8 as n_uns <= 5
         out, step, at = np.empty(self.labels.shape, dtype), bit_packer.chunk_length(labels.size), 0
         # 2 * n_uns plus a stale sign gathers 0: all codes index `signed`, so "clip" is unbuffered.
         code, positive = np.empty(step, dtype=np.uint8), np.zeros(step, dtype=bool)
@@ -420,11 +422,6 @@ class QuantizedLayer(LayerHeader):
         out.ravel()[where] = (sal.scales.astype(np.float64)[where // self.n]
                               * sal.centers[sal.codes])
         return out
-
-
-def _pack_scales(values: np.ndarray, width: int) -> bytes:
-    dt = "<f2" if width == 16 else "<f4"
-    return np.asarray(values).astype(dt, copy=False).tobytes()
 
 
 def _blob(data: bytes) -> bytes:
@@ -445,12 +442,11 @@ def _layer_record(layer: QuantizedLayer) -> bytes:
     record = b"".join([
         struct.pack("<H", len(name_bytes)), name_bytes,
         struct.pack("<BQQBBBBdHBdd", _ROLE_CODES[layer.role], layer.m, layer.n,
-                    cfg.n_uns, cfg.n_bits, cfg.scale_width, cfg.l_i_max, cfg.alpha,
-                    cfg.iters, int(cfg.optimize_saliency), layer.p_sal_max,
-                    layer.p_sal_used),
+                    cfg.n_uns, cfg.n_bits, SCALE_WIDTH, INDEX_WIDTH, cfg.alpha, cfg.iters,
+                    int(cfg.optimize_saliency), layer.p_sal_max, layer.p_sal_used),
         struct.pack("<dd", sal.mu_b, sal.sigma_b), sal.centers.astype("<f8").tobytes(),
-        _pack_scales(sal.scales, cfg.scale_width),
-        _pack_scales(layer.scalars, cfg.scale_width),
+        sal.scales.astype("<f2", copy=False).tobytes(),
+        layer.scalars.astype("<f2", copy=False).tobytes(),
         bytes(book.lengths), struct.pack("<B", 0xFF if book.solo is None else book.solo),
         layer.counts.astype("<u8").tobytes(), _blob(index),
         _blob(bit_packer.pack_stream(sal.codes, bit_packer.CodeBook.fixed(cfg.n_bits))),
@@ -519,17 +515,18 @@ def _parse_record(reader: _Reader):
      optimize, p_sal_max, p_sal_used) = reader.unpack("BQQBBBBdHBdd")
     if role_code not in _ROLE_FROM_CODE:
         raise FormatError(f"{origin}: unknown role code {role_code}")
+    if (scale_width, l_i_max) != (SCALE_WIDTH, INDEX_WIDTH):
+        raise FormatError(f"{where}: scale width {scale_width} and index width {l_i_max}; "
+                          f"binq reads {SCALE_WIDTH} and {INDEX_WIDTH} only; re-quantize the model")
     try:
-        cfg = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=p_sal_max,
-                          alpha=alpha, iters=iters, scale_width=scale_width,
-                          l_i_max=l_i_max, optimize_saliency=bool(optimize))
+        cfg = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=p_sal_max, alpha=alpha,
+                          iters=iters, optimize_saliency=bool(optimize))
     except DomainError as exc:
         raise FormatError(f"{where}: {exc}") from exc
     mu_b, sigma_b = reader.unpack("dd")
     centers = reader.array("f8", 2 ** n_bits)
-    scale_dt = "f2" if scale_width == 16 else "f4"
-    scales = reader.array(scale_dt, m)
-    scalars = reader.array(scale_dt, n_uns)
+    scales = reader.array("f2", m)
+    scalars = reader.array("f2", n_uns)
     lengths = list(reader.take(n_uns + 1))
     (solo,) = reader.unpack("B")
     solo = None if solo == 0xFF else solo
@@ -559,7 +556,7 @@ def _parse_record(reader: _Reader):
 
     def decode() -> QuantizedLayer:
         index, codes, signs = streams
-        # Group indices are at most n_uns <= 127, so the int8 view keeps them.
+        # Group indices are at most n_uns <= 5, so the int8 view keeps them.
         labels, counts = bit_packer.unpack_stream(index, book, m * n, return_counts=True)
         labels = labels.view(np.int8).reshape(m, n)
         if not np.array_equal(counts, stored):

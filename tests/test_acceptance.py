@@ -38,8 +38,7 @@ def test_criterion_01_storage_budget_reproduction():
     rng = np.random.default_rng(0)
     mat = WeightMatrix("big", Role.LANGUAGE,
                        rng.normal(0, 0.02, (4096, 4096)).astype(np.float32))
-    config = QuantConfig(n_uns=5, n_bits=2, p_sal_max=0.01, scale_width=16,
-                         optimize_saliency=False)
+    config = QuantConfig(n_uns=5, n_bits=2, p_sal_max=0.01, optimize_saliency=False)
     layer = quantize_layer(mat, config)
     start = time.perf_counter()
     report = storage_report(layer)

@@ -1,5 +1,6 @@
 import heapq
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -728,3 +729,21 @@ def test_decode_memory_per_input_byte(kind):
         tracemalloc.stop()
     assert np.array_equal(out, symbols)
     assert peak / len(data) < 32
+
+
+def test_widest_bvq_code_decodes_within_time_bound():
+    # A .bvq holds at most six groups, and (5, 5, 4, 3, 2, 1) is the longest
+    # code six groups can get. Its decode took 0.027-0.037 s/MB (numpy 2.4,
+    # 2 shared Xeon vCPUs); the bound leaves a 10x margin for a loaded machine.
+    book = dyadic_book([5, 5, 4, 3, 2, 1])
+    p = 2.0 ** -np.asarray(book.lengths, dtype=np.float64)
+    symbols = np.random.default_rng(18).choice(6, 4_400_000, p=p).astype(np.uint8)
+    data = pack_stream(symbols, book)
+    assert len(data) >= 2 ** 20
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        out = unpack_stream(data, book, symbols.size)
+        seconds.append(time.perf_counter() - start)
+    assert np.array_equal(out, symbols)
+    assert min(seconds) / (len(data) / 2 ** 20) < 0.4

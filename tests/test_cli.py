@@ -1,16 +1,18 @@
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import binq
-from binq import write_attention, write_tensor
-from binq.cli import main
+from binq import QuantConfig, write_attention, write_tensor
+from binq.cli import _config_from_args, build_parser, main
 from binq.tensor_store import AttentionTensor
 from conftest import (gaussian_matrix, golden_layers, outlier_matrix,
                       straddling_outlier_matrix)
@@ -80,6 +82,27 @@ def test_quantize_flags(tmp_path):
     (layer,) = read_artifact(artifact)
     assert layer.config.n_uns == 3
     assert layer.p_sal_used == 0.02
+
+
+def test_every_config_field_is_a_quantize_flag():
+    """Each `binq quantize` flag but the paths sets one QuantConfig field, and each field has one."""
+    parser = build_parser()
+    quantize = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices["quantize"]
+    base = ["quantize", "m.json", "-o", "m.bvq"]
+    default = asdict(_config_from_args(parser.parse_args(base)))
+    flagged = set()
+    for action in quantize._actions:
+        if not action.option_strings or action.dest in ("help", "output", "csv"):
+            continue
+        value = [] if action.nargs == 0 else [
+            str(action.default - 1) if action.type is int else "0.5"]
+        config = asdict(_config_from_args(parser.parse_args(
+            base + [action.option_strings[-1], *value])))
+        changed = {name for name, v in config.items() if v != default[name]}
+        assert len(changed) == 1, action.dest
+        flagged |= changed
+    assert flagged == {f.name for f in fields(QuantConfig)}
 
 
 def test_sweep(tmp_path):

@@ -126,6 +126,9 @@ class TestEvaluateObjective:
         fit, config = fit_gaussian(mat), QuantConfig(p_sal_max=0.05)
         objective = LayerObjective(mat, fit, config)
         assert evaluate_objective(mat, fit, 0.02, config, objective) == objective(0.02)
+        # A config without a cap is the one built with the role's cap.
+        uncapped = LayerObjective(mat, fit, QuantConfig())
+        assert evaluate_objective(mat, fit, 0.005, QuantConfig(), uncapped) == uncapped(0.005)
         for args in ((other, fit, config), (mat, fit_gaussian(other), config),
                      (mat, fit, QuantConfig(p_sal_max=0.04))):
             with pytest.raises(DomainError):
@@ -251,7 +254,6 @@ def objective_cases():
         "zeros": (zeros, QuantConfig(p_sal_max=0.05)),
         "constant": (np.full((8, 16), -0.3), QuantConfig(p_sal_max=0.05)),
         "n_uns_1": (0.02 * rng.standard_normal((64, 96)), QuantConfig(n_uns=1, p_sal_max=0.05)),
-        "scale_width_32": (heavy, QuantConfig(scale_width=32, p_sal_max=0.05)),
     }
     random_shares = tuple(rng.uniform(0.0, 0.05, 4))
     for name, (data, cfg) in layers.items():

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 import zlib
@@ -10,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binq import (FormatError, QuantConfig, Role, TruncationError, WeightMatrix,
-                  quantize_layer, read_artifact, read_attention, read_layer_headers,
-                  read_manifest, read_tensor, reconstruct, write_artifact,
-                  write_attention, write_tensor)
+                  fit_gaussian, quantize_layer, read_artifact, read_attention,
+                  read_layer_headers, read_manifest, read_tensor, reconstruct,
+                  write_artifact, write_attention, write_tensor)
 from binq import bit_packer
 from binq.bit_packer import storage_report
 from binq.cli import main
+from binq.saliency_optimizer import LayerObjective
 from binq.salient_quantizer import SalientQuant
 from binq.tensor_store import AttentionTensor, QuantizedLayer
 from conftest import gaussian_matrix, outlier_matrix
@@ -160,6 +162,17 @@ class TestArtifactRoundTrip:
         (back,) = read_artifact(path)
         assert np.array_equal(reconstruct(layer).data, reconstruct(back).data)
 
+    def test_layer_objective_without_cap_roundtrips(self, tmp_path):
+        # A config with p_sal_max None defers to the role's cap; the layer's
+        # config carries that cap, as the file stores it.
+        mat = outlier_matrix(4, shape=(32, 48), frac=0.02, magnitude=5.0, role=Role.VISION)
+        layer = LayerObjective(mat, fit_gaussian(mat), QuantConfig()).layer(0.01)
+        assert layer.config.p_sal_max == layer.p_sal_max == 0.05
+        path = tmp_path / "o.bvq"
+        write_artifact([layer], path)
+        (back,) = read_artifact(path)
+        assert layers_equal(layer, back)
+
     def test_file_size_matches_report(self, tmp_path):
         mat = gaussian_matrix(11, shape=(512, 512), sigma=0.02)
         layer = quantize_layer(mat, QuantConfig(p_sal_max=0.01,
@@ -254,7 +267,7 @@ def _code_length_offset(layer):
     """Byte offset of the first layer's group code lengths in a .bvq file."""
     cfg = layer.config
     return (_fields_offset(layer) + struct.calcsize("<BQQBBBBdHBdd") + 16
-            + 8 * 2 ** cfg.n_bits + cfg.scale_width // 8 * (layer.m + cfg.n_uns))
+            + 8 * 2 ** cfg.n_bits + 2 * (layer.m + cfg.n_uns))  # binary16 scales
 
 
 def _corrupt_length(byte):
@@ -302,7 +315,7 @@ def _zero_shells(raw, layer):
 
 
 def _int8_overflow_shells(raw, layer):
-    # 130 shells fit 8-bit indices but not the int8 labels.
+    # 130 shells fit 8-bit indices but not the int8 labels; binq reads index width 3 only.
     off = _fields_offset(layer) + struct.calcsize("<BQQ")
     raw[off] = 130
     raw[off + 3] = 8
@@ -362,6 +375,37 @@ def test_malformed_artifact_rejected(tmp_path, capsys, case):
         read_layer_headers(path)
     assert main(["report", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _widths(scale_width, index_width, n_uns):
+    """Damage: the config echo's scale width, index width and shell count set to these."""
+    def corrupt(raw, layer):
+        off = _fields_offset(layer) + struct.calcsize("<BQQ")
+        raw[off:off + 4] = bytes([n_uns, layer.config.n_bits, scale_width, index_width])
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_widths(32, 3, 5), "re-quantize"),
+    (_widths(16, 4, 6), "re-quantize"),
+    (_widths(16, 3, 6), "n_uns must lie in [1, 5]"),
+], ids=["scale_width_32", "index_width_4_n_uns_6", "n_uns_6"])
+def test_other_widths_refused_before_decode(tmp_path, capsys, monkeypatch, corrupt, message):
+    """A record whose scales are not binary16, or whose index width is not 3
+    (and so may address more than five shells), is refused from its header."""
+    layer = quantize_layer(outlier_matrix(1, shape=(16, 16), frac=0.02, magnitude=6.0))
+    path = tmp_path / "m.bvq"
+    write_artifact([layer], path)
+    raw = bytearray(path.read_bytes())
+    corrupt(raw, layer)
+    reseal(raw)
+    path.write_bytes(bytes(raw))
+    monkeypatch.setattr(bit_packer, "unpack_stream", None)  # no stream is decoded
+    for read in (read_artifact, read_layer_headers):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read(path)
+    assert main(["report", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def damaged_copies(raw: bytes) -> list[bytes]:
