@@ -48,9 +48,9 @@ class _Group(NamedTuple):
 def _below32(values) -> np.ndarray:
     """float64 values rounded down to float32: float32 x > t exactly when x > _below32(t)."""
     values = np.asarray(values, dtype=np.float64)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # past +-F32_MAX both roundings reach +-inf
         near = values.astype(np.float32)
-    return np.where(near > values, np.nextafter(near, np.float32(-np.inf)), near)
+        return np.where(near > values, np.nextafter(near, np.float32(-np.inf)), near)
 
 
 def _between(values: np.ndarray, lo, hi) -> np.ndarray:
