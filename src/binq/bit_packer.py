@@ -36,19 +36,19 @@ def max_partitions(l_i_max: int) -> int:
     return 2 ** l_i_max - 3
 
 
-def index_bits(n_uns: int, p_sal_max: float, p_uns: float, l_i_max: int) -> float:
+def index_bits(n_uns: int, p_sal_max: float) -> float:
     """Closed-form estimate of index-stream bits per weight.
 
-    Evaluates sum_eta eta * min(2^eta, n_uns - 2^eta + 1) over eta = 1..l_i_max,
-    scaled by the unsalient share, plus l_i_max bits for the salient share.
-    The inner min is clamped at 0 where it would go negative.
+    Evaluates sum_eta eta * min(2^eta, n_uns - 2^eta + 1) over eta = 1..INDEX_WIDTH,
+    scaled by each shell's share (1 - p_sal_max) / n_uns, plus INDEX_WIDTH bits
+    for the salient share. The inner min is clamped at 0 where it would go negative.
     """
     if n_uns < 1:
         raise DomainError(f"n_uns must be >= 1, got {n_uns}")
     total = 0.0
-    for eta in range(1, l_i_max + 1):
+    for eta in range(1, INDEX_WIDTH + 1):
         total += eta * max(0, min(2 ** eta, n_uns - 2 ** eta + 1))
-    return total * p_uns + p_sal_max * l_i_max
+    return total * ((1.0 - p_sal_max) / n_uns) + p_sal_max * INDEX_WIDTH
 
 
 @dataclass(frozen=True)
@@ -345,9 +345,7 @@ def storage_budget(m: int, n: int, config: "QuantConfig", p_sal_max: float) -> t
         raise DomainError("storage budget needs positive dimensions")
     l_b = 1.0 + (config.n_bits - 1) * p_sal_max
     l_a = SCALE_WIDTH * (config.n_uns + m) / (m * n)
-    p_uns = (1.0 - p_sal_max) / config.n_uns
-    l_i = index_bits(config.n_uns, p_sal_max, p_uns, INDEX_WIDTH)
-    return l_b, l_a, l_i, l_b + l_a
+    return l_b, l_a, index_bits(config.n_uns, p_sal_max), l_b + l_a
 
 
 def storage_report(layer: "LayerHeader") -> StorageReport:
@@ -367,9 +365,9 @@ def storage_report(layer: "LayerHeader") -> StorageReport:
     bpw = realized / weights
     l_i_real = 8.0 * index_bytes / weights
 
-    # Padding of the three packed streams is the only legitimate slack. A
-    # layer whose realized tail mass exceeds the Gaussian-quantile cap blows
-    # the payload allowance and gets flagged rather than silently accepted.
+    # Scales and the index stream count alike on both sides, so this compares the salient
+    # codes and signs with l_b, the padding of the three streams the only slack: a salient
+    # share above the cap trips it only at n_bits > 1, where a salient weight costs more.
     budget = l_model + l_i_real + (3 * 7) / weights
     return StorageReport(weights=weights, l_b=l_b, l_a=l_a, l_i=l_i,
                          l_model=l_model, l_i_realized=l_i_real,

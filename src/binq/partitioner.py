@@ -46,8 +46,8 @@ def magnitude_thresholds(fit: GaussianFit, cutoffs) -> np.ndarray:
 
 
 def magnitude_labels(magnitudes: np.ndarray, thresholds) -> np.ndarray:
-    """Label = number of (ascending) thresholds |w| exceeds; a tie goes to the lower group."""
-    labels = np.zeros(magnitudes.shape, dtype=np.int8)
+    """Label (uint8) = number of ascending thresholds |w| exceeds; a tie goes to the lower."""
+    labels = np.zeros(magnitudes.shape, dtype=np.uint8)
     for t in np.asarray(thresholds):  # a Python float would be rounded to |w|'s dtype first
-        labels += (magnitudes > t).view(np.int8)
+        labels += (magnitudes > t).view(np.uint8)
     return labels

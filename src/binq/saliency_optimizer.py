@@ -53,15 +53,6 @@ def _below32(values) -> np.ndarray:
         return np.where(near > values, np.nextafter(near, np.float32(-np.inf)), near)
 
 
-def _between(values: np.ndarray, lo, hi) -> np.ndarray:
-    """Mask of the values in (lo, hi]; an infinite bound compares nothing."""
-    if lo == -np.inf:
-        return values <= hi
-    if hi == np.inf:
-        return values > lo
-    return (values > lo) & (values <= hi)
-
-
 class LayerObjective:
     """The objective of one layer at any salient share p in [0, p_sal_max], and its layer.
 
@@ -115,7 +106,8 @@ class LayerObjective:
 
     def _gather(self, k: int) -> list:
         """Group k's window, the |w| in (lo[k], hi[k + 1]], with the salient rows and w."""
-        mask = _between(self.mag, *_below32([self.lo[k], self.hi[k + 1]]))
+        lo, hi = _below32([self.lo[k], self.hi[k + 1]])
+        mask = (self.mag > lo) & (self.mag <= hi)
         window = [np.compress(mask, self.mag)]
         if k == self.config.n_uns:
             window += [np.flatnonzero(mask) // self.matrix.n,
@@ -127,9 +119,9 @@ class LayerObjective:
         if self.windows[k] is None:
             self.windows[k] = self._gather(k)
         window = self.windows[k]
-        # The masks above each cutoff (a bool for an infinite one); their counts are the key.
-        above = [window[0] > t if np.isfinite(t) else bool(t < 0) for t in bounds[k:k + 2]]
-        key = tuple(np.count_nonzero(a) if np.ndim(a) else window[0].size * a for a in above)
+        # The masks above each cutoff; their counts are the key.
+        above = [window[0] > t for t in bounds[k:k + 2]]
+        key = tuple(np.count_nonzero(a) for a in above)
         results = self.results[k]
         if key not in results:
             keep = np.greater(*above, out=np.empty(window[0].shape, dtype=bool))
@@ -184,8 +176,7 @@ class LayerObjective:
                                counts=np.array([g.count for g in groups], dtype=np.int64),
                                labels=labels.reshape(m.m, m.n), salient=groups[-1].fit,
                                scalars=store_scales([g.fit for g in groups[:-1]]),
-                               signs=signs, p_sal_used=p_sal, p_sal_max=self.p_cap,
-                               config=self.config)
+                               signs=signs, p_sal_used=p_sal, config=self.config)
         return layer, (self._score(p_sal, denom, groups) if score else None)
 
 

@@ -96,8 +96,6 @@ def adaptive_levels(relaxed: np.ndarray, n_bits: int, alpha: float):
 
 def assign_codes(relaxed: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center code per member; ties break to the lower index."""
-    if relaxed.size == 0:
-        return np.zeros(0, dtype=np.uint8)
     dist = np.abs(relaxed[:, None] - np.asarray(centers, dtype=np.float64)[None, :])
     return np.argmin(dist, axis=1).astype(np.uint8)
 

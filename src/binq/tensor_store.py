@@ -318,7 +318,8 @@ class LayerHeader:
 
     counts holds the number of elements of each group: the unsalient shells
     0..n_uns-1, then the salient group n_uns. With the config they fix the
-    length of every packed stream.
+    length of every packed stream. The config holds the layer's cap, which
+    `p_sal_max` reads.
     """
 
     name: str
@@ -327,8 +328,11 @@ class LayerHeader:
     n: int
     counts: np.ndarray
     p_sal_used: float
-    p_sal_max: float
     config: QuantConfig
+
+    @property
+    def p_sal_max(self) -> float:
+        return self.config.p_sal_max
 
     @cached_property
     def codebook(self) -> "bit_packer.CodeBook":
@@ -341,8 +345,8 @@ class LayerHeader:
                 or sum(self.counts.tolist()) != self.m * self.n):
             raise ValidationError(f"layer {self.name!r}: group counts do not add up "
                                   f"to {self.m}x{self.n}")
-        if not 0.0 < self.p_sal_max < 1.0:
-            raise ValidationError(f"layer {self.name!r}: p_sal_max outside (0, 1)")
+        if self.p_sal_max is None:
+            raise ValidationError(f"layer {self.name!r}: config has no p_sal_max")
         if not 0.0 <= self.p_sal_used <= self.p_sal_max:
             raise ValidationError(f"layer {self.name!r}: p_sal_used outside [0, p_sal_max]")
 
@@ -538,7 +542,7 @@ def _parse_record(reader: _Reader):
         raise FormatError(f"{where}: CRC mismatch, the record is damaged")
 
     fields = dict(name=name, role=_ROLE_FROM_CODE[role_code], m=m, n=n,
-                  p_sal_used=p_sal_used, p_sal_max=p_sal_max, config=cfg)
+                  p_sal_used=p_sal_used, config=cfg)
     header = LayerHeader(counts=stored, **fields)
     try:
         header.validate()
@@ -556,9 +560,8 @@ def _parse_record(reader: _Reader):
 
     def decode() -> QuantizedLayer:
         index, codes, signs = streams
-        # Group indices are at most n_uns <= 5, so the int8 view keeps them.
         labels, counts = bit_packer.unpack_stream(index, book, m * n, return_counts=True)
-        labels = labels.view(np.int8).reshape(m, n)
+        labels = labels.reshape(m, n)
         if not np.array_equal(counts, stored):
             raise FormatError(f"{where}: decoded group counts differ from the stored ones")
         salient_count = int(counts[-1])

@@ -56,22 +56,16 @@ def validate_scores(tensor: AttentionTensor):
             token = int(np.argwhere(outside)[0][0])
             raise ValidationError(
                 f"layer {j}: {name} outside [0, 1] at output token {token}")
+    sums = tensor.group_sums.astype(np.float64)
     if tensor.is_vision:
-        dev = np.abs(tensor.group_sums[:, _IMG_COLUMN].astype(np.float64) - 1.0)
-        if not np.all(dev <= _GROUP_SUM_TOL):
-            token = int(np.argmax(dev))
-            raise ValidationError(
-                f"layer {j}: vision tensor has image attention "
-                f"{tensor.group_sums[token, _IMG_COLUMN]:.6f} != 1 at output "
-                f"token {token}")
+        sums, what = sums[:, _IMG_COLUMN], "vision tensor has image attention"
     else:
-        sums = tensor.group_sums.astype(np.float64).sum(axis=1)
-        dev = np.abs(sums - 1.0)
-        if not np.all(dev <= _GROUP_SUM_TOL):
-            token = int(np.argmax(dev))
-            raise ValidationError(
-                f"layer {j}: group sums total {sums[token]:.6f} != 1 at output "
-                f"token {token}")
+        sums, what = sums.sum(axis=1), "group sums total"
+    dev = np.abs(sums - 1.0)
+    if not np.all(dev <= _GROUP_SUM_TOL):
+        token = int(np.argmax(dev))
+        raise ValidationError(f"layer {j}: {what} {sums[token]:.6f} != 1 at output "
+                              f"token {token}")
 
 
 def layer_lambda(tensor: AttentionTensor) -> float:
@@ -84,17 +78,11 @@ def layer_lambda(tensor: AttentionTensor) -> float:
     return total / tensor.n_img
 
 
-def retain_mask(scores, ratio: float, n_img: int,
-                layer_index: int = 0, lambda_img: float = 0.0) -> PruneDecision:
-    """Top-k retention by aggregated attention; ties keep the lower index."""
+def retain_mask(scores, ratio: float) -> tuple[int, ...]:
+    """Indices of the top-k scores, sorted ascending; ties keep the lower index."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    if scores.size != n_img:
-        raise DomainError(f"expected {n_img} scores, got {scores.size}")
-    keep = retained_count(ratio, n_img)
-    order = np.lexsort((np.arange(n_img), -scores))
-    retained = np.sort(order[:keep])
-    return PruneDecision(layer_index=layer_index, lambda_img=lambda_img,
-                         retained=tuple(int(i) for i in retained))
+    order = np.lexsort((np.arange(scores.size), -scores))
+    return tuple(int(i) for i in np.sort(order[:retained_count(ratio, scores.size)]))
 
 
 def prune_decisions(tensors: list[AttentionTensor], ratio: float,
@@ -106,7 +94,6 @@ def prune_decisions(tensors: list[AttentionTensor], ratio: float,
             continue
         validate_scores(tensor)
         aggregated = tensor.image_scores.astype(np.float64).sum(axis=0)
-        decisions.append(retain_mask(aggregated, ratio, tensor.n_img,
-                                     layer_index=tensor.layer_index,
-                                     lambda_img=layer_lambda(tensor)))
+        decisions.append(PruneDecision(tensor.layer_index, layer_lambda(tensor),
+                                       retain_mask(aggregated, ratio)))
     return decisions

@@ -6,7 +6,6 @@ that `NormalDist.cdf` uses loses the left tail that `kl_divergence` sums.
 """
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,6 @@ import numpy as np
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
-_STANDARD_NORMAL = statistics.NormalDist()
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,8 @@ def probit(p: float) -> float:
     """Inverse standard normal CDF for 0 < p < 1 (AS241, within 5 ulps where measured)."""
     if not 0.0 < p < 1.0:  # also rejects NaN
         raise DomainError(f"probit requires 0 < p < 1, got {p}")
-    return _STANDARD_NORMAL.inv_cdf(p)
+    import statistics  # here, not at import: it loads decimal, fractions and random
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def fit_gaussian(matrix) -> GaussianFit:

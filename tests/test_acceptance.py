@@ -241,7 +241,7 @@ def test_criterion_11_token_pruning_math():
     scores = rng.random(64)
     previous = set(range(64))
     for ratio in (0.25, 0.5, 0.75, 0.95, 0.99):
-        current = set(retain_mask(scores, ratio, 64).retained)
+        current = set(retain_mask(scores, ratio))
         assert current <= previous
         previous = current
     elapsed = time.perf_counter() - start

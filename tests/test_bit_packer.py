@@ -164,19 +164,19 @@ class TestIndexBits:
     def test_reference_configuration(self):
         # eta=1: 1*min(2,4)=2; eta=2: 2*min(4,2)=4; eta=3: clamped to 0.
         p_uns = (1 - 0.01) / 5
-        value = index_bits(5, 0.01, p_uns, 3)
+        value = index_bits(5, 0.01)
         assert value == pytest.approx(6 * p_uns + 0.01 * 3, abs=1e-12)
         assert value == pytest.approx(1.218, abs=1e-3)
 
     def test_single_partition(self):
         p_uns = (1 - 0.02) / 1
-        value = index_bits(1, 0.02, p_uns, 3)
+        value = index_bits(1, 0.02)
         # eta=1: min(2, 0) = 0; all eta terms clamp to zero
         assert value == pytest.approx(0.02 * 3, abs=1e-12)
 
     def test_zero_salient_share(self):
         p_uns = 1.0 / 5
-        value = index_bits(5, 0.0, p_uns, 3)
+        value = index_bits(5, 0.0)
         assert value == pytest.approx(6 * p_uns, abs=1e-12)
 
 

@@ -228,8 +228,8 @@ def test_import_and_report_load_no_process_pool(tmp_path):
     artifact = tmp_path / "m.bvq"
     assert main(["quantize", manifest, "-o", str(artifact)]) == 0
     script = ("import sys, binq, binq.cli\n"
-              "loaded = lambda: sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
-              " if m in sys.modules)\n"
+              "heavy = ('multiprocessing', 'concurrent.futures.process', 'statistics')\n"
+              "loaded = lambda: sorted(m for m in heavy if m in sys.modules)\n"
               "assert loaded() == [], loaded()\n"
               f"assert binq.cli.main(['report', {str(artifact)!r}]) == 0\n"
               "assert loaded() == [], loaded()\n")

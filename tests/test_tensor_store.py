@@ -3,6 +3,7 @@ import re
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binq import (FormatError, QuantConfig, Role, TruncationError, WeightMatrix,
+from binq import (FormatError, QuantConfig, Role, TruncationError, ValidationError, WeightMatrix,
                   fit_gaussian, quantize_layer, read_artifact, read_attention,
                   read_layer_headers, read_manifest, read_tensor, reconstruct,
                   write_artifact, write_attention, write_tensor)
@@ -476,7 +477,7 @@ def planted_layer(shape, salient_at, seed, n_uns=5):
                            codes=rng.integers(0, 4, counts[-1]).astype(np.uint8),
                            centers=np.array([-1.7, -0.4, 0.3, 1.9]), mu_b=0.0, sigma_b=1.0)
     layer = QuantizedLayer(name="planted", role=Role.LANGUAGE, m=m, n=n, counts=counts,
-                           p_sal_used=0.05, p_sal_max=0.1,
+                           p_sal_used=0.05,
                            config=QuantConfig(n_uns=n_uns, p_sal_max=0.1),
                            labels=labels.reshape(m, n), salient=salient,
                            scalars=rng.uniform(0.0, 1.0, n_uns).astype(np.float16),
@@ -552,6 +553,36 @@ def test_decoded_counts_must_match_stored(tmp_path):
     read_layer_headers(path)
     with pytest.raises(FormatError, match="decoded group counts"):
         read_artifact(path)
+
+
+@pytest.mark.parametrize("cap", [None, 0.03], ids=["role_cap", "explicit_cap"])
+@pytest.mark.parametrize("search", [True, False], ids=["search", "pinned"])
+@pytest.mark.parametrize("n_bits", [1, 2, 3])
+@pytest.mark.parametrize("n_uns", [1, 2, 5])
+def test_config_and_cap_roundtrip(tmp_path, n_uns, n_bits, search, cap):
+    """A layer's config, its cap resolved, reads back equal; the cap is the config's."""
+    mat = outlier_matrix(n_uns + n_bits, shape=(24, 32), frac=0.03, magnitude=6.0,
+                         role=Role.VISION)
+    config = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=cap, optimize_saliency=search)
+    layer = quantize_layer(mat, config)
+    want = replace(config, p_sal_max=0.05 if cap is None else cap)
+    path = tmp_path / "c.bvq"
+    write_artifact([layer], path)
+    (back,) = read_artifact(path)
+    assert layer.config == back.config == want
+    assert layer.p_sal_max == back.p_sal_max == want.p_sal_max
+
+
+def test_layer_without_cap_refused(tmp_path):
+    """A hand-built layer whose config has no cap is neither valid nor written."""
+    layer = planted_layer((6, 8), 3, seed=0)
+    layer = replace(layer, config=replace(layer.config, p_sal_max=None))
+    with pytest.raises(ValidationError, match="no p_sal_max"):
+        layer.validate()
+    path = tmp_path / "none.bvq"
+    with pytest.raises(ValidationError, match="no p_sal_max"):
+        write_artifact([layer], path)
+    assert not path.exists()
 
 
 def _manifest(**fields):

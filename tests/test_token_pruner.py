@@ -101,27 +101,23 @@ class TestLayerLambda:
 
 class TestRetainMask:
     def test_zero_ratio_keeps_all(self):
-        d = retain_mask([0.5, 0.1, 0.4], 0.0, 3)
-        assert d.retained == (0, 1, 2)
+        assert retain_mask([0.5, 0.1, 0.4], 0.0) == (0, 1, 2)
 
     def test_spec_example(self):
-        d = retain_mask([0.1, 0.5, 0.2, 0.2], 0.75, 4)
-        assert d.retained == (1,)
+        assert retain_mask([0.1, 0.5, 0.2, 0.2], 0.75) == (1,)
 
     def test_tie_break_to_lower_index(self):
-        d = retain_mask([0.25, 0.25, 0.25, 0.25], 0.5, 4)
-        assert d.retained == (0, 1)
+        assert retain_mask([0.25, 0.25, 0.25, 0.25], 0.5) == (0, 1)
 
     def test_minimum_one_token(self):
-        d = retain_mask([0.9, 0.1], 0.99, 2)
-        assert len(d.retained) == 1
+        assert len(retain_mask([0.9, 0.1], 0.99)) == 1
 
     def test_nested_topk(self):
         rng = np.random.default_rng(0)
         scores = rng.random(40)
-        previous = set(retain_mask(scores, 0.0, 40).retained)
+        previous = set(retain_mask(scores, 0.0))
         for ratio in (0.25, 0.5, 0.75, 0.95, 0.99):
-            current = set(retain_mask(scores, ratio, 40).retained)
+            current = set(retain_mask(scores, ratio))
             assert current <= previous
             previous = current
 
