@@ -27,6 +27,7 @@ MAX_CODE_LEN = 20
 # addresses at most max_partitions(INDEX_WIDTH) = 5 shells.
 SCALE_WIDTH = 16
 INDEX_WIDTH = 3
+CHUNK = 1 << 16  # the most elements a chunked pass takes at once (cache)
 
 
 def max_partitions(l_i_max: int) -> int:
@@ -180,8 +181,8 @@ def pack_stream(symbols, codebook: CodeBook) -> bytes:
 
 
 def chunk_length(size: int) -> int:
-    """Elements per chunk of a `size`-element gather: at most 64K (cache) and size / 8."""
-    return max(1, min(1 << 16, size >> 3))
+    """Elements per chunk of a `size`-element gather: at most CHUNK and size / 8."""
+    return max(1, min(CHUNK, size >> 3))
 
 
 def _block_size(nbytes: int) -> int:

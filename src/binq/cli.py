@@ -58,9 +58,11 @@ def _config_from_args(args) -> QuantConfig:
 
 
 def cmd_quantize(args) -> int:
+    csv_path = args.csv or str(Path(args.output).with_suffix(".csv"))
+    if Path(csv_path).resolve() == Path(args.output).resolve():  # the artifact would replace it
+        raise IoError(f"error CSV path {csv_path} is the artifact's; give another --csv")
     manifest = tensor_store.read_manifest(args.manifest)
     config = _config_from_args(args)
-    csv_path = args.csv or str(Path(args.output).with_suffix(".csv"))
     with _output(csv_path, "a") as out:  # opened first; emptied once the artifact is written
         report, rows = pipeline.quantize_model(manifest, args.output, config)
         out.truncate(0)

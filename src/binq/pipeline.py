@@ -6,7 +6,7 @@ chosen share, and that layer packed into its .bvq record. No layer depends
 on another, so a model's layers run in forked worker processes, one per
 usable core that the affinity mask and the cgroup v2 CPU quota allow and as
 many as free memory holds. Each worker sends back its layer's packed record
-(about 0.44 bytes per weight), not the quantized layer (about 2), and the
+(about 0.44 bytes per weight), not the quantized layer (about 1.13), and the
 parent writes the records to the artifact in manifest order as they arrive,
 through a bounded window of submitted layers. So the parent's memory does
 not grow with the layer count, and the artifact and error CSV are the same
@@ -33,11 +33,11 @@ from .weight_stats import fit_gaussian
 # Columns of the per-layer error CSV, consumed by downstream plotting.
 ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
-# A worker's allocations, packing its record included, peak at up to 5.27 times
-# its layer's tensor file (traced in fresh processes, numpy 2.4: 4.28 and 4.25
-# on 1024x1024 and 4096x1024 Student-t layers with the search on, 4.00 with
-# it off, 5.27 and 4.24 on a biased 512x256 layer); packing comes after the
-# search and adds 1.16 beyond the layer, below that peak. 7 leaves a margin.
+# A worker's allocations, packing its record included, peak at up to 5.24 times
+# its layer's tensor file in the search (traced in fresh processes, numpy 2.4: 4.26
+# and 4.25 on 1024x1024 and 4096x1024 Student-t layers searched, 4.00 pinned, 5.24
+# and 4.23 on a biased 512x256 layer). Packing adds 1.16 beyond the layer, which
+# holds 0.28 (0.5 with a bool per sign), below that peak. 7 leaves a margin.
 WORKER_PEAK_PER_FILE_BYTE = 7
 # Layers submitted to the pool and not yet written, per worker: finished records
 # that wait for an earlier, slower layer are at most this many per worker.

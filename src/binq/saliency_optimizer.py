@@ -162,7 +162,8 @@ class LayerObjective:
         return self._build(p_sal, score=True)
 
     def _build(self, p_sal: float, score: bool):
-        """A sign is True for +1, also for an exact zero. One shell is held at a time."""
+        """The layer at p, and its J if `score`; one shell is held at a time. The
+        signs (1 for +1, also for an exact zero) are packed once, here."""
         denom = self.denom if score else None
         bounds = _below32(self._edges(p_sal))
         labels = magnitude_labels(self.mag, bounds[1:-1])
@@ -171,12 +172,12 @@ class LayerObjective:
         if groups is None:  # a share never scored: each shell picked from all of |w|
             groups = [self._shell(np.compress(labels == k, self.mag).astype(np.float64), score)
                       for k in range(n_uns)] + [self._group(n_uns, bounds)]
-        signs = (m.data >= 0.0).ravel()[labels < n_uns]
+        sign_bits = np.packbits((m.data >= 0.0).ravel()[labels < n_uns])
         layer = QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
                                counts=np.array([g.count for g in groups], dtype=np.int64),
                                labels=labels.reshape(m.m, m.n), salient=groups[-1].fit,
                                scalars=store_scales([g.fit for g in groups[:-1]]),
-                               signs=signs, p_sal_used=p_sal, config=self.config)
+                               sign_bits=sign_bits, p_sal_used=p_sal, config=self.config)
         return layer, (self._score(p_sal, denom, groups) if score else None)
 
 

@@ -370,16 +370,16 @@ class QuantizedLayer(LayerHeader):
     unsalient reconstructions have disjoint supports that cover the matrix.
     counts counts the labels; it is set where the labels are made, and
     nothing counts them again. scalars holds one nonnegative scalar per
-    shell as stored, in binary16; signs holds one bool per unsalient
-    element in row-major order (True = +1), which is the packed sign stream.
-    An unsalient element reconstructs as scalars[label] times its sign, a
-    salient one from `salient`.
+    shell as stored, in binary16; sign_bits is the .bvq sign stream: uint8,
+    one bit per unsalient element in row-major order (1 = +1), MSB-first and
+    zero-padded, so labels and signs take 1.13 bytes per weight. An unsalient
+    element reconstructs as scalars[label] times its sign, a salient one from `salient`.
     """
 
     labels: np.ndarray
     salient: SalientQuant
     scalars: np.ndarray
-    signs: np.ndarray
+    sign_bits: np.ndarray
 
     def validate(self):
         super().validate()
@@ -394,37 +394,40 @@ class QuantizedLayer(LayerHeader):
             raise ValidationError(f"layer {self.name!r}: center table size mismatch")
         if self.scalars.shape != (cfg.n_uns,):
             raise ValidationError(f"layer {self.name!r}: expected {cfg.n_uns} scalars")
-        if self.signs.size != self.labels.size - salient_count:
-            raise ValidationError(f"layer {self.name!r}: sign count mismatch")
+        if (self.sign_bits.dtype != np.uint8
+                or self.sign_bits.shape != ((self.labels.size - salient_count + 7) // 8,)):
+            raise ValidationError(f"layer {self.name!r}: sign stream length mismatch")
         _check_levels(self.name, self.scalars, sal.scales, sal.centers, sal.mu_b, sal.sigma_b)
 
     def dense(self, dtype=np.float64) -> np.ndarray:
-        """Reconstruction of the layer as `dtype`.
+        """Reconstruction of the layer as `dtype`, in chunks of at most 64K elements.
 
         Each element takes its group's signed scalar from a (group, sign)
-        table, a chunk at a time through a reused code 2 * group + sign; the
-        salient values, computed in float64, are then written over their
-        positions. So a float32 reconstruction is the float64 one rounded.
-        On 4096x1024 (numpy 2.4, Xeon) float32 takes 20-25 ms and 0.56 traced
-        bytes per weight beyond its output (one gather: 28-31 ms, 3.0 bytes).
+        table through a reused code 2 * group + sign: a chunk unpacks its
+        slice of the sign stream from the bit where it starts, and then
+        writes its salient values, computed in float64, over their positions.
+        So a float32 reconstruction is the float64 one rounded, and no
+        layer-sized mask or index is made. On 4096x1024 (numpy 2.4, Xeon) float32
+        takes 18-20 ms and 0.20 traced bytes per weight beyond its output.
         """
-        n_uns, labels = self.config.n_uns, self.labels.reshape(-1)
-        where = np.flatnonzero(labels == n_uns)
+        n_uns, labels, sal = self.config.n_uns, self.labels.reshape(-1), self.salient
         signed = np.append(self.scalars, 0.0).astype(dtype).repeat(2)
         signed[::2] *= -1  # entry 2 * group + sign; fits uint8 as n_uns <= 5
-        out, step, at = np.empty(self.labels.shape, dtype), bit_packer.chunk_length(labels.size), 0
+        out, scales = np.empty(self.labels.shape, dtype), sal.scales.astype(np.float64)
+        flat, step, at = out.reshape(-1), max(1, min(bit_packer.CHUNK, labels.size)), 0
         # 2 * n_uns plus a stale sign gathers 0: all codes index `signed`, so "clip" is unbuffered.
         code, positive = np.empty(step, dtype=np.uint8), np.zeros(step, dtype=bool)
-        for j in range(0, labels.size, step):
+        for j in range(0, labels.size, step):  # at: the unsalient elements before j
             part = labels[j:j + step]
             unsalient, chunk, sign = part != n_uns, code[:part.size], positive[:part.size]
-            size = np.count_nonzero(unsalient)
-            sign[unsalient], at = self.signs[at:at + size], at + size
+            where, skip = j + np.flatnonzero(~unsalient), at & 7
+            size = part.size - where.size
+            bits = np.unpackbits(self.sign_bits[at >> 3:(at + size + 7) >> 3])
+            sign[unsalient] = bits[skip:skip + size].view(bool)
             np.bitwise_or(np.left_shift(part, 1, out=chunk, casting="unsafe"), sign, out=chunk)
-            np.take(signed, chunk, out=out.reshape(-1)[j:j + step], mode="clip")
-        sal = self.salient
-        out.ravel()[where] = (sal.scales.astype(np.float64)[where // self.n]
-                              * sal.centers[sal.codes])
+            np.take(signed, chunk, out=flat[j:j + step], mode="clip")
+            flat[where] = scales[where // self.n] * sal.centers[sal.codes[j - at:][:where.size]]
+            at += size
         return out
 
 
@@ -454,7 +457,7 @@ def _layer_record(layer: QuantizedLayer) -> bytes:
         bytes(book.lengths), struct.pack("<B", 0xFF if book.solo is None else book.solo),
         layer.counts.astype("<u8").tobytes(), _blob(index),
         _blob(bit_packer.pack_stream(sal.codes, bit_packer.CodeBook.fixed(cfg.n_bits))),
-        _blob(np.packbits(layer.signs).tobytes())])
+        _blob(layer.sign_bits.tobytes())])
     return record + struct.pack("<I", zlib.crc32(record))
 
 
@@ -502,11 +505,11 @@ def write_artifact(layers, path):
 def _parse_record(reader: _Reader):
     """Parse one .bvq layer record into (header, decode).
 
-    header is the record's checked LayerHeader; decode() decodes the streams
-    into the QuantizedLayer. The CRC is checked first; then the counts must
-    add up to m x n, the levels pass `_check_levels`, the codebook must be the
-    Huffman code of the counts, each stream as long as the counts make it, and
-    the decoded counts the stored ones, so `QuantizedLayer.validate` holds.
+    header is the record's checked LayerHeader; decode() makes the QuantizedLayer: it decodes
+    the index and code streams and keeps the sign stream's bytes. The CRC is checked first;
+    then the counts must add up to m x n, the levels pass `_check_levels`, the codebook must
+    be the Huffman code of the counts, each stream as long as the counts make it, and the
+    decoded counts the stored ones, so `QuantizedLayer.validate` holds.
     """
     start, origin = reader.pos, reader.origin
     (name_len,) = reader.unpack("H")
@@ -569,9 +572,7 @@ def _parse_record(reader: _Reader):
                                codes=bit_packer.unpack_stream(
                                    codes, bit_packer.CodeBook.fixed(n_bits), salient_count))
         return QuantizedLayer(counts=counts, labels=labels, salient=salient, scalars=scalars,
-                              signs=np.unpackbits(np.frombuffer(signs, dtype=np.uint8),
-                                                  count=m * n - salient_count).view(bool),
-                              **fields)
+                              sign_bits=np.frombuffer(signs, dtype=np.uint8), **fields)
 
     return header, decode
 

@@ -139,7 +139,8 @@ def one_shell(values):
 
     A zero-sigma fit has no cutoffs, so the single shell takes all of it.
     scalar is the shell's float64 mean |w| from `shell_scalar`, before the
-    storage rounding the built layer applies; signs is the layer's stream.
+    storage rounding the built layer applies; signs is the layer's sign stream
+    unpacked, one bool per element (True = +1).
     """
     from binq import QuantConfig
     from binq.saliency_optimizer import LayerObjective
@@ -152,7 +153,7 @@ def one_shell(values):
     assert not layer.labels.any()
     scalar = shell_scalar(np.abs(mat.data).ravel().astype(np.float64))
     assert layer.scalars[0] == np.float16(scalar)
-    return mat, scalar, layer.signs
+    return mat, scalar, np.unpackbits(layer.sign_bits, count=mat.n).view(bool)
 
 
 def salient_members(matrix, mask):

@@ -186,6 +186,25 @@ def test_failed_quantize_keeps_the_error_csv(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.bvq").exists()
 
 
+@pytest.mark.parametrize("form", ["csv_flag", "default_csv", "symlink"])
+def test_error_csv_at_the_artifact_path_refused(tmp_path, capsys, form):
+    """An error CSV path that is the artifact's would be replaced by the artifact.
+    quantize refuses it before quantizing, with exit 2, and writes nothing: an
+    existing file there stays as it was."""
+    manifest = make_manifest(tmp_path, [("l", "language", gaussian_matrix(0, (8, 8)))])
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"an earlier file\n")
+    (tmp_path / "link.csv").symlink_to(target)
+    argv = {"csv_flag": ["-o", str(target), "--csv", str(target)],
+            "default_csv": ["-o", str(target)],
+            "symlink": ["-o", str(target), "--csv", str(tmp_path / "link.csv")]}[form]
+    before = sorted(tmp_path.iterdir())
+    assert main(["quantize", manifest, *argv]) == 2
+    assert "is the artifact's" in capsys.readouterr().err
+    assert target.read_bytes() == b"an earlier file\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_exit_code_domain_error(tmp_path, capsys):
     manifest = make_manifest(tmp_path, [
         ("l", "language", gaussian_matrix(0, (8, 8)))])

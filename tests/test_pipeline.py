@@ -155,7 +155,7 @@ class TestQuantizeLayer:
         counts = np.bincount(layer.labels.ravel(), minlength=6)
         assert counts.sum() == 40 * 40
         assert layer.salient.codes.size == counts[5]
-        assert layer.signs.size == counts[:5].sum()
+        assert layer.sign_bits.size == (counts[:5].sum() + 7) // 8
 
     def test_budget_not_exceeded(self):
         mat = gaussian_matrix(6, shape=(128, 128), sigma=0.02)
@@ -394,7 +394,7 @@ class TestWorkerPool:
         assert rows == serial[2] and report == serial[1]
         for got, want in zip(layers, serial[0]):
             assert np.array_equal(got.labels, want.labels)
-            assert np.array_equal(got.signs, want.signs)
+            assert np.array_equal(got.sign_bits, want.sign_bits)
         assert multiprocessing.active_children() == []
 
     def test_failing_layer_is_named(self, tmp_path, monkeypatch, capsys):

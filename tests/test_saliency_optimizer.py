@@ -411,7 +411,7 @@ class TestStoredGroups:
         assert not any(a is objective.mag for a in compressed)
         monkeypatch.undo()
         pinned = LayerObjective(mat, objective.fit, objective.config).layer(best.p_sal)
-        for field in ("counts", "labels", "scalars", "signs"):
+        for field in ("counts", "labels", "scalars", "sign_bits"):
             assert np.array_equal(getattr(layer, field), getattr(pinned, field))
         for field in ("scales", "codes", "centers"):
             got, want = getattr(layer.salient, field), getattr(pinned.salient, field)

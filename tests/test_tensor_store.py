@@ -21,7 +21,7 @@ from binq.cli import main
 from binq.saliency_optimizer import LayerObjective
 from binq.salient_quantizer import SalientQuant
 from binq.tensor_store import AttentionTensor, QuantizedLayer
-from conftest import gaussian_matrix, outlier_matrix
+from conftest import gaussian_matrix, golden_layers, outlier_matrix
 
 DATA = Path(__file__).with_name("data")
 
@@ -41,7 +41,7 @@ def layers_equal(a, b):
     if (sa.mu_b, sa.sigma_b) != (sb.mu_b, sb.sigma_b):
         return False
     return (np.array_equal(a.scalars, b.scalars)
-            and np.array_equal(a.signs, b.signs))
+            and np.array_equal(a.sign_bits, b.sign_bits))
 
 
 class TestTensorRoundTrip:
@@ -455,7 +455,8 @@ def dense_whole_layer(layer, dtype):
     """Reference: the reconstruction as one gather over the whole layer."""
     salient = layer.labels == layer.config.n_uns
     positive = np.ones(layer.labels.shape, dtype=bool)
-    positive[~salient] = layer.signs
+    positive[~salient] = np.unpackbits(layer.sign_bits,
+                                       count=np.count_nonzero(~salient)).view(bool)
     signed = np.append(layer.scalars, 0.0).astype(dtype).repeat(2)
     signed[::2] *= -1
     out = signed[(layer.labels.astype(np.uint8) << 1) | positive]
@@ -481,29 +482,37 @@ def planted_layer(shape, salient_at, seed, n_uns=5):
                            config=QuantConfig(n_uns=n_uns, p_sal_max=0.1),
                            labels=labels.reshape(m, n), salient=salient,
                            scalars=rng.uniform(0.0, 1.0, n_uns).astype(np.float16),
-                           signs=rng.random(m * n - int(counts[-1])) < 0.5)
+                           sign_bits=np.packbits(rng.random(m * n - int(counts[-1])) < 0.5))
     layer.validate()
     return layer
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape, chunk", [((40, 50), None), ((40, 50), 64), ((5, 7), 64),
-                                          ((1, 1), None), ((1, 9), None)],
-                         ids=["40x50", "40x50-chunk64", "5x7-chunk64", "1x1", "1x9"])
+                                          ((1, 1), None), ((1, 9), None), ((40, 50), 13),
+                                          ((3, 11), 4)],
+                         ids=["40x50", "40x50-chunk64", "5x7-chunk64", "1x1", "1x9",
+                              "40x50-chunk13", "3x11-chunk4"])
 def test_dense_matches_whole_layer_gather(shape, chunk, dtype, monkeypatch):
     # Salient elements on every other chunk edge, so each edge has salient and
     # unsalient elements on both sides across the layers; (5, 7) at 64 is
-    # smaller than one chunk.
+    # smaller than one chunk. Chunks start at sign offsets that are not
+    # multiples of 8, and the unsalient counts are not either.
     if chunk is not None:
-        monkeypatch.setattr(bit_packer, "chunk_length", lambda size: chunk)
+        monkeypatch.setattr(bit_packer, "CHUNK", chunk)
     size = shape[0] * shape[1]
-    step = bit_packer.chunk_length(size)
+    step = min(bit_packer.CHUNK, size)
     edges = [e for k in range(2, size // step + 1, 2) for e in (k * step - 1, k * step)]
+    offsets, tails = set(), set()
     for seed in range(3):
         layer = planted_layer(shape, [e for e in edges if e < size], seed)
+        unsalient = np.cumsum(layer.labels.ravel() != layer.config.n_uns)
+        offsets |= {int(unsalient[j - 1]) % 8 for j in range(step, size, step)}
+        tails.add(int(unsalient[-1]) % 8)
         got = layer.dense(dtype)
         assert got.dtype == dtype and got.shape == shape
         assert np.array_equal(got, dense_whole_layer(layer, dtype))
+    assert tails - {0} and (step == size or offsets - {0})
 
 
 def traced_peak(call):
@@ -517,19 +526,72 @@ def traced_peak(call):
 
 
 def test_load_memory_per_weight(tmp_path):
-    # Traced peaks on a 1024x1024 Student-t layer (numpy 2.4): read_artifact
-    # 5.77 bytes per weight and dense(np.float32) 3.07 beyond its output with
-    # a whole-layer cell matrix and gather; 4.87 and 0.86 in chunks.
+    # Traced on a 1024x1024 Student-t layer (numpy 2.4). read_artifact peaks at
+    # 4.93 bytes per weight, in the index decode, and keeps 1.18 (2.04 when
+    # it unpacked one bool per sign). dense(np.float32) peaks 0.77 beyond its
+    # output, its chunk's intp gather index included (0.86 with a layer-sized
+    # salient mask and index; 3.07 as one whole-layer gather).
     rng = np.random.default_rng(5)
     mat = WeightMatrix("t", Role.LANGUAGE, 0.02 * rng.standard_t(5, (1024, 1024)))
     path = tmp_path / "t.bvq"
     write_artifact([quantize_layer(mat, QuantConfig(optimize_saliency=False))], path)
     weights = mat.m * mat.n
-    (layer,), peak = traced_peak(lambda: read_artifact(path))
-    assert peak / weights < 5.3
+    tracemalloc.start()
+    try:
+        (layer,) = read_artifact(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / weights < 5.0 and held / weights < 1.25
     out, peak = traced_peak(lambda: layer.dense(np.float32))
     assert np.array_equal(out, dense_whole_layer(layer, np.float32))
-    assert (peak - out.nbytes) / weights < 1.5
+    assert (peak - out.nbytes) / weights < 0.85
+
+
+def test_held_layer_bytes_per_weight(tmp_path):
+    """Labels and packed signs take at most 1.13 bytes per weight, in a layer
+    that quantize_layer builds and in one that read_artifact reads."""
+    mat = WeightMatrix("h", Role.LANGUAGE,
+                       0.02 * np.random.default_rng(3).standard_t(5, (256, 192)))
+    built = quantize_layer(mat)
+    path = tmp_path / "h.bvq"
+    write_artifact([built], path)
+    (back,) = read_artifact(path)
+    for layer in (built, back):
+        assert layer.sign_bits.dtype == np.uint8
+        assert (layer.labels.nbytes + layer.sign_bits.nbytes) / (mat.m * mat.n) <= 1.13
+
+
+def test_golden_layers_read_write_reproduce_bytes(tmp_path):
+    """A golden layer read from its .bvq holds the record's sign stream bytes as
+    they are, and writing it back reproduces the file."""
+    layers, _ = golden_layers(tmp_path)
+    for layer in layers:
+        path = tmp_path / f"{layer.name}.bvq"
+        raw = path.read_bytes()
+        (back,) = read_artifact(path)
+        signs = back.sign_bits.tobytes()
+        # The sign stream is the record's last blob: its u64 length, then its
+        # bytes, then the CRC.
+        assert raw[-12 - len(signs):-4] == struct.pack("<Q", len(signs)) + signs
+        assert np.array_equal(back.sign_bits, layer.sign_bits)
+        write_artifact([back], tmp_path / "again.bvq")
+        assert (tmp_path / "again.bvq").read_bytes() == raw
+
+
+def test_sign_stream_length_and_dtype_checked(tmp_path):
+    """validate, and so write_artifact, refuses a sign stream of the wrong byte
+    length or one that holds bools."""
+    layer = planted_layer((6, 8), 3, seed=0)
+    bits = layer.sign_bits
+    unpacked = np.unpackbits(bits, count=int(layer.counts[:-1].sum())).view(bool)
+    for bad in (bits[:-1], np.append(bits, np.uint8(0)), unpacked, bits.astype(bool)):
+        broken = replace(layer, sign_bits=bad)
+        with pytest.raises(ValidationError, match="sign stream length"):
+            broken.validate()
+        with pytest.raises(ValidationError, match="sign stream length"):
+            write_artifact([broken], tmp_path / "bad.bvq")
+    assert not (tmp_path / "bad.bvq").exists()
 
 
 def test_decoded_counts_must_match_stored(tmp_path):

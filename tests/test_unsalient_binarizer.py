@@ -68,7 +68,7 @@ class TestBinarizeSubset:
         empty = [k for k in range(3) if np.sum(layer.labels == k) == 0]
         assert empty, "construction should leave a hole in the middle subsets"
         assert layer.scalars[empty[0]] == 0.0
-        assert layer.signs.size == np.sum(layer.labels < 3)
+        assert layer.sign_bits.size == (np.sum(layer.labels < 3) + 7) // 8
 
     def test_optimality_oracle(self):
         rng = np.random.default_rng(99)
