@@ -45,9 +45,10 @@ def magnitude_thresholds(fit: GaussianFit, cutoffs) -> np.ndarray:
     return fit.mu + fit.sigma * np.asarray(cutoffs, dtype=np.float64)
 
 
-def magnitude_labels(magnitudes: np.ndarray, thresholds) -> np.ndarray:
-    """Label (uint8) = number of ascending thresholds |w| exceeds; a tie goes to the lower."""
-    labels = np.zeros(magnitudes.shape, dtype=np.uint8)
+def magnitude_labels(magnitudes: np.ndarray, thresholds, out=None) -> np.ndarray:
+    """Label (uint8) = number of ascending thresholds |w| exceeds; a tie goes to the lower.
+    The labels are added into `out`, uint8 zeros of |w|'s shape, if given."""
+    labels = np.zeros(magnitudes.shape, dtype=np.uint8) if out is None else out
     for t in np.asarray(thresholds):  # a Python float would be rounded to |w|'s dtype first
         labels += (magnitudes > t).view(np.uint8)
     return labels

@@ -5,7 +5,9 @@ saliency search over it, the quantized layer the objective builds at the
 chosen share, and that layer packed into its .bvq record. No layer depends
 on another, so a model's layers run in forked worker processes, one per
 usable core that the affinity mask and the cgroup v2 CPU quota allow and as
-many as free memory holds. Each worker sends back its layer's packed record
+many as free memory holds. A large layer fits its groups on the cores the
+workers leave idle, usable cores // workers threads (at most LAYER_THREADS)
+that start and end within the layer. Each worker sends back its layer's packed record
 (about 0.44 bytes per weight), not the quantized layer (about 1.13), and the
 parent writes the records to the artifact in manifest order as they arrive,
 through a bounded window of submitted layers. So the parent's memory does
@@ -33,15 +35,22 @@ from .weight_stats import fit_gaussian
 # Columns of the per-layer error CSV, consumed by downstream plotting.
 ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
-# A worker's allocations, packing its record included, peak at up to 5.24 times
-# its layer's tensor file in the search (traced in fresh processes, numpy 2.4: 4.26
-# and 4.25 on 1024x1024 and 4096x1024 Student-t layers searched, 4.00 pinned, 5.24
-# and 4.23 on a biased 512x256 layer). Packing adds 1.16 beyond the layer, which
-# holds 0.28 (0.5 with a bool per sign), below that peak. 7 leaves a margin.
+# A worker's allocations, packing its record included, peak at up to 5.9 times its
+# layer's tensor file in the search (traced in fresh processes, numpy 2.4, two threads:
+# 5.25 searched and 4.06 pinned on 1024x1024 Student-t layers, 5.9 and 4.8 on a biased
+# 512x1024 one; on one thread 4.3 and 4.06, and 5.74 and 4.70 on a biased 512x256 one).
+# Packing adds 1.16 beyond the layer, below that peak. 7 leaves a margin.
 WORKER_PEAK_PER_FILE_BYTE = 7
 # Layers submitted to the pool and not yet written, per worker: finished records
 # that wait for an earlier, slower layer are at most this many per worker.
 WINDOW_PER_WORKER = 4
+# A layer of fewer weights fits its groups on one thread: on 2 cores two threads
+# slowed the search of 512x512 Student-t layers (0.080 -> 0.089 s), broke even at
+# 384x1024 and sped up 512x1024 (0.155 -> 0.117 s) and larger.
+THREADED_WEIGHTS = 1 << 19
+# At most this many threads fit one layer: each holds a group fit's temporaries, so
+# 3, 4 and 6 threads peak at 5.7, 6.4 and 7.6 times the file (4096x1024, searched).
+LAYER_THREADS = 2
 # Where this process's cgroup v2 membership is read, and where the hierarchy is mounted.
 PROC_CGROUP = Path("/proc/self/cgroup")
 CGROUP_ROOT = Path("/sys/fs/cgroup")
@@ -60,12 +69,26 @@ def reconstruction_error(matrix: WeightMatrix, layer: QuantizedLayer) -> float:
     return float(np.sum(np.square(diff)))
 
 
+def _threads(matrix: WeightMatrix, cores: int | None) -> int:
+    """Threads that fit `matrix`'s groups: `cores`, or this process's usable cores if
+    None, at most LAYER_THREADS. 1 below THREADED_WEIGHTS weights, and 1 in a process
+    tracing its allocations, as it runs no pool: a span tracer such as
+    perfbench/tracer.py keeps one span stack per process, so concurrent group fits
+    would nest their spans under each other and report each other's peaks."""
+    if matrix.data.size < THREADED_WEIGHTS or cores == 1:
+        return 1
+    import tracemalloc
+
+    return 1 if tracemalloc.is_tracing() else min(cores or _usable()[0], LAYER_THREADS)
+
+
 def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
-              cap_override: float | None, score: bool):
+              cap_override: float | None, score: bool, cores: int | None = None):
     """The quantized layer and, if `score`, its J (else None); a failure names the layer.
 
     J is the search's best evaluation, or one evaluation at the pinned
-    share; an all-zero layer, whose J is 0/0, gets 0.
+    share; an all-zero layer, whose J is 0/0, gets 0. The layer's groups are
+    fitted on `_threads(matrix, cores)` threads.
     """
     config = config or QuantConfig()
     try:
@@ -75,7 +98,7 @@ def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
         cap = config.resolve_p_sal_max(matrix.role, cap_override)
         cfg = replace(config, p_sal_max=cap)
         fit = fit_gaussian(matrix)
-        objective = LayerObjective(matrix, fit, cfg)
+        objective = LayerObjective(matrix, fit, cfg, _threads(matrix, cores))
 
         j = None
         # An all-zero matrix has sigma 0 too.
@@ -106,8 +129,9 @@ def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None) -> Q
     return _quantize(matrix, config, None, score=False)[0]
 
 
-def _quantize_entry(entry, config: QuantConfig):
-    """(.bvq record, error-CSV row, storage report) of one manifest entry.
+def _quantize_entry(entry, config: QuantConfig, cores: int):
+    """(.bvq record, error-CSV row, storage report) of one manifest entry, on up to
+    `cores` threads.
 
     A failure names the layer. The quantized layer is packed here and goes
     no further, so a worker sends back its record, not the layer.
@@ -116,26 +140,28 @@ def _quantize_entry(entry, config: QuantConfig):
         matrix = entry.load()
     except (BinqError, ValueError) as exc:
         raise type(exc)(f"layer {entry.name!r}: {exc}") from exc
-    layer, j = _quantize(matrix, config, entry.p_sal_max, score=True)
+    layer, j = _quantize(matrix, config, entry.p_sal_max, score=True, cores=cores)
     report = bit_packer.storage_report(layer)
     row = {"layer": entry.name, "m": layer.m, "n": layer.n, "p_sal_used": layer.p_sal_used,
            "J": j, "relative_error": math.sqrt(j), "bits_per_weight": report.bits_per_weight}
     return _layer_record(layer), row, report
 
 
-def _cgroup_limits() -> tuple[float, float]:
-    """(CPUs, free bytes) that this process's cgroup v2 and its ancestors allow.
+def _usable() -> tuple[int, float]:
+    """(usable cores, free bytes) that the affinity mask and this process's cgroup v2
+    and its ancestors allow: the one rule of the pool's workers and of a layer's threads.
 
-    CPUs is the smallest ceil(quota / period) of a `cpu.max`, free bytes the
-    smallest `memory.max` - `memory.current`; "max", a missing file or no
-    cgroup v2 membership is no limit (inf).
+    The cores are the affinity mask's, capped by the smallest ceil(quota / period)
+    of a `cpu.max`; free bytes are the smallest `memory.max` - `memory.current`.
+    "max", a missing file or no cgroup v2 membership is no limit (inf).
     """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     cpus = free = math.inf
     try:
         own = CGROUP_ROOT / next(line[3:] for line in PROC_CGROUP.read_text().splitlines()
                                  if line.startswith("0::")).strip().lstrip("/")
     except (OSError, StopIteration):
-        return cpus, free
+        return cores, free
     for folder in (own, *own.parents):
         try:
             quota, period = (folder / "cpu.max").read_text().split()
@@ -152,15 +178,14 @@ def _cgroup_limits() -> tuple[float, float]:
             pass
         if folder == CGROUP_ROOT:
             break
-    return cpus, free
+    return int(min(cores, cpus)), free
 
 
-def _workers(entries) -> int:
-    """Worker processes for these entries: one per layer and usable core (the
-    affinity mask, capped by the cgroup v2 CPU quota), as many as free memory
-    (MemAvailable, and what the cgroup v2 memory limit leaves) holds at
-    WORKER_PEAK_PER_FILE_BYTE; 1 for a daemonic or allocation-tracing caller."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def _workers(entries, cores: int, free: float) -> int:
+    """Worker processes for these entries: one per layer and usable core, as many
+    as free memory (MemAvailable, and `free`, what the cgroup v2 memory limit
+    leaves) holds at WORKER_PEAK_PER_FILE_BYTE; 1 for a daemonic or
+    allocation-tracing caller."""
     workers = min(len(entries), cores)
     if workers < 2:
         return workers
@@ -171,7 +196,6 @@ def _workers(entries) -> int:
     mp = sys.modules.get("multiprocessing")
     if tracemalloc.is_tracing() or (mp and mp.current_process().daemon):
         return 1
-    cpus, free = _cgroup_limits()
     try:
         kb = PROC_MEMINFO.read_text().partition("MemAvailable:")[2].split()[0]
         free = min(free, 1024 * int(kb))
@@ -181,17 +205,17 @@ def _workers(entries) -> int:
         peak = WORKER_PEAK_PER_FILE_BYTE * max(e.path.stat().st_size for e in entries)
     except OSError as exc:
         raise IoError(f"cannot read {exc.filename}: {exc}") from exc
-    return int(min(workers, cpus, free // peak))
+    return int(min(workers, free // peak))
 
 
-def _in_order(pool, entries, config, window: int):
+def _in_order(pool, entries, config, cores: int, window: int):
     """The pool's results for the entries in manifest order, with at most
     `window` entries submitted and not yet taken."""
     pending = collections.deque()
     for entry in entries:
         if len(pending) == window:
             yield pending.popleft().result()
-        pending.append(pool.submit(_quantize_entry, entry, config))
+        pending.append(pool.submit(_quantize_entry, entry, config, cores))
     while pending:
         yield pending.popleft().result()
 
@@ -215,10 +239,12 @@ def quantize_model(manifest: ModelManifest, path, config: QuantConfig | None = N
             reports.append(report)
             yield record
 
-    workers = _workers(entries)
+    cores, free = _usable()
+    workers = _workers(entries, cores, free)
+    layer_cores = cores // workers if workers else 1  # a worker's cores, for its threads
     if workers < 2:
         _write_records(path, len(entries), records(
-            _quantize_entry(entry, config) for entry in entries))
+            _quantize_entry(entry, config, layer_cores) for entry in entries))
     else:  # fork: no re-imports, and the executor forks before it starts a thread
         import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -226,8 +252,8 @@ def quantize_model(manifest: ModelManifest, path, config: QuantConfig | None = N
         try:
             with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
                 try:
-                    _write_records(path, len(entries), records(
-                        _in_order(pool, entries, config, WINDOW_PER_WORKER * workers)))
+                    _write_records(path, len(entries), records(_in_order(
+                        pool, entries, config, layer_cores, WINDOW_PER_WORKER * workers)))
                 except BaseException:  # quantize no layer whose record would be thrown away
                     pool.shutdown(cancel_futures=True)
                     raise

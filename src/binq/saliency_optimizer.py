@@ -8,12 +8,15 @@ search result is additionally compared against both interval endpoints and
 the overall best evaluation is returned. `LayerObjective` owns the share
 range: an evaluation fits only the groups no earlier one fitted and builds
 no layer; the layer at a scored share is built from the stored groups, and
-a layer built at a pinned share can be scored on the shells it picks.
+a layer built at a pinned share can be scored on the shells it picks. Both
+fit their groups on the layer's threads, with the same bits on any number.
 """
 
+import collections
 import math
+import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +56,42 @@ def _below32(values) -> np.ndarray:
         return np.where(near > values, np.nextafter(near, np.float32(-np.inf)), near)
 
 
+def _run(jobs, threads: int) -> list:
+    """Each job's result, in order. Up to `threads` threads, this one included, each
+    take the next job not yet taken, and all are joined before this returns. The
+    exception of the first job in order that raised is re-raised here, as one
+    thread running the jobs in order would raise it; jobs not yet taken are dropped."""
+    if threads < 2 or len(jobs) < 2:
+        return [job() for job in jobs]
+    todo, results, failed = collections.deque(enumerate(jobs)), [None] * len(jobs), {}
+
+    def work():
+        while True:
+            try:
+                i, job = todo.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = job()
+            except BaseException as exc:  # every job before i is taken and ends
+                failed[i] = exc
+                todo.clear()
+
+    helpers = []
+    try:
+        for _ in range(min(threads, len(jobs)) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:  # also when a thread cannot start: those started end the jobs
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 class LayerObjective:
     """The objective of one layer at any salient share p in [0, p_sal_max], and its layer.
 
@@ -72,12 +111,18 @@ class LayerObjective:
     never scored (a pinned share) `layer` picks each shell from the labels
     and gathers only the salient window; `scored_layer` scores that layer
     bitwise as `__call__` would. ||W||^2 is taken at the first score.
+
+    Both fit their groups as jobs on `threads` threads, the salient group
+    first as the largest. A job reads |w| and its own window and writes only
+    its own `windows[k]` and `results[k]`, and J sums the groups in a fixed
+    order afterwards, so any thread count gives the same bits.
     """
 
-    def __init__(self, matrix, fit: GaussianFit, config: QuantConfig):
+    def __init__(self, matrix, fit: GaussianFit, config: QuantConfig, threads: int = 1):
         self.p_cap = config.resolve_p_sal_max(matrix.role)
         # The cap in the config, so that its layers' configs survive a .bvq round trip.
         self.matrix, self.fit, self.config = matrix, fit, replace(config, p_sal_max=self.p_cap)
+        self.threads = threads
         self.mag = np.abs(matrix.data).ravel()
         # Each cutoff's range over [0, cap]: its values at the cap and at 0, in order.
         self.lo, self.hi = np.sort([self._cutoffs(self.p_cap), self._cutoffs(0.0)], axis=0)
@@ -148,9 +193,11 @@ class LayerObjective:
                              / denom)
 
     def __call__(self, p_sal: float) -> ObjectiveEval:
-        denom = self.denom
+        denom, n_uns = self.denom, self.config.n_uns
         bounds = _below32(self._edges(p_sal))
-        self.scored[p_sal] = [self._group(k, bounds) for k in range(self.config.n_uns + 1)]
+        salient, *shells = _run([partial(self._group, k, bounds) for k in (n_uns, *range(n_uns))],
+                                self.threads)
+        self.scored[p_sal] = [*shells, salient]
         return self._score(p_sal, denom, self.scored[p_sal])
 
     def layer(self, p_sal: float) -> QuantizedLayer:
@@ -162,17 +209,30 @@ class LayerObjective:
         return self._build(p_sal, score=True)
 
     def _build(self, p_sal: float, score: bool):
-        """The layer at p, and its J if `score`; one shell is held at a time. The
-        signs (1 for +1, also for an exact zero) are packed once, here."""
+        """The layer at p, and its J if `score`. |w| is labelled in two halves, then
+        the groups not yet fitted (salient first) and the sign stream (1 for +1,
+        also for an exact zero) are made, each as one job on the layer's threads."""
         denom = self.denom if score else None
         bounds = _below32(self._edges(p_sal))
-        labels = magnitude_labels(self.mag, bounds[1:-1])
-        n_uns, m = self.config.n_uns, self.matrix
+        n_uns, m, mag = self.config.n_uns, self.matrix, self.mag
+        labels, cut = np.zeros(mag.shape, dtype=np.uint8), mag.size // 2
+        _run([partial(magnitude_labels, mag[half], bounds[1:-1], labels[half])
+              for half in (slice(cut), slice(cut, None))], self.threads)
+
+        def shell(k: int) -> _Group:
+            return self._shell(np.compress(labels == k, mag).astype(np.float64), score)
+
+        def signs() -> np.ndarray:
+            return np.packbits((m.data >= 0.0).ravel()[labels < n_uns])
+
         groups = self.scored.get(p_sal)
         if groups is None:  # a share never scored: each shell picked from all of |w|
-            groups = [self._shell(np.compress(labels == k, self.mag).astype(np.float64), score)
-                      for k in range(n_uns)] + [self._group(n_uns, bounds)]
-        sign_bits = np.packbits((m.data >= 0.0).ravel()[labels < n_uns])
+            salient, *groups, sign_bits = _run(
+                [partial(self._group, n_uns, bounds), *(partial(shell, k) for k in range(n_uns)),
+                 signs], self.threads)
+            groups.append(salient)
+        else:
+            sign_bits = signs()
         layer = QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
                                counts=np.array([g.count for g in groups], dtype=np.int64),
                                labels=labels.reshape(m.m, m.n), salient=groups[-1].fit,

@@ -247,7 +247,8 @@ def test_import_and_report_load_no_process_pool(tmp_path):
     artifact = tmp_path / "m.bvq"
     assert main(["quantize", manifest, "-o", str(artifact)]) == 0
     script = ("import sys, binq, binq.cli\n"
-              "heavy = ('multiprocessing', 'concurrent.futures.process', 'statistics')\n"
+              "heavy = ('multiprocessing', 'concurrent.futures', 'concurrent.futures.process',\n"
+              "         'statistics')\n"
               "loaded = lambda: sorted(m for m in heavy if m in sys.modules)\n"
               "assert loaded() == [], loaded()\n"
               f"assert binq.cli.main(['report', {str(artifact)!r}]) == 0\n"

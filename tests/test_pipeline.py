@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -544,7 +546,7 @@ class TestWorkerPool:
         monkeypatch.setattr(pipeline, "CGROUP_ROOT", root)
         monkeypatch.setattr(pipeline, "PROC_CGROUP", proc)
         built = force_pool(monkeypatch, cores=range(8))
-        workers = lambda: pipeline._workers(manifest.entries)
+        workers = lambda: pipeline._workers(manifest.entries, *pipeline._usable())
 
         proc.write_text("1:cpu:/\n0::/machine.slice/job\n")
         assert workers() == 5  # no limit files: one worker per layer
@@ -610,6 +612,105 @@ class TestWorkerPool:
         built = force_pool(monkeypatch)
         csv_objective_case(tmp_path, monkeypatch, search)
         assert len(built) == 1
+
+
+def threaded(monkeypatch, log, cores=2):
+    """Fit every layer, whatever its size, on `cores` threads, and log the process id
+    and thread count of each set of group fits to `log`."""
+    real = so._run
+
+    def logged(jobs, threads):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {threads}\n")
+        return real(jobs, threads)
+
+    monkeypatch.setattr(so, "_run", logged)
+    monkeypatch.setattr(pipeline, "THREADED_WEIGHTS", 0)
+    monkeypatch.setattr(pipeline, "_usable", lambda: (cores, math.inf))
+
+
+def thread_log(log) -> tuple[set, set]:
+    """(process ids, thread counts) that `log` holds, and empty it."""
+    lines = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    log.unlink()
+    return {pid for pid, _ in lines}, {threads for _, threads in lines}
+
+
+class TestThreads:
+    """A layer fits its groups on the cores the pool leaves idle, with the same bytes."""
+
+    @pytest.mark.parametrize("search", [True, False])
+    def test_same_bytes_as_one_thread(self, tmp_path, monkeypatch, search):
+        manifest, log = mixed_manifest(tmp_path), tmp_path / "threads.log"
+        one_core(monkeypatch)
+        serial = quantize_files(manifest, tmp_path, search)
+        threaded(monkeypatch, log)
+        monkeypatch.setattr(pipeline, "_workers", lambda *args: 1)
+        before = threading.active_count()
+        assert quantize_files(manifest, tmp_path, search) == serial
+        assert threading.active_count() == before
+        assert thread_log(log) == ({os.getpid()}, {2})
+
+    def test_error_in_a_thread_names_the_layer(self, tmp_path, monkeypatch, capsys):
+        """A binary16 overflow raised in a group fit surfaces as it would on one
+        thread: a DomainError naming the layer once, exit code 3; no thread is left."""
+        log, before = tmp_path / "threads.log", threading.active_count()
+        threaded(monkeypatch, log)
+        big = gaussian_matrix(0, (64, 64), sigma=1e5, name="big")
+        for search in (True, False):
+            with pytest.raises(DomainError) as info:
+                quantize_layer(big, QuantConfig(optimize_saliency=search))
+            message = str(info.value)
+            assert message.startswith("layer 'big': ") and "65504" in message
+            assert message.count("'big'") == 1
+            assert threading.active_count() == before
+        quantize_layer(gaussian_matrix(0, (64, 64), name="fine"))
+        assert threading.active_count() == before
+        assert thread_log(log) == ({os.getpid()}, {2})
+        manifest = build_manifest(tmp_path, [("big", "language", big)])
+        assert main(["quantize", str(manifest), "-o", str(tmp_path / "m.bvq")]) == 3
+        err = capsys.readouterr().err
+        assert "layer 'big'" in err and "65504" in err and err.count("'big'") == 1
+        assert thread_log(log)[1] == {2}
+
+    def test_pool_workers_start_no_threads(self, tmp_path, monkeypatch):
+        """On two cores two workers leave no core idle: each fits on one thread,
+        while one process on the same cores fits on both."""
+        manifest, log = read_manifest(mixed_manifest(tmp_path)), tmp_path / "threads.log"
+        threaded(monkeypatch, log)
+        built = force_pool(monkeypatch)
+        quantize_model(manifest, tmp_path / "m.bvq")
+        pids, threads = thread_log(log)
+        assert len(built) == 1 and os.getpid() not in pids and threads == {1}
+        monkeypatch.setattr(pipeline, "_workers", lambda *args: 1)
+        quantize_model(manifest, tmp_path / "m.bvq")
+        assert thread_log(log) == ({os.getpid()}, {2}) and len(built) == 1
+
+    def test_tracing_process_fits_on_one_thread(self, tmp_path, monkeypatch):
+        import tracemalloc
+
+        log = tmp_path / "threads.log"
+        threaded(monkeypatch, log)
+        mat = gaussian_matrix(3, (64, 64), sigma=0.02)
+        quantize_layer(mat)
+        assert thread_log(log)[1] == {2}
+        tracemalloc.start()
+        try:
+            quantize_layer(mat)
+        finally:
+            tracemalloc.stop()
+        assert thread_log(log)[1] == {1}
+
+    def test_thread_count_rule(self, monkeypatch):
+        """The usable cores, or a worker's share of them, at most LAYER_THREADS; one
+        below THREADED_WEIGHTS weights."""
+        big, small = gaussian_matrix(3, (1024, 512)), gaussian_matrix(3, (512, 512))
+        assert small.data.size < pipeline.THREADED_WEIGHTS == big.data.size
+        monkeypatch.setattr(pipeline, "_usable", lambda: (8, math.inf))
+        assert [pipeline._threads(big, cores) for cores in (None, 8, 2, 1)] == [2, 2, 2, 1]
+        assert pipeline._threads(small, None) == 1
+        monkeypatch.setattr(pipeline, "_usable", lambda: (1, math.inf))
+        assert pipeline._threads(big, None) == 1
 
 
 def test_parent_memory_is_flat_in_the_layer_count(tmp_path):

@@ -1,4 +1,9 @@
 import math
+import sys
+import threading
+import time
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +14,11 @@ import binq.saliency_optimizer as so
 from binq import (DomainError, OptimizationError, QuantConfig, Role, WeightMatrix,
                   quantize_layer)
 from binq.partitioner import compute_cutoffs, magnitude_thresholds
+from binq.bit_packer import CHUNK
 from binq.salient_quantizer import SalientQuant
 from binq.saliency_optimizer import (LayerObjective, brent_minimize, evaluate_objective,
                                      optimize_saliency, sweep_thresholds)
+from binq.tensor_store import _layer_record
 from binq.weight_stats import GaussianFit, fit_gaussian
 from conftest import (capped_layer, gaussian_matrix, outlier_matrix, score_layer,
                       straddling_outlier_matrix)
@@ -455,3 +462,121 @@ def test_golden_optimal_share(seed, stream, role, shape, biased, p_star):
     """
     mat = seeded_layer(seed, stream, role, shape, biased)
     assert best_share(mat, QuantConfig()) == p_star
+
+
+def chunk_edge_layer():
+    """A 512x256 layer, two 64K chunks whose edge is also the labels' halves' cut,
+    with salient members on either side of each chunk edge."""
+    mat = seeded_layer(11, 5, Role.LANGUAGE, (512, 256), False)
+    flat = mat.data.reshape(-1)
+    assert flat.size == 2 * CHUNK
+    for i in (0, 1, CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1):
+        flat[i] = 0.5 if i % 2 else -0.5  # 25 sigma: salient at every share
+    return mat
+
+
+def plain(group):
+    """A stored group as comparable values: its fit's fields, residual and size."""
+    fit = group.fit
+    if isinstance(fit, SalientQuant):
+        fit = tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(fit).values())
+    return float(fit) if np.ndim(fit) == 0 else fit, group.residual, group.count
+
+
+THREAD_CASES = [pytest.param(seeded_layer(201, 4, Role.LANGUAGE, (256, 192), False), n_uns,
+                             id=f"n_uns_{n_uns}") for n_uns in (1, 2, 5)]
+THREAD_CASES.append(pytest.param(chunk_edge_layer(), 5, id="chunk_edges"))
+
+
+class TestThreads:
+    """Fitting a layer's groups on threads changes no bit of its objective or layer."""
+
+    @pytest.mark.parametrize("search", [True, False])
+    @pytest.mark.parametrize("mat, n_uns", THREAD_CASES)
+    def test_same_layer_and_objective_on_any_thread_count(self, monkeypatch, mat, n_uns,
+                                                           search):
+        started, before = [], threading.active_count()
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(so, "threading", SimpleNamespace(Thread=Counted))
+        fit, config, runs = fit_gaussian(mat), QuantConfig(n_uns=n_uns), []
+        for threads in (1, 3):
+            objective = LayerObjective(mat, fit, config, threads)
+            if search:
+                best = optimize_saliency(objective)
+                layer = objective.layer(best.p_sal)
+            else:
+                layer, best = objective.scored_layer(objective.p_cap)
+            runs.append((_layer_record(layer), best,
+                         {p: [plain(g) for g in groups] for p, groups in objective.scored.items()},
+                         [{key: plain(g) for key, g in results.items()}
+                          for results in objective.results]))
+            assert threading.active_count() == before
+            assert bool(started) == (threads > 1)
+        assert runs[0] == runs[1]
+        assert (len(runs[0][2]) > 3) == search  # the search scored shares
+
+    def test_each_job_runs_once_in_order_under_stress(self):
+        """More threads than cores, switching every microsecond: each job is taken
+        once and its result lands in its own place."""
+        ran, out, interval = [0] * 2000, [], sys.getswitchinterval()
+
+        def job(i):
+            ran[i] += 1
+            return i
+
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: out.append(
+                so._run([partial(job, i) for i in range(len(ran))], 8)))
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert out == [list(range(len(ran)))] and ran == [1] * len(ran)
+
+    def test_exception_of_a_thread_is_raised_here(self):
+        """A job that fails off this thread raises its own exception here, and no
+        thread outlives the call."""
+        before, barrier = threading.active_count(), threading.Barrier(2, timeout=30)
+
+        def job(i):
+            barrier.wait()  # the two jobs run on two threads
+            if threading.current_thread() is not threading.main_thread():
+                raise DomainError(f"job {i} failed off the main thread")
+            return i
+
+        with pytest.raises(DomainError, match=r"^job [01] failed off the main thread$"):
+            so._run([partial(job, 0), partial(job, 1)], 2)
+        assert threading.active_count() == before
+
+    def test_first_failing_job_in_order_is_raised(self):
+        """Two jobs fail at once on two threads: the first in order is raised, as one
+        thread running the jobs in order would raise it."""
+        barrier = threading.Barrier(2, timeout=30)
+
+        def fail(message):
+            barrier.wait()
+            raise ValueError(message)
+
+        jobs = [partial(int, 0), partial(fail, "first"), partial(fail, "second")]
+        with pytest.raises(ValueError, match="^first$"):
+            so._run(jobs, 3)
+
+    def test_jobs_not_taken_are_dropped_after_a_failure(self):
+        ran = []
+
+        def job(i):
+            if i == 0:
+                raise DomainError("first job")
+            time.sleep(0.001)
+            ran.append(i)
+
+        with pytest.raises(DomainError, match="first job"):
+            so._run([partial(job, i) for i in range(200)], 2)
+        assert len(ran) < 20
