@@ -6,13 +6,14 @@ chosen share, and that layer packed into its .bvq record. No layer depends
 on another, so a model's layers run in forked worker processes, one per
 usable core that the affinity mask and the cgroup v2 CPU quota allow and as
 many as free memory holds. A large layer fits its groups on the cores the
-workers leave idle, usable cores // workers threads (at most LAYER_THREADS)
-that start and end within the layer. Each worker sends back its layer's packed record
-(about 0.44 bytes per weight), not the quantized layer (about 1.13), and the
-parent writes the records to the artifact in manifest order as they arrive,
-through a bounded window of submitted layers. So the parent's memory does
-not grow with the layer count, and the artifact and error CSV are the same
-bytes as from one process.
+workers leave idle, usable cores // workers threads (at most LAYER_THREADS,
+one in a daemonic or tracing process) that start and end within the layer.
+Each worker sends back its layer's packed record (about 0.44 bytes per
+weight), not the quantized layer (about 1.13), and the parent writes the
+records to the artifact in manifest order as they arrive, through a bounded
+window of submitted layers. So the parent's memory does not grow with the
+layer count, and the artifact and error CSV are the same bytes as from one
+process.
 """
 
 import collections
@@ -69,17 +70,27 @@ def reconstruction_error(matrix: WeightMatrix, layer: QuantizedLayer) -> float:
     return float(np.sum(np.square(diff)))
 
 
-def _threads(matrix: WeightMatrix, cores: int | None) -> int:
-    """Threads that fit `matrix`'s groups: `cores`, or this process's usable cores if
-    None, at most LAYER_THREADS. 1 below THREADED_WEIGHTS weights, and 1 in a process
-    tracing its allocations, as it runs no pool: a span tracer such as
-    perfbench/tracer.py keeps one span stack per process, so concurrent group fits
-    would nest their spans under each other and report each other's peaks."""
-    if matrix.data.size < THREADED_WEIGHTS or cores == 1:
-        return 1
+def _alone() -> bool:
+    """Whether this process runs its layers itself, each on one thread: it traces its
+    allocations or it is daemonic. A tracemalloc trace would miss a pool's children,
+    and a span tracer such as perfbench/tracer.py keeps one span stack per process, so
+    concurrent group fits would nest their spans under each other and report each
+    other's peaks. A daemon may start no children, and is a worker of its caller's
+    own pool, which usually takes every core already. A process that never imported
+    multiprocessing is no daemon."""
     import tracemalloc
 
-    return 1 if tracemalloc.is_tracing() else min(cores or _usable()[0], LAYER_THREADS)
+    mp = sys.modules.get("multiprocessing")
+    return tracemalloc.is_tracing() or bool(mp and mp.current_process().daemon)
+
+
+def _threads(matrix: WeightMatrix, cores: int | None) -> int:
+    """Threads that fit `matrix`'s groups: `cores`, or this process's usable cores if
+    None, at most LAYER_THREADS; 1 below THREADED_WEIGHTS weights or in a process
+    that runs its layers alone (see `_alone`)."""
+    if matrix.data.size < THREADED_WEIGHTS or cores == 1 or _alone():
+        return 1
+    return min(cores or _usable()[0], LAYER_THREADS)
 
 
 def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
@@ -184,17 +195,12 @@ def _usable() -> tuple[int, float]:
 def _workers(entries, cores: int, free: float) -> int:
     """Worker processes for these entries: one per layer and usable core, as many
     as free memory (MemAvailable, and `free`, what the cgroup v2 memory limit
-    leaves) holds at WORKER_PEAK_PER_FILE_BYTE; 1 for a daemonic or
-    allocation-tracing caller."""
+    leaves) holds at WORKER_PEAK_PER_FILE_BYTE; 1 for a caller that runs its
+    layers alone (see `_alone`)."""
     workers = min(len(entries), cores)
     if workers < 2:
         return workers
-    import tracemalloc
-
-    # A tracemalloc trace would miss the children, and a daemon may not
-    # start any; a process that never imported multiprocessing is no daemon.
-    mp = sys.modules.get("multiprocessing")
-    if tracemalloc.is_tracing() or (mp and mp.current_process().daemon):
+    if _alone():
         return 1
     try:
         kb = PROC_MEMINFO.read_text().partition("MemAvailable:")[2].split()[0]

@@ -60,9 +60,8 @@ def _run(jobs, threads: int) -> list:
     """Each job's result, in order. Up to `threads` threads, this one included, each
     take the next job not yet taken, and all are joined before this returns. The
     exception of the first job in order that raised is re-raised here, as one
-    thread running the jobs in order would raise it; jobs not yet taken are dropped."""
-    if threads < 2 or len(jobs) < 2:
-        return [job() for job in jobs]
+    thread running the jobs in order would raise it; jobs not yet taken are dropped.
+    A thread that cannot start leaves its jobs to those that did."""
     todo, results, failed = collections.deque(enumerate(jobs)), [None] * len(jobs), {}
 
     def work():
@@ -81,10 +80,13 @@ def _run(jobs, threads: int) -> list:
     try:
         for _ in range(min(threads, len(jobs)) - 1):
             helper = threading.Thread(target=work)
-            helper.start()
+            try:
+                helper.start()
+            except RuntimeError:  # "can't start new thread": fit on fewer
+                break
             helpers.append(helper)
         work()
-    finally:  # also when a thread cannot start: those started end the jobs
+    finally:  # also when this thread is interrupted
         for helper in helpers:
             helper.join()
     if failed:

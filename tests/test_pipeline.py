@@ -701,6 +701,21 @@ class TestThreads:
             tracemalloc.stop()
         assert thread_log(log)[1] == {1}
 
+    def test_daemonic_process_fits_on_one_thread(self, tmp_path, monkeypatch):
+        """A daemon is a worker of its caller's own pool: it fits each layer on one
+        thread, as a model or alone, with the bytes of a threaded run."""
+        manifest, log = read_manifest(mixed_manifest(tmp_path)), tmp_path / "threads.log"
+        threaded(monkeypatch, log)
+        monkeypatch.setattr(pipeline, "_workers", lambda *args: 1)
+        rows = quantize_rows(manifest, tmp_path / "m.bvq")
+        assert thread_log(log) == ({os.getpid()}, {2})
+        with multiprocessing.get_context("fork").Pool(1) as workers:
+            assert workers.apply(quantize_rows, (manifest, tmp_path / "daemon.bvq")) == rows
+            workers.apply(quantize_layer, (manifest.entries[0].load(),))
+        pids, threads = thread_log(log)
+        assert os.getpid() not in pids and threads == {1}
+        assert (tmp_path / "daemon.bvq").read_bytes() == (tmp_path / "m.bvq").read_bytes()
+
     def test_thread_count_rule(self, monkeypatch):
         """The usable cores, or a worker's share of them, at most LAYER_THREADS; one
         below THREADED_WEIGHTS weights."""

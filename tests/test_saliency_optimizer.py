@@ -568,6 +568,24 @@ class TestThreads:
         with pytest.raises(ValueError, match="^first$"):
             so._run(jobs, 3)
 
+    def test_thread_that_cannot_start_leaves_its_jobs_to_the_others(self, monkeypatch):
+        """A thread that cannot start ("can't start new thread") fails no job: the
+        threads that did start, this one included, run them all."""
+        before, real = threading.active_count(), threading.Thread.start
+        for allowed in (0, 1):
+            starts = []
+
+            def start(self):
+                starts.append(self)
+                if len(starts) > allowed:
+                    raise RuntimeError("can't start new thread")
+                real(self)
+
+            monkeypatch.setattr(threading.Thread, "start", start)
+            assert so._run([partial(int, i) for i in range(50)], 4) == list(range(50))
+            assert len(starts) == allowed + 1
+            assert threading.active_count() == before
+
     def test_jobs_not_taken_are_dropped_after_a_failure(self):
         ran = []
 
