@@ -38,9 +38,9 @@ ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
 # A worker's allocations, packing its record included, peak at up to 5.9 times its
 # layer's tensor file in the search (traced in fresh processes, numpy 2.4, two threads:
-# 5.25 searched and 4.06 pinned on 1024x1024 Student-t layers, 5.9 and 4.8 on a biased
-# 512x1024 one; on one thread 4.3 and 4.06, and 5.74 and 4.70 on a biased 512x256 one).
-# Packing adds 1.16 beyond the layer, below that peak. 7 leaves a margin.
+# 4.7-5.3 searched and 4.06 pinned on 1024x1024 Student-t layers, 5.4-5.9 and 4.4 on a
+# biased 512x1024 one; on one thread 4.3 and 4.06, and 5.73 and 4.73 on a biased 512x256
+# one). Packing adds 0.22-0.35 beyond the layer, 1.04 on the 512x256. 7 leaves a margin.
 WORKER_PEAK_PER_FILE_BYTE = 7
 # Layers submitted to the pool and not yet written, per worker: finished records
 # that wait for an earlier, slower layer are at most this many per worker.

@@ -154,7 +154,10 @@ class LayerObjective:
     def _gather(self, k: int) -> list:
         """Group k's window, the |w| in (lo[k], hi[k + 1]], with the salient rows and w."""
         lo, hi = _below32([self.lo[k], self.hi[k + 1]])
-        mask = (self.mag > lo) & (self.mag <= hi)
+        # An infinite bound passes every |w| the other does; two layer-sized masks, not three.
+        mask = self.mag <= hi if lo == -np.inf else self.mag > lo
+        if -np.inf < lo and hi < np.inf:
+            mask &= self.mag <= hi
         window = [np.compress(mask, self.mag)]
         if k == self.config.n_uns:
             window += [np.flatnonzero(mask) // self.matrix.n,

@@ -32,7 +32,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from enum import Enum
 from pathlib import Path
 
@@ -181,21 +181,20 @@ def _write_bytes(path, payload: bytes):
 
 
 class _Reader:
-    """Cursor over a byte buffer raising TruncationError on short reads."""
+    """Cursor over a byte buffer raising TruncationError on short reads; `take` returns views."""
 
-    def __init__(self, buf: bytes, origin: str):
-        self.buf = buf
+    def __init__(self, buf, origin: str):
+        self.buf = memoryview(buf)
         self.pos = 0
         self.origin = origin
 
-    def take(self, size: int) -> bytes:
+    def take(self, size: int) -> memoryview:
         if self.pos + size > len(self.buf):
             raise TruncationError(
                 f"{self.origin}: needed {size} bytes at offset {self.pos}, "
                 f"only {len(self.buf) - self.pos} left")
-        out = self.buf[self.pos:self.pos + size]
         self.pos += size
-        return out
+        return self.buf[self.pos - size:self.pos]
 
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
@@ -211,7 +210,7 @@ class _Reader:
 
 def _check_magic(reader: _Reader, magic: bytes, version: int, remedy: str = ""):
     """Check the magic and that the file is of `version`, the one the reader reads."""
-    got = reader.take(len(magic))
+    got = bytes(reader.take(len(magic)))
     if got != magic:
         raise FormatError(f"{reader.origin}: bad magic {got!r}, expected {magic!r}")
     (got,) = reader.unpack("H")
@@ -431,22 +430,19 @@ class QuantizedLayer(LayerHeader):
         return out
 
 
-def _blob(data: bytes) -> bytes:
-    return struct.pack("<Q", len(data)) + data
-
-
 def _layer_record(layer: QuantizedLayer) -> bytes:
-    """One layer's .bvq record followed by its CRC32; the layer is validated first."""
+    """One layer's .bvq record followed by its CRC32; the layer is validated first.
+    The parts, the layer's sign stream among them, are joined once; the CRC runs over them."""
     if not isinstance(layer, QuantizedLayer):
         raise ValidationError("a .bvq record is written from a QuantizedLayer")
     layer.validate()
-    cfg, sal = layer.config, layer.salient
-    book = layer.codebook
+    cfg, sal, book = layer.config, layer.salient, layer.codebook
     index = bit_packer.pack_stream(layer.labels.ravel(), book)
     if len(index) != bit_packer.stream_bytes(layer.counts, book, cfg.n_bits)[0]:
         raise ValidationError(f"layer {layer.name!r}: labels disagree with the group counts")
+    codes = bit_packer.pack_stream(sal.codes, bit_packer.CodeBook.fixed(cfg.n_bits))
     name_bytes = layer.name.encode("utf-8")
-    record = b"".join([
+    parts = [
         struct.pack("<H", len(name_bytes)), name_bytes,
         struct.pack("<BQQBBBBdHBdd", _ROLE_CODES[layer.role], layer.m, layer.n,
                     cfg.n_uns, cfg.n_bits, SCALE_WIDTH, INDEX_WIDTH, cfg.alpha, cfg.iters,
@@ -455,10 +451,11 @@ def _layer_record(layer: QuantizedLayer) -> bytes:
         sal.scales.astype("<f2", copy=False).tobytes(),
         layer.scalars.astype("<f2", copy=False).tobytes(),
         bytes(book.lengths), struct.pack("<B", 0xFF if book.solo is None else book.solo),
-        layer.counts.astype("<u8").tobytes(), _blob(index),
-        _blob(bit_packer.pack_stream(sal.codes, bit_packer.CodeBook.fixed(cfg.n_bits))),
-        _blob(layer.sign_bits.tobytes())])
-    return record + struct.pack("<I", zlib.crc32(record))
+        layer.counts.astype("<u8").tobytes()]
+    for stream in (index, codes, np.ascontiguousarray(layer.sign_bits)):
+        parts += [struct.pack("<Q", len(stream)), stream]
+    crc = reduce(lambda crc, part: zlib.crc32(part, crc), parts, 0)
+    return b"".join(parts + [struct.pack("<I", crc)])
 
 
 def _write_records(path, count: int, records):
@@ -506,15 +503,16 @@ def _parse_record(reader: _Reader):
     """Parse one .bvq layer record into (header, decode).
 
     header is the record's checked LayerHeader; decode() makes the QuantizedLayer: it decodes
-    the index and code streams and keeps the sign stream's bytes. The CRC is checked first;
-    then the counts must add up to m x n, the levels pass `_check_levels`, the codebook must
-    be the Huffman code of the counts, each stream as long as the counts make it, and the
-    decoded counts the stored ones, so `QuantizedLayer.validate` holds.
+    the index and code streams in place and copies the sign stream, so that the layer does
+    not pin the file's buffer. The CRC is checked first; then the counts must add up to
+    m x n, the levels pass `_check_levels`, the codebook must be the Huffman code of the
+    counts, each stream as long as the counts make it, and the decoded counts the stored
+    ones, so `QuantizedLayer.validate` holds.
     """
     start, origin = reader.pos, reader.origin
     (name_len,) = reader.unpack("H")
     try:
-        name = reader.take(name_len).decode("utf-8")
+        name = str(reader.take(name_len), "utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{origin}: layer name is not UTF-8: {exc}") from exc
     where = f"{origin}: layer {name!r}"
@@ -541,7 +539,7 @@ def _parse_record(reader: _Reader):
     stored = reader.array("i8", n_uns + 1)
     streams = [reader.take(*reader.unpack("Q")) for _ in range(3)]
     (crc,) = reader.unpack("I")
-    if crc != zlib.crc32(memoryview(reader.buf)[start:reader.pos - 4]):
+    if crc != zlib.crc32(reader.buf[start:reader.pos - 4]):
         raise FormatError(f"{where}: CRC mismatch, the record is damaged")
 
     fields = dict(name=name, role=_ROLE_FROM_CODE[role_code], m=m, n=n,
@@ -572,7 +570,7 @@ def _parse_record(reader: _Reader):
                                codes=bit_packer.unpack_stream(
                                    codes, bit_packer.CodeBook.fixed(n_bits), salient_count))
         return QuantizedLayer(counts=counts, labels=labels, salient=salient, scalars=scalars,
-                              sign_bits=np.frombuffer(signs, dtype=np.uint8), **fields)
+                              sign_bits=np.frombuffer(signs, dtype=np.uint8).copy(), **fields)
 
     return header, decode
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import re
 import struct
 import tracemalloc
+import weakref
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -15,12 +17,12 @@ from binq import (FormatError, QuantConfig, Role, TruncationError, ValidationErr
                   fit_gaussian, quantize_layer, read_artifact, read_attention,
                   read_layer_headers, read_manifest, read_tensor, reconstruct,
                   write_artifact, write_attention, write_tensor)
-from binq import bit_packer
+from binq import bit_packer, tensor_store
 from binq.bit_packer import storage_report
 from binq.cli import main
 from binq.saliency_optimizer import LayerObjective
 from binq.salient_quantizer import SalientQuant
-from binq.tensor_store import AttentionTensor, QuantizedLayer
+from binq.tensor_store import AttentionTensor, QuantizedLayer, _layer_record
 from conftest import gaussian_matrix, golden_layers, outlier_matrix
 
 DATA = Path(__file__).with_name("data")
@@ -546,6 +548,67 @@ def test_load_memory_per_weight(tmp_path):
     out, peak = traced_peak(lambda: layer.dense(np.float32))
     assert np.array_equal(out, dense_whole_layer(layer, np.float32))
     assert (peak - out.nbytes) / weights < 0.85
+
+
+def test_record_memory_per_weight():
+    # Traced peak of one 2048x1024 layer's record (numpy 2.4): 4.6 bytes per
+    # weight when the index stream was packed whole and the record copied
+    # three times, 0.86 packed a chunk at a time and joined once.
+    rng = np.random.default_rng(11)
+    mat = WeightMatrix("r", Role.LANGUAGE, 0.02 * rng.standard_t(5, (2048, 1024)))
+    layer = quantize_layer(mat, QuantConfig(optimize_saliency=False))
+    record, peak = traced_peak(lambda: _layer_record(layer))
+    assert len(record) < mat.m * mat.n and peak / (mat.m * mat.n) <= 1.5
+
+
+def test_read_layer_does_not_pin_the_file_buffer(tmp_path, monkeypatch):
+    """The reader decodes streams from views of the file's buffer, and a layer
+    it returns holds none of them: its sign stream is copied out."""
+
+    class Buffer(bytearray):  # bytes cannot be weakly referenced
+        pass
+
+    layers, _ = golden_layers(tmp_path)
+    path = tmp_path / "g.bvq"
+    write_artifact(layers, path)
+    buffers = []
+
+    def read_bytes(p):
+        buffers.append(Buffer(Path(p).read_bytes()))
+        return buffers[-1]
+
+    monkeypatch.setattr(tensor_store, "_read_bytes", read_bytes)
+    back = read_artifact(path)
+    alive = weakref.ref(buffers.pop())
+    gc.collect()
+    assert alive() is None
+    assert all(layers_equal(a, b) for a, b in zip(layers, back))
+    assert all(layer.sign_bits.flags.owndata and layer.sign_bits.flags.writeable
+               for layer in back)
+
+
+def test_bad_magic_and_version_messages(tmp_path):
+    """Each reader names the file, shows the magic it found and the one it expects
+    as bytes, and names a version it does not read."""
+    bvq, bvw, bva = tmp_path / "a.bvq", tmp_path / "w.bvw", tmp_path / "s.bva"
+    write_artifact([quantize_layer(gaussian_matrix(0, shape=(8, 8)))], bvq)
+    write_tensor(gaussian_matrix(0, shape=(2, 2)), bvw)
+    write_attention([AttentionTensor(0, np.full((1, 4), 0.25), np.full((1, 2), 0.125),
+                                     (1, 2, 1, 0))], bva)
+    for path, read, magic, version, remedy in [
+            (bvq, read_artifact, b"BVQ1", 2, "; re-quantize the model"),
+            (bvq, read_layer_headers, b"BVQ1", 2, "; re-quantize the model"),
+            (bvw, read_tensor, b"BVW1", 1, ""), (bva, read_attention, b"BVA1", 1, "")]:
+        raw = path.read_bytes()
+        bad = tmp_path / f"bad{path.suffix}"
+        bad.write_bytes(b"XV\x00Q" + raw[4:])
+        with pytest.raises(FormatError) as info:
+            read(bad)
+        assert str(info.value) == f"{bad}: bad magic b'XV\\x00Q', expected {magic!r}"
+        bad.write_bytes(raw[:4] + struct.pack("<H", 9) + raw[6:])
+        with pytest.raises(FormatError) as info:
+            read(bad)
+        assert str(info.value) == f"{bad}: unsupported version 9 (binq reads version {version}){remedy}"
 
 
 def test_held_layer_bytes_per_weight(tmp_path):
