@@ -12,6 +12,7 @@ away from those targets. `LayerObjective` applies the rule at each share.
 
 import numpy as np
 
+from .bit_packer import CHUNK
 from .errors import DomainError
 from .weight_stats import GaussianFit, probit
 
@@ -47,8 +48,14 @@ def magnitude_thresholds(fit: GaussianFit, cutoffs) -> np.ndarray:
 
 def magnitude_labels(magnitudes: np.ndarray, thresholds, out=None) -> np.ndarray:
     """Label (uint8) = number of ascending thresholds |w| exceeds; a tie goes to the lower.
-    The labels are added into `out`, uint8 zeros of |w|'s shape, if given."""
+    Added a CHUNK at a time into `out`, contiguous uint8 zeros of |w|'s shape, if given."""
     labels = np.zeros(magnitudes.shape, dtype=np.uint8) if out is None else out
-    for t in np.asarray(thresholds):  # a Python float would be rounded to |w|'s dtype first
-        labels += (magnitudes > t).view(np.uint8)
+    if not labels.flags.c_contiguous:  # its reshape would be a copy, never filled
+        raise ValueError("magnitude_labels needs a contiguous out")
+    mag, flat = magnitudes.reshape(-1), labels.reshape(-1)
+    above = np.empty(min(CHUNK, mag.size), dtype=bool)  # one mask, reused
+    for j in range(0, mag.size, CHUNK):
+        part, acc = mag[j:j + CHUNK], flat[j:j + CHUNK]
+        for t in np.asarray(thresholds):  # a Python float would be rounded to |w|'s dtype first
+            acc += np.greater(part, t, out=above[:part.size]).view(np.uint8)
     return labels

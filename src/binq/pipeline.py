@@ -36,10 +36,10 @@ from .weight_stats import fit_gaussian
 # Columns of the per-layer error CSV, consumed by downstream plotting.
 ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
-# A worker's allocations, packing its record included, peak at up to 5.9 times its
-# layer's tensor file in the search (traced in fresh processes, numpy 2.4, two threads:
-# 4.7-5.3 searched and 4.06 pinned on 1024x1024 Student-t layers, 5.4-5.9 and 4.4 on a
-# biased 512x1024 one; on one thread 4.3 and 4.06, and 5.73 and 4.73 on a biased 512x256
+# A worker's allocations, packing its record included, peak at up to 5.9 times its layer's
+# tensor file in the search (traced in fresh processes, numpy 2.4, two threads: 4.6-5.3
+# searched and 3.7-4.0 pinned on 1024x1024 Student-t layers, 5.3-5.9 and 4.6-5.05 on a
+# biased 512x1024 one; one thread: 4.34 and 3.40, and 5.73 and 4.74 on a biased 512x256
 # one). Packing adds 0.22-0.35 beyond the layer, 1.04 on the 512x256. 7 leaves a margin.
 WORKER_PEAK_PER_FILE_BYTE = 7
 # Layers submitted to the pool and not yet written, per worker: finished records

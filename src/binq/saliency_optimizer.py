@@ -158,11 +158,10 @@ class LayerObjective:
         mask = self.mag <= hi if lo == -np.inf else self.mag > lo
         if -np.inf < lo and hi < np.inf:
             mask &= self.mag <= hi
-        window = [np.compress(mask, self.mag)]
-        if k == self.config.n_uns:
-            window += [np.flatnonzero(mask) // self.matrix.n,
-                       np.compress(mask, self.matrix.data).astype(np.float64)]
-        return window
+        if k < self.config.n_uns:
+            return [np.compress(mask, self.mag)]
+        at = np.flatnonzero(mask)  # the salient few: one mask pass, then three gathers
+        return [self.mag[at], at // self.matrix.n, self.matrix.data.take(at).astype(np.float64)]
 
     def _group(self, k: int, bounds) -> _Group:
         """Group k at the float32 cutoffs `bounds`, from its window: fitted once per key."""

@@ -44,6 +44,7 @@ from .config import QuantConfig
 from .errors import (DomainError, FormatError, IoError, TruncationError,
                      ValidationError)
 from .salient_quantizer import SalientQuant
+from .weight_stats import squared_deviation_sum
 
 TENSOR_MAGIC = b"BVW1"
 ARTIFACT_MAGIC = b"BVQ1"
@@ -102,9 +103,8 @@ class WeightMatrix:
             raise ValueError("tensor contains non-finite values")
 
     def squared_norm(self) -> float:
-        """Squared Frobenius norm, accumulated in float64 (one copy, squared in place)."""
-        sq = self.data.astype(np.float64)
-        return float(np.sum(np.square(sq, out=sq)))
+        """Squared Frobenius norm in float64, a chunk at a time (`squared_deviation_sum`)."""
+        return squared_deviation_sum(self.data)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bit_packer import CHUNK
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -53,14 +54,27 @@ def probit(p: float) -> float:
 
 
 def fit_gaussian(matrix) -> GaussianFit:
-    """Fit mu (sample mean) and sigma (population standard deviation)."""
+    """Fit mu (sample mean) and sigma (population standard deviation), with no float64 copy."""
     data = matrix.data
     if data.size < 2:
         raise DomainError("gaussian fit needs at least 2 samples")
     mu = float(np.mean(data, dtype=np.float64))
-    dev = np.subtract(data, mu, dtype=np.float64)  # one float64 copy, squared in place
-    var = float(np.mean(np.square(dev, out=dev)))
-    return GaussianFit(mu=mu, sigma=math.sqrt(max(var, 0.0)))
+    return GaussianFit(mu=mu, sigma=math.sqrt(squared_deviation_sum(data, mu) / data.size))
+
+
+def squared_deviation_sum(data: np.ndarray, mu: float = 0.0, buf=None) -> float:
+    """Sum of (x - mu)^2 in float64 over contiguous float32 `data`, bitwise `np.sum` of the
+    float64 array it never makes: pieces of at most CHUNK, split as numpy's pairwise sum splits
+    n (at n // 2 rounded down to a multiple of 8), are squared in `buf` (made if None) and
+    summed by `np.sum`. It recurses here, not in a closure, which would hold `buf` in a cycle."""
+    flat, n = data.reshape(-1), data.size
+    buf = np.empty(min(CHUNK, n)) if buf is None else buf
+    if n > CHUNK:
+        half = n // 2 - n // 2 % 8
+        return (squared_deviation_sum(flat[:half], mu, buf)
+                + squared_deviation_sum(flat[half:], mu, buf))
+    part = np.subtract(flat, mu, out=buf[:n], dtype=np.float64)
+    return float(np.sum(np.square(part, out=part)))
 
 
 def default_bin_count(m: int, n: int) -> int:

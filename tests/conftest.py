@@ -6,6 +6,13 @@ import pytest
 from binq import Role, WeightMatrix
 
 
+def pytest_report_header(config):
+    """Bitwise float64 sums follow numpy's summation, and timings the cores."""
+    from binq.pipeline import _usable
+
+    return f"numpy {np.__version__}, {_usable()[0]} usable cores"
+
+
 def gaussian_matrix(seed, shape=(64, 64), sigma=1.0, mu=0.0,
                     role=Role.LANGUAGE, name="layer"):
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from binq import DomainError, QuantConfig, Role, WeightMatrix, quantize_layer
+from binq.bit_packer import CHUNK
 from binq.partitioner import compute_cutoffs, magnitude_labels, magnitude_thresholds
 from binq.saliency_optimizer import LayerObjective
 from binq.weight_stats import GaussianFit, fit_gaussian, probit
@@ -110,6 +111,27 @@ class TestPartition:
         want = np.digitize(mag, t, right=True)
         assert np.array_equal(magnitude_labels(mag, t), want)
         assert magnitude_labels(mag, np.full(5, np.inf)).max() == 0
+
+    @pytest.mark.parametrize("size", [k * CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)])
+    def test_labels_match_digitize_at_chunk_edges(self, size):
+        t = magnitude_thresholds(GaussianFit(mu=0.01, sigma=0.5), compute_cutoffs(0.03, 5))
+        t = t.astype(np.float32).astype(np.float64)  # so that float32 |w| can tie with them
+        mag = np.abs(0.5 * np.random.default_rng(size).standard_t(5, size)).astype(np.float32)
+        mag[::7] = np.resize(t, mag[::7].size)
+        want = np.digitize(mag, t, right=True)
+        assert np.array_equal(magnitude_labels(mag, t), want)
+        # Into two slices, the second starting mid-chunk, as a layer's halves are labelled.
+        out, cut = np.zeros(size, np.uint8), size // 2 + 17
+        assert cut % CHUNK
+        for half in (slice(cut), slice(cut, None)):
+            magnitude_labels(mag[half], t, out[half])
+        assert np.array_equal(out, want)
+
+    def test_noncontiguous_out_raises(self):
+        out = np.zeros(20, np.uint8)
+        with pytest.raises(ValueError, match="contiguous"):
+            magnitude_labels(np.ones(10, np.float32), [0.5], out[::2])
+        assert not out.any()
 
     def test_python_float_threshold_splits_float32_at_its_value(self):
         # The float32 |w| lies above t, and t rounds to it in float32.

@@ -348,6 +348,33 @@ class TestLayerObjective:
         assert mat.data.size <= total < (1.0 + 0.05 * 3 + 0.02) * mat.data.size
 
 
+def three_pass_salient_window(objective):
+    """The salient window as one mask pass per array gathered it: the oracle of `_gather`."""
+    k, mag = objective.config.n_uns, objective.mag
+    lo, hi = so._below32([objective.lo[k], objective.hi[k + 1]])
+    mask = mag <= hi if lo == -np.inf else mag > lo
+    if -np.inf < lo and hi < np.inf:
+        mask &= mag <= hi
+    return [np.compress(mask, mag), np.flatnonzero(mask) // objective.matrix.n,
+            np.compress(mask, objective.matrix.data).astype(np.float64)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("data, every", [
+    (0.02 * np.random.default_rng(21).standard_t(5, (300, 256)), False),
+    (0.02 * (0.5 + np.random.default_rng(22).standard_normal((256, 300))), False),
+    (-1.0 + 0.01 * np.random.default_rng(23).standard_normal((200, 150)), True),
+], ids=["student_t", "biased", "negative_mean"])
+def test_salient_gather_matches_three_pass_oracle(data, every, threads):
+    mat = WeightMatrix("w", Role.LANGUAGE, data.astype(np.float32))
+    objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig(), threads)
+    objective(objective.p_cap)
+    got, want = objective.windows[-1], three_pass_salient_window(objective)
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert (want[0].size == mat.data.size) == every  # a negative mean: every |w| salient
+
+
 F32_MAX = float(np.finfo(np.float32).max)
 TINY32 = float(np.finfo(np.float32).smallest_subnormal)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binq import DomainError, Role, WeightMatrix
+from binq.bit_packer import CHUNK
 from binq.weight_stats import (GaussianFit, default_bin_count, fit_gaussian,
                                histogram, kl_discrete, kl_divergence,
                                normal_cdf, probit)
@@ -19,6 +21,22 @@ def matrix_of(values, shape=None):
     else:
         arr = arr.reshape(shape)
     return WeightMatrix(name="t", role=Role.LANGUAGE, data=arr)
+
+
+# A layer of up to CHUNK elements is one np.sum; larger ones are split at points that are
+# not chunk multiples. The last three sit one below, at and one above a chunk.
+ORACLE_SHAPES = [(1, 2), (33, 17), (256, 128), (257, 512), (1000, 1003), (1, 3 * CHUNK + 17),
+                 (4096, 1024), (1, CHUNK - 1), (1, CHUNK), (1, CHUNK + 1)]
+SPLIT_MESSAGE = ("shape {}: the chunked float64 sum mirrors np.sum's pairwise split, "
+                 "checked on numpy 2.4.6; this is numpy {}")
+
+
+def oracle_matrices(rng):
+    """Layers of each oracle shape. A split off by a few elements changes the last bit of
+    a well-conditioned sum only now and then, so each split shape is drawn four times."""
+    for shape in ORACLE_SHAPES:
+        for _ in range(4 if math.prod(shape) > CHUNK else 1):
+            yield matrix_of(0.3 + 0.02 * rng.standard_t(5, shape), shape)
 
 
 class TestFitGaussian:
@@ -55,14 +73,32 @@ class TestFitGaussian:
 
     def test_matches_two_copy_oracle_bitwise(self):
         rng = np.random.default_rng(7)
-        for shape in [(1, 2), (33, 17), (256, 128)]:
-            mat = matrix_of(0.3 + 0.02 * rng.standard_t(5, shape), shape)
+        for mat in oracle_matrices(rng):
             before = mat.data.copy()
             fit = fit_gaussian(mat)
             mu = float(np.mean(mat.data, dtype=np.float64))
             var = float(np.mean(np.square(mat.data.astype(np.float64) - mu)))
-            assert (fit.mu, fit.sigma) == (mu, np.sqrt(var))
-            assert np.array_equal(mat.data, before)  # the fit squares its own copy
+            assert (fit.mu, fit.sigma) == (mu, np.sqrt(var)), SPLIT_MESSAGE.format(
+                mat.data.shape, np.__version__)
+            assert np.array_equal(mat.data, before)
+
+    def test_squared_norm_matches_one_copy_oracle_bitwise(self):
+        for mat in oracle_matrices(np.random.default_rng(8)):
+            want = float(np.sum(np.square(mat.data.astype(np.float64))))
+            assert mat.squared_norm() == want, SPLIT_MESSAGE.format(mat.data.shape,
+                                                                    np.__version__)
+
+    def test_fit_and_norm_make_no_layer_sized_copy(self):
+        mat = matrix_of(np.random.default_rng(3).standard_normal((1024, 1024)), (1024, 1024))
+        weights = mat.data.size
+        for call in (fit_gaussian, WeightMatrix.squared_norm):
+            tracemalloc.start()
+            try:
+                call(mat)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < weights, (call.__name__, peak)  # under a byte per weight
 
 
 class TestProbit:
