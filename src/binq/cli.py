@@ -3,7 +3,9 @@
 Subcommands: analyze (per-layer stats CSV), quantize (manifest -> .bvq
 artifact + error CSV), report (storage table for an artifact), sweep
 (objective vs. saliency-threshold CSV), prune-scores (retained-token JSON).
-Exit codes: 0 success, 2 format error, 3 numeric/domain error.
+Exit codes: 0 success, 2 file/format errors (FormatError, IoError: an input that
+does not parse, an output path that cannot be opened), 3 numeric/domain errors
+(DomainError, ValidationError, OptimizationError, ValueError).
 """
 
 import argparse

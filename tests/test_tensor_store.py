@@ -611,6 +611,24 @@ def test_bad_magic_and_version_messages(tmp_path):
         assert str(info.value) == f"{bad}: unsupported version 9 (binq reads version {version}){remedy}"
 
 
+def test_zero_layer_artifact_refused(tmp_path, capsys):
+    """A .bvq holds at least one layer: the writer refuses none and leaves no file,
+    and both readers and `binq report` (exit 2) refuse a layer count of 0."""
+    empty = tmp_path / "empty.bvq"
+    with pytest.raises(ValidationError, match="at least one layer"):
+        write_artifact([], empty)
+    assert list(tmp_path.iterdir()) == []
+    one = tmp_path / "one.bvq"
+    write_artifact([quantize_layer(gaussian_matrix(0, shape=(8, 8)))], one)
+    empty.write_bytes(one.read_bytes()[:6] + struct.pack("<I", 0))
+    for read in (read_artifact, read_layer_headers):
+        with pytest.raises(FormatError) as info:
+            read(empty)
+        assert str(info.value) == f"{empty}: artifact holds no layers"
+    assert main(["report", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: artifact holds no layers\n"
+
+
 def test_held_layer_bytes_per_weight(tmp_path):
     """Labels and packed signs take at most 1.13 bytes per weight, in a layer
     that quantize_layer builds and in one that read_artifact reads."""
