@@ -111,14 +111,13 @@ def cmd_report(args) -> int:
 
 def cmd_sweep(args) -> int:
     manifest = tensor_store.read_manifest(args.manifest)
-    thresholds = [float(t) for t in args.thresholds.split(",") if t]
-    if not thresholds:
+    if not args.thresholds:
         raise DomainError("no thresholds given")
     rows = []
     for entry in manifest.entries:
         matrix = entry.load()
         fit = weight_stats.fit_gaussian(matrix)
-        for ev in sweep_thresholds(matrix, fit, thresholds, QuantConfig()):
+        for ev in sweep_thresholds(matrix, fit, args.thresholds, QuantConfig()):
             rows.append([entry.name, f"{ev.p_sal:.8g}", f"{ev.j:.8g}"])
     _write_rows(args.output, ["layer", "threshold", "J"], rows)
     return 0
@@ -133,6 +132,11 @@ def cmd_prune_scores(args) -> int:
         json.dump(doc, out, indent=2)
         out.write("\n")
     return 0
+
+
+def float_list(text: str) -> list[float]:
+    """Comma-separated floats; one that does not parse is a usage error (exit 2)."""
+    return [float(t) for t in text.split(",") if t]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="objective vs. saliency threshold CSV")
     p.add_argument("manifest")
-    p.add_argument("--thresholds", required=True,
+    p.add_argument("--thresholds", required=True, type=float_list,
                    help="comma-separated saliency thresholds, e.g. 0.01,0.05,0.10")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -37,10 +37,11 @@ from .weight_stats import fit_gaussian
 ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
                      "bits_per_weight")
 # A worker's allocations, packing its record included, peak at up to 5.9 times its layer's
-# tensor file in the search (traced in fresh processes, numpy 2.4, two threads: 4.6-5.3
-# searched and 3.7-4.0 pinned on 1024x1024 Student-t layers, 5.3-5.9 and 4.6-5.05 on a
-# biased 512x1024 one; one thread: 4.34 and 3.40, and 5.73 and 4.74 on a biased 512x256
-# one). Packing adds 0.22-0.35 beyond the layer, 1.04 on the 512x256. 7 leaves a margin.
+# tensor file in the search (traced in fresh processes, numpy 2.4, two threads: 5.0-5.3
+# searched and 3.7-3.9 pinned, scored first and so holding its windows, on 1024x1024
+# Student-t layers, 5.86-5.9 and 4.4-5.05 on a biased 512x1024 one, 3.65-4.0 pinned on
+# 4096x1024; one thread: 4.3 and 3.40, and 5.76 and 4.76 on a biased 512x256 one). Packing
+# adds 0.22-0.35 beyond the layer, 1.04 on the 512x256. 7 leaves a margin.
 WORKER_PEAK_PER_FILE_BYTE = 7
 # Layers submitted to the pool and not yet written, per worker: finished records
 # that wait for an earlier, slower layer are at most this many per worker.
@@ -97,13 +98,13 @@ def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
               cap_override: float | None, score: bool, cores: int | None = None):
     """The quantized layer and, if `score`, its J (else None); a failure names the layer.
 
-    J is the search's best evaluation, or one evaluation at the pinned
-    share; an all-zero layer, whose J is 0/0, gets 0. The layer's groups are
-    fitted on `_threads(matrix, cores)` threads.
+    J is the search's best evaluation, or one evaluation at the pinned share made
+    before the layer is built, which then takes the groups it fitted; an all-zero
+    layer, whose J is 0/0, gets 0. The groups are fitted on `_threads(matrix, cores)`
+    threads; the Gaussian fit refuses a non-finite weight.
     """
     config = config or QuantConfig()
     try:
-        matrix.require_finite()
         if matrix.m < 1 or matrix.n < 1:
             raise DomainError("empty matrix")
         cap = config.resolve_p_sal_max(matrix.role, cap_override)
@@ -120,11 +121,8 @@ def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
             p_used, j = best.p_sal, best.j
         else:
             p_used = objective.p_cap
-        if score and j is None:
-            if fit.mu or fit.sigma:  # a pinned share is scored on the shells its layer picks
-                layer, ev = objective.scored_layer(p_used)
-                return layer, ev.j
-            j = 0.0  # mu = sigma = 0 only for an all-zero layer
+        if score and j is None:  # mu = sigma = 0 only for an all-zero layer
+            j = objective(p_used).j if fit.mu or fit.sigma else 0.0
         return objective.layer(p_used), j
     except (BinqError, ValueError) as exc:
         raise type(exc)(f"layer {matrix.name!r}: {exc}") from exc

@@ -6,10 +6,11 @@ with golden-section fallback) minimizes J over [0, p_sal_max]; because the
 quantile cutoffs move in discrete steps J need not be unimodal, so the
 search result is additionally compared against both interval endpoints and
 the overall best evaluation is returned. `LayerObjective` owns the share
-range: an evaluation fits only the groups no earlier one fitted and builds
-no layer; the layer at a scored share is built from the stored groups, and
-a layer built at a pinned share can be scored on the shells it picks. Both
-fit their groups on the layer's threads, with the same bits on any number.
+range and is the one place J is computed: an evaluation fits only the groups
+no earlier one fitted and builds no layer. The layer at a scored share is
+built from the stored groups; a share never scored (a pinned share) builds
+its layer unscored, picking its shells from all of |w|. Both fit their
+groups on the layer's threads, with the same bits on any number.
 """
 
 import collections
@@ -110,9 +111,10 @@ class LayerObjective:
     fits (shell mean and residual, salient fit and residual) and stores
     each distinct group once, and `layer` at a scored share takes all its
     groups from there, labelling |w| only for the index stream. At a share
-    never scored (a pinned share) `layer` picks each shell from the labels
-    and gathers only the salient window; `scored_layer` scores that layer
-    bitwise as `__call__` would. ||W||^2 is taken at the first score.
+    never scored (a pinned share) `layer` picks each shell's mean and size
+    from the labels and gathers only the salient window: no shell residual,
+    no ||W||^2. To score a pinned share, call the objective before `layer`.
+    ||W||^2 is taken at the first score.
 
     Both fit their groups as jobs on `threads` threads, the salient group
     first as the largest. A job reads |w| and its own window and writes only
@@ -176,7 +178,9 @@ class LayerObjective:
             keep = np.greater(*above, out=np.empty(window[0].shape, dtype=bool))
             del above  # the masks are not held while the group is fitted
             if k < self.config.n_uns:
-                results[key] = self._shell(np.compress(keep, window[0]).astype(np.float64), True)
+                shell = np.compress(keep, window[0]).astype(np.float64)
+                mean = shell_scalar(shell)
+                results[key] = _Group(mean, shell_residual(shell, store_scales(mean)), shell.size)
             else:
                 rows, w = (np.compress(keep, a) for a in window[1:])
                 sal = quantize_salient(rows, w, self.matrix.m, self.config)
@@ -184,47 +188,28 @@ class LayerObjective:
                 results[key] = _Group(sal, float(np.sum(np.square(w - approx))), rows.size)
         return results[key]
 
-    def _shell(self, shell: np.ndarray, score: bool) -> _Group:
-        """A shell of float64 |w|: its mean, residual under the stored mean if `score`, size."""
-        mean = shell_scalar(shell)
-        return _Group(mean, shell_residual(shell, store_scales(mean)) if score else None,
-                      shell.size)
-
-    @staticmethod
-    def _score(p_sal: float, denom: float, groups) -> ObjectiveEval:
-        """J: the salient residual plus the shells' sum, in that order, over ||W||^2."""
-        return ObjectiveEval(p_sal, (groups[-1].residual + sum(g.residual for g in groups[:-1]))
-                             / denom)
-
     def __call__(self, p_sal: float) -> ObjectiveEval:
+        """J(p): the salient residual plus the shells' sum, in that order, over ||W||^2."""
         denom, n_uns = self.denom, self.config.n_uns
         bounds = _below32(self._edges(p_sal))
         salient, *shells = _run([partial(self._group, k, bounds) for k in (n_uns, *range(n_uns))],
                                 self.threads)
         self.scored[p_sal] = [*shells, salient]
-        return self._score(p_sal, denom, self.scored[p_sal])
+        return ObjectiveEval(p_sal, (salient.residual + sum(g.residual for g in shells)) / denom)
 
     def layer(self, p_sal: float) -> QuantizedLayer:
-        """The quantized layer at p, whose residual is J(p)."""
-        return self._build(p_sal, score=False)[0]
-
-    def scored_layer(self, p_sal: float) -> tuple[QuantizedLayer, ObjectiveEval]:
-        """The quantized layer at p and its J(p), bitwise `self(p)`, from the shells it picks."""
-        return self._build(p_sal, score=True)
-
-    def _build(self, p_sal: float, score: bool):
-        """The layer at p, and its J if `score`. |w| is labelled in two halves, then
-        the groups not yet fitted (salient first) and the sign stream (1 for +1,
-        also for an exact zero) are made, each as one job on the layer's threads."""
-        denom = self.denom if score else None
+        """The quantized layer at p, whose residual is J(p). |w| is labelled in two
+        halves, then the groups not yet fitted (salient first) and the sign stream
+        (1 for +1, also for an exact zero) are made, each as one job on the layer's threads."""
         bounds = _below32(self._edges(p_sal))
         n_uns, m, mag = self.config.n_uns, self.matrix, self.mag
         labels, cut = np.zeros(mag.shape, dtype=np.uint8), mag.size // 2
         _run([partial(magnitude_labels, mag[half], bounds[1:-1], labels[half])
               for half in (slice(cut), slice(cut, None))], self.threads)
 
-        def shell(k: int) -> _Group:
-            return self._shell(np.compress(labels == k, mag).astype(np.float64), score)
+        def shell(k: int) -> _Group:  # unscored: its mean and size only
+            members = np.compress(labels == k, mag).astype(np.float64)
+            return _Group(shell_scalar(members), None, members.size)
 
         def signs() -> np.ndarray:
             return np.packbits((m.data >= 0.0).ravel()[labels < n_uns])
@@ -237,12 +222,11 @@ class LayerObjective:
             groups.append(salient)
         else:
             sign_bits = signs()
-        layer = QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
-                               counts=np.array([g.count for g in groups], dtype=np.int64),
-                               labels=labels.reshape(m.m, m.n), salient=groups[-1].fit,
-                               scalars=store_scales([g.fit for g in groups[:-1]]),
-                               sign_bits=sign_bits, p_sal_used=p_sal, config=self.config)
-        return layer, (self._score(p_sal, denom, groups) if score else None)
+        return QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
+                              counts=np.array([g.count for g in groups], dtype=np.int64),
+                              labels=labels.reshape(m.m, m.n), salient=groups[-1].fit,
+                              scalars=store_scales([g.fit for g in groups[:-1]]),
+                              sign_bits=sign_bits, p_sal_used=p_sal, config=self.config)
 
 
 def evaluate_objective(matrix, fit: GaussianFit, p_sal: float, config: QuantConfig,

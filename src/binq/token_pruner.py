@@ -88,6 +88,7 @@ def retain_mask(scores, ratio: float) -> tuple[int, ...]:
 def prune_decisions(tensors: list[AttentionTensor], ratio: float,
                     start_layer: int = 0) -> list[PruneDecision]:
     """Per-layer decisions for layers at or beyond start_layer."""
+    retained_count(ratio, 1)  # the ratio is checked even when no layer is decided
     decisions = []
     for tensor in tensors:
         if tensor.layer_index < start_layer:

@@ -54,11 +54,16 @@ def probit(p: float) -> float:
 
 
 def fit_gaussian(matrix) -> GaussianFit:
-    """Fit mu (sample mean) and sigma (population standard deviation), with no float64 copy."""
+    """Fit mu (sample mean) and sigma (population standard deviation), with no float64 copy.
+    A float64 sum of finite float32 values cannot overflow, so a non-finite mean means a
+    non-finite weight: `ValueError`, as `WeightMatrix.require_finite` raises."""
     data = matrix.data
     if data.size < 2:
         raise DomainError("gaussian fit needs at least 2 samples")
-    mu = float(np.mean(data, dtype=np.float64))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        mu = float(np.mean(data, dtype=np.float64))
+    if not math.isfinite(mu):
+        raise ValueError("tensor contains non-finite values")
     return GaussianFit(mu=mu, sigma=math.sqrt(squared_deviation_sum(data, mu) / data.size))
 
 

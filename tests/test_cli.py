@@ -116,6 +116,16 @@ def test_sweep(tmp_path):
     assert float(rows[1]["J"]) < float(rows[0]["J"])
 
 
+def test_sweep_thresholds_that_do_not_parse_exit_2(tmp_path, capsys):
+    manifest = make_manifest(tmp_path, [("s", "language", gaussian_matrix(0, (8, 8)))])
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", manifest, "--thresholds", "0.01,abc"])
+    assert info.value.code == 2 and "--thresholds" in capsys.readouterr().err
+    for thresholds in ("0.01,nan", "0.01,1.5", "0"):  # they parse, outside (0, 1)
+        assert main(["sweep", manifest, "--thresholds", thresholds]) == 3
+        assert "outside (0, 1)" in capsys.readouterr().err
+
+
 def test_prune_scores(tmp_path):
     tensors = []
     for j in range(4):

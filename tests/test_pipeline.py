@@ -118,13 +118,40 @@ class TestQuantizeLayer:
         quantize_layer(mat, config)
         assert gathered == [config.n_uns]  # the salient members the layer holds
         gathered.clear()
+        # Scoring the pinned share gathers each window once; the layer takes its groups.
         layer, j = pipeline._quantize(mat, config, None, score=True)
-        assert gathered == [config.n_uns]
+        assert sorted(gathered) == list(range(config.n_uns + 1))
         assert j == score_layer(mat, layer).j
         assert j == so.LayerObjective(mat, fit_gaussian(mat), config)(0.03).j
         gathered.clear()
         quantize_layer(mat, QuantConfig(p_sal_max=0.03))
         assert sorted(gathered) == list(range(config.n_uns + 1))  # a search gathers each once
+
+    def test_unscored_pinned_share_takes_no_residual_or_norm(self, monkeypatch):
+        calls = []
+        real_residual, real_norm = so.shell_residual, WeightMatrix.squared_norm
+        monkeypatch.setattr(so, "shell_residual",
+                            lambda *a: calls.append("residual") or real_residual(*a))
+        monkeypatch.setattr(WeightMatrix, "squared_norm",
+                            lambda self: calls.append("norm") or real_norm(self))
+        mat = outlier_matrix(3, shape=(48, 64), frac=0.02, magnitude=6.0)
+        quantize_layer(mat, QuantConfig(p_sal_max=0.03, optimize_saliency=False))
+        assert calls == []
+        pipeline._quantize(mat, QuantConfig(p_sal_max=0.03, optimize_saliency=False), None,
+                           score=True)
+        assert calls.count("norm") == 1 and "residual" in calls  # the one evaluation
+
+    @pytest.mark.parametrize("data", [np.random.default_rng(3).standard_normal((48, 64)),
+                                      np.full((8, 16), -0.3)], ids=["outliers", "constant"])
+    def test_scored_pinned_share_evaluates_once(self, monkeypatch, data):
+        shares = []
+        real = so.LayerObjective.__call__
+        monkeypatch.setattr(so.LayerObjective, "__call__",
+                            lambda self, p: shares.append(p) or real(self, p))
+        mat = WeightMatrix("w", Role.LANGUAGE, data)
+        config = QuantConfig(p_sal_max=0.03, optimize_saliency=False)
+        layer, j = pipeline._quantize(mat, config, None, score=True)
+        assert shares == [layer.p_sal_used] and j == score_layer(mat, layer).j
 
     def test_no_optimize_pins_share_to_cap(self):
         mat = gaussian_matrix(1, shape=(32, 32))

@@ -282,10 +282,12 @@ class TestLayerObjective:
             want = score_layer(mat, objective.layer(p))
             # Bitwise: the J the search compares is the residual of the layer it builds.
             assert got == want and got.p_sal == p
-            # A pinned share is scored on the shells its layer picks, as bitwise.
-            layer, scored = LayerObjective(mat, fit, config).scored_layer(p)
-            assert scored == got
-            assert np.array_equal(layer.labels, objective.layer(p).labels)
+            # A share's layer built before it is scored, each shell picked from all of
+            # |w|, has the bytes of the layer built after it from the stored groups.
+            fresh = LayerObjective(mat, fit, config)
+            before = _layer_record(fresh.layer(p))
+            assert fresh(p) == got
+            assert _layer_record(fresh.layer(p)) == before == _layer_record(objective.layer(p))
 
     def test_clamped_cutoffs_keep_each_group_in_its_window(self, monkeypatch):
         # Probit rounding can put a cutoff a float step below its value at the cap.
@@ -533,11 +535,8 @@ class TestThreads:
         fit, config, runs = fit_gaussian(mat), QuantConfig(n_uns=n_uns), []
         for threads in (1, 3):
             objective = LayerObjective(mat, fit, config, threads)
-            if search:
-                best = optimize_saliency(objective)
-                layer = objective.layer(best.p_sal)
-            else:
-                layer, best = objective.scored_layer(objective.p_cap)
+            best = optimize_saliency(objective) if search else objective(objective.p_cap)
+            layer = objective.layer(best.p_sal)
             runs.append((_layer_record(layer), best,
                          {p: [plain(g) for g in groups] for p, groups in objective.scored.items()},
                          [{key: plain(g) for key, g in results.items()}

@@ -143,6 +143,20 @@ class TestPruneDecisions:
         decisions = prune_decisions(tensors, 0.5, start_layer=3)
         assert [d.layer_index for d in decisions] == [3, 4]
 
+    @pytest.mark.parametrize("ratio", [1.5, 7.0, -0.1, float("nan")])
+    def test_ratio_checked_when_no_layer_is_decided(self, tmp_path, capsys, ratio):
+        from binq import write_attention
+        from binq.cli import main
+        tensors = [vision_tensor(2, 4, layer_index=j) for j in range(3)]
+        for layers, start in ((tensors, 5), ([], 0)):
+            with pytest.raises(DomainError, match="prune ratio"):
+                prune_decisions(layers, ratio, start_layer=start)
+            path = tmp_path / "a.bva"
+            write_attention(layers, path)
+            assert main(["prune-scores", str(path), "--ratio", str(ratio),
+                         "--start-layer", str(start)]) == 3
+            assert "prune ratio" in capsys.readouterr().err
+
     def test_lambda_and_retained_populated(self):
         t = language_tensor([[0.3, 0.4, 0.2, 0.1]], [[0.1, 0.3]], layer_index=7)
         (d,) = prune_decisions([t], 0.5)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -61,6 +62,16 @@ class TestFitGaussian:
     def test_too_few_samples(self):
         with pytest.raises(DomainError):
             fit_gaussian(matrix_of([3.0]))
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "inf", "-inf", "both_infinities"])
+    def test_non_finite_raises_without_a_warning(self, bad):
+        data = np.linspace(-1.0, 1.0, 64)
+        data[[5, 40][:len(bad)]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                fit_gaussian(matrix_of(data, shape=(8, 8)))
 
     def test_permutation_invariant(self, rng):
         data = rng.normal(0, 1, 64).astype(np.float32)
