@@ -67,7 +67,8 @@ def cmd_quantize(args) -> int:
     config = _config_from_args(args)
     with _output(csv_path, "a") as out:  # opened first; emptied once the artifact is written
         report, rows = pipeline.quantize_model(manifest, args.output, config)
-        out.truncate(0)
+        if Path(csv_path).is_file():  # not /dev/null, not a pipe: they cannot be truncated
+            out.truncate(0)
         csv.writer(out).writerows([pipeline.ERROR_CSV_COLUMNS] + [
             [r["layer"], r["m"], r["n"], f"{r['p_sal_used']:.8g}", f"{r['J']:.8g}",
              f"{r['relative_error']:.8g}", f"{r['bits_per_weight']:.8g}"] for r in rows])
@@ -97,11 +98,8 @@ def cmd_report(args) -> int:
         widths = [max(len(str(r[i])) for r in rows + [_REPORT_COLUMNS])
                   for i in range(len(_REPORT_COLUMNS))]
         with _output(args.output) as out:
-            out.write("  ".join(c.ljust(w) for c, w in zip(_REPORT_COLUMNS, widths)))
-            out.write("\n")
-            for r in rows:
-                out.write("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
-                out.write("\n")
+            for r in [_REPORT_COLUMNS] + rows:
+                out.write("  ".join(str(c).ljust(w) for c, w in zip(r, widths)) + "\n")
             # The closed-form index estimate and the realized prefix-code
             # average disagree by construction; surface both.
             out.write(f"note: L_i_formula {total.l_i:.4f} vs realized "

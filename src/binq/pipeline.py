@@ -41,7 +41,9 @@ ERROR_CSV_COLUMNS = ("layer", "m", "n", "p_sal_used", "J", "relative_error",
 # searched and 3.7-3.9 pinned, scored first and so holding its windows, on 1024x1024
 # Student-t layers, 5.86-5.9 and 4.4-5.05 on a biased 512x1024 one, 3.65-4.0 pinned on
 # 4096x1024; one thread: 4.3 and 3.40, and 5.76 and 4.76 on a biased 512x256 one). Packing
-# adds 0.22-0.35 beyond the layer, 1.04 on the 512x256. 7 leaves a margin.
+# adds 0.22-0.35 beyond the layer, 1.04 on the 512x256. 7 leaves a margin. Salient codes are
+# assigned a chunk at a time, so more bits add nothing: at --n-bits 5-8 `quantize_layer` peaks
+# at 3.32-3.33 searched on 1024x1024 (one thread); a members x 2^n_bits matrix took 5.1-23.9.
 WORKER_PEAK_PER_FILE_BYTE = 7
 # Layers submitted to the pool and not yet written, per worker: finished records
 # that wait for an earlier, slower layer are at most this many per worker.

@@ -207,21 +207,18 @@ class LayerObjective:
         _run([partial(magnitude_labels, mag[half], bounds[1:-1], labels[half])
               for half in (slice(cut), slice(cut, None))], self.threads)
 
-        def shell(k: int) -> _Group:  # unscored: its mean and size only
+        scored = self.scored.get(p_sal)
+
+        def shell(k: int) -> _Group:  # stored if scored; else its mean and size, from all |w|
+            if scored is not None:
+                return scored[k]
             members = np.compress(labels == k, mag).astype(np.float64)
             return _Group(shell_scalar(members), None, members.size)
 
-        def signs() -> np.ndarray:
-            return np.packbits((m.data >= 0.0).ravel()[labels < n_uns])
-
-        groups = self.scored.get(p_sal)
-        if groups is None:  # a share never scored: each shell picked from all of |w|
-            salient, *groups, sign_bits = _run(
-                [partial(self._group, n_uns, bounds), *(partial(shell, k) for k in range(n_uns)),
-                 signs], self.threads)
-            groups.append(salient)
-        else:
-            sign_bits = signs()
+        salient, *groups, sign_bits = _run(
+            [partial(self._group, n_uns, bounds), *(partial(shell, k) for k in range(n_uns)),
+             lambda: np.packbits((m.data >= 0.0).ravel()[labels < n_uns])], self.threads)
+        groups.append(salient)
         return QuantizedLayer(name=m.name, role=m.role, m=m.m, n=m.n,
                               counts=np.array([g.count for g in groups], dtype=np.int64),
                               labels=labels.reshape(m.m, m.n), salient=groups[-1].fit,

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bit_packer import CHUNK
 from .config import QuantConfig
 from .errors import DomainError
 
@@ -32,6 +33,13 @@ class SalientQuant:
     sigma_b: float
 
 
+def _row_scales(rows: np.ndarray, w: np.ndarray, values: np.ndarray, m: int, out=None):
+    """Each row's exact least-squares scale for w ~ scale * values, 0 where values are all 0."""
+    num = np.bincount(rows, weights=np.multiply(w, values, out=out), minlength=m)
+    den = np.bincount(rows, weights=np.multiply(values, values, out=out), minlength=m)
+    return np.divide(num, den, out=np.zeros(m), where=den > 0.0)
+
+
 def fit_rowwise(rows: np.ndarray, w: np.ndarray, m: int, iters: int, atol: float = 0.0):
     """Alternate row-scale and clipped-relaxation updates on the salient members.
 
@@ -49,10 +57,7 @@ def fit_rowwise(rows: np.ndarray, w: np.ndarray, m: int, iters: int, atol: float
     product = np.empty_like(relaxed)
 
     for _ in range(iters):
-        prev = scales
-        num = np.bincount(rows, weights=np.multiply(w, relaxed, out=product), minlength=m)
-        den = np.bincount(rows, weights=np.multiply(relaxed, relaxed, out=product), minlength=m)
-        scales = np.divide(num, den, out=np.zeros(m), where=den > 0.0)
+        prev, scales = scales, _row_scales(rows, w, relaxed, m, product)
         row_scale = scales.take(rows)
         # Members of a zero-scale row keep their value, already in [-1, 1].
         np.divide(w, row_scale, out=relaxed, where=row_scale != 0.0)
@@ -95,9 +100,13 @@ def adaptive_levels(relaxed: np.ndarray, n_bits: int, alpha: float):
 
 
 def assign_codes(relaxed: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center code per member; ties break to the lower index."""
-    dist = np.abs(relaxed[:, None] - np.asarray(centers, dtype=np.float64)[None, :])
-    return np.argmin(dist, axis=1).astype(np.uint8)
+    """Nearest-center code per member; ties break to the lower index. At most CHUNK
+    member-center distances are held at once, so 8 bits take no member x 256 matrix."""
+    centers = np.asarray(centers, dtype=np.float64)
+    codes, step = np.empty(relaxed.shape, dtype=np.uint8), max(1, CHUNK // centers.size)
+    for j in range(0, relaxed.size, step):
+        codes[j:j + step] = np.argmin(np.abs(relaxed[j:j + step, None] - centers), axis=1)
+    return codes
 
 
 def store_scales(values: np.ndarray) -> np.ndarray:
@@ -132,11 +141,6 @@ def quantize_salient(rows: np.ndarray, w: np.ndarray, m: int,
         centers = np.zeros(2 ** config.n_bits, dtype=np.float64)
         mu_b = sigma_b = 0.0
     codes = assign_codes(relaxed, centers)
-
-    quantized = centers[codes]
-    num = np.bincount(rows, weights=w * quantized, minlength=m)
-    den = np.bincount(rows, weights=quantized * quantized, minlength=m)
-    scales = np.divide(num, den, out=np.zeros(m), where=den > 0.0)
-    return SalientQuant(scales=store_scales(scales),
-                        codes=codes, centers=centers,
+    scales = _row_scales(rows, w, centers[codes], m, relaxed)  # relaxed is not needed again
+    return SalientQuant(scales=store_scales(scales), codes=codes, centers=centers,
                         mu_b=mu_b, sigma_b=sigma_b)

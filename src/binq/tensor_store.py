@@ -173,11 +173,32 @@ def _read_bytes(path) -> bytes:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_bytes(path, payload: bytes):
+def _write(path, magic: bytes, version: int, chunks):
+    """Write magic, version (u16) and each byte chunk as it comes to a temporary sibling of
+    `path`, replaced into place once every chunk is in (no fsync): a failure, in the writer
+    or in what yields the chunks, leaves no partial file and any earlier file at `path` as
+    it was. The file's own OSErrors raise IoError."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+    def io(call, *args):  # an OSError of the file, not of what yields the chunks
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from exc
+
+    out = io(open, tmp, "wb")
     try:
-        Path(path).write_bytes(payload)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        try:
+            io(out.write, magic + struct.pack("<H", version))
+            for chunk in chunks:
+                io(out.write, chunk)
+        finally:  # flushes, and closes the file even when the flush fails
+            io(out.close)
+        io(os.replace, tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
@@ -224,14 +245,11 @@ def _check_magic(reader: _Reader, magic: bytes, version: int, remedy: str = ""):
 def write_tensor(matrix: WeightMatrix, path):
     """Write a weight matrix as a .bvw file; rereading yields an equal matrix."""
     if matrix.m < 1 or matrix.n < 1:
-        raise FormatError(f"cannot write degenerate tensor of shape "
-                          f"{matrix.m}x{matrix.n}")
+        raise FormatError(f"cannot write degenerate tensor of shape {matrix.m}x{matrix.n}")
     matrix.require_finite()
-    header = TENSOR_MAGIC + struct.pack(
-        "<HBBIQQ", TENSOR_VERSION, _DTYPE_F32, _ROLE_CODES[matrix.role], 2,
-        matrix.m, matrix.n)
-    payload = matrix.data.astype("<f4", copy=False).tobytes()
-    _write_bytes(path, header + payload)
+    _write(path, TENSOR_MAGIC, TENSOR_VERSION, [
+        struct.pack("<BBIQQ", _DTYPE_F32, _ROLE_CODES[matrix.role], 2, matrix.m, matrix.n),
+        np.ascontiguousarray(matrix.data, "<f4")])  # written from the matrix, not a copy
 
 
 def _tensor_header(reader: _Reader):
@@ -461,41 +479,22 @@ def _layer_record(layer: QuantizedLayer) -> bytes:
 
 
 def _write_records(path, count: int, records):
-    """Write a version 2 .bvq file of `count` records, each as it comes from `records`.
-
-    The file is written as a temporary sibling of `path` and replaced into
-    place only once every record is in (no fsync), so a failure (in the
-    writer or in whatever yields the records) leaves no partial file and
-    any earlier file at `path` as it was. A count of 0, or a record count
-    other than `count`, is refused.
-    """
-    path = Path(path)
+    """Write a version 2 .bvq of `count` records as they come; 0 or another count is refused."""
     if count == 0:
         raise ValidationError(f"{path}: a .bvq holds at least one layer")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
-    def io(call, *args):  # an OSError of the file, not of what yields the records
-        try:
-            return call(*args)
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
-
-    written = 0
-    try:
-        with io(open, tmp, "wb") as out:
-            io(out.write, ARTIFACT_MAGIC + struct.pack("<HI", ARTIFACT_VERSION, count))
-            for record in records:
-                written += 1
-                if written > count:
-                    break
-                io(out.write, record)
-            io(out.flush)
+    def chunks():
+        yield struct.pack("<I", count)
+        written = 0
+        for written, record in enumerate(records, 1):
+            if written > count:
+                break
+            yield record
         if written != count:
             raise ValidationError(f"{path}: {'more' if written > count else 'fewer'} "
                                   f"than the {count} layer records announced")
-        io(os.replace, tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+
+    _write(path, ARTIFACT_MAGIC, ARTIFACT_VERSION, chunks())
 
 
 def write_artifact(layers, path):
@@ -611,17 +610,16 @@ def read_layer_headers(path) -> list[LayerHeader]:
 # --- attention tensors ------------------------------------------------------
 
 def write_attention(tensors: list[AttentionTensor], path):
-    chunks = [ATTENTION_MAGIC, struct.pack("<HI", ATTENTION_VERSION, len(tensors))]
-    for t in tensors:
-        n_sys, n_img, n_ins, n_out = t.group_sizes
-        if n_img != t.n_img:
-            raise ValidationError(
-                f"layer {t.layer_index}: group size {n_img} != score columns {t.n_img}")
-        chunks.append(struct.pack("<IIIIIII", t.layer_index, t.n_tokens, t.n_img,
-                                  n_sys, n_img, n_ins, n_out))
-        row_block = np.concatenate([t.group_sums, t.image_scores], axis=1)
-        chunks.append(row_block.astype("<f4", copy=False).tobytes())
-    _write_bytes(path, b"".join(chunks))
+    def chunks():
+        yield struct.pack("<I", len(tensors))
+        for t in tensors:
+            if t.group_sizes[1] != t.n_img:
+                raise ValidationError(f"layer {t.layer_index}: group size "
+                                      f"{t.group_sizes[1]} != score columns {t.n_img}")
+            yield struct.pack("<7I", t.layer_index, t.n_tokens, t.n_img, *t.group_sizes)
+            yield np.concatenate([t.group_sums, t.image_scores], axis=1).astype("<f4", copy=False)
+
+    _write(path, ATTENTION_MAGIC, ATTENTION_VERSION, chunks())
 
 
 def read_attention(path) -> list[AttentionTensor]:

@@ -196,6 +196,18 @@ def test_failed_quantize_keeps_the_error_csv(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.bvq").exists()
 
 
+def test_error_csv_to_devnull(tmp_path, capsys):
+    """An error CSV that is no regular file, such as os.devnull, is written to
+    and not truncated, which it cannot be: the run exits 0 (the truncation raised
+    an uncaught OSError)."""
+    manifest = make_manifest(tmp_path, [("l", "language", gaussian_matrix(0, (8, 8)))])
+    artifact = tmp_path / "m.bvq"
+    assert main(["quantize", manifest, "-o", str(artifact), "--csv", os.devnull]) == 0
+    assert f"error CSV at {os.devnull}" in capsys.readouterr().out
+    assert [layer.name for layer in binq.read_artifact(artifact)] == ["l"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.bvw", "m.bvq", "manifest.json"]
+
+
 @pytest.mark.parametrize("form", ["csv_flag", "default_csv", "symlink"])
 def test_error_csv_at_the_artifact_path_refused(tmp_path, capsys, form):
     """An error CSV path that is the artifact's would be replaced by the artifact.

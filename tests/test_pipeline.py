@@ -755,6 +755,25 @@ class TestThreads:
         assert pipeline._threads(big, None) == 1
 
 
+def test_eight_bit_codes_peak_below_the_worker_bound():
+    """A searched layer at --n-bits 8 peaks below WORKER_PEAK_PER_FILE_BYTE times
+    its tensor file under tracemalloc (one thread): salient codes are assigned a
+    chunk of members at a time. A members x 256 distance matrix peaked at 23.9."""
+    import tracemalloc
+
+    m, n = 1024, 1024
+    mat = WeightMatrix("t", Role.LANGUAGE,
+                       0.02 * np.random.default_rng(0).standard_t(5, (m, n)))
+    tracemalloc.start()
+    try:
+        layer = quantize_layer(mat, QuantConfig(n_bits=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layer.salient.codes.max() > 127
+    assert peak < pipeline.WORKER_PEAK_PER_FILE_BYTE * (28 + 4 * m * n), peak / (28 + 4 * m * n)
+
+
 def test_parent_memory_is_flat_in_the_layer_count(tmp_path):
     """quantize_model writes each layer's record as it comes and keeps no
     layer: under tracemalloc, which runs the layers in this process, eight

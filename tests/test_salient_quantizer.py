@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from binq import DomainError, QuantConfig, Role, WeightMatrix
+from binq import DomainError, QuantConfig, Role, WeightMatrix, salient_quantizer
 from binq.partitioner import compute_cutoffs, magnitude_labels, magnitude_thresholds
 from binq.salient_quantizer import (FIT_ATOL, adaptive_levels, assign_codes, fit_rowwise,
                                     level_grid, quantize_salient)
@@ -227,6 +227,24 @@ class TestAssignCodes:
         centers = np.array([-1.0, 0.0, 1.0, 2.0])
         codes = assign_codes(np.array([0.5, 1.5]), centers)
         assert list(codes) == [1, 2]
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 8])
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_chunks_give_the_full_matrix_argmin(self, rng, monkeypatch, n_bits, chunk):
+        """Codes assigned a chunk of members at a time are those of the argmin over
+        the whole members x centers matrix, on random values and on ties: values
+        at the midpoint of two centers, and repeated centers."""
+        if chunk is not None:  # the default chunk splits 3000 members only at 8 bits
+            monkeypatch.setattr(salient_quantizer, "CHUNK", chunk)
+        _, spread = level_grid(0.0, 0.8, n_bits, 1.4)
+        repeated = np.repeat(spread[::2], 2)  # each center twice: the lower index wins
+        for centers in (spread, repeated, np.zeros(2 ** n_bits)):
+            mids = (centers[:-1] + centers[1:]) / 2
+            values = np.concatenate([rng.uniform(-3, 3, 3000), mids, centers, [0.0]])
+            want = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+            got = assign_codes(values, centers)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert assign_codes(np.zeros(0), spread).shape == (0,)
 
     def test_nearest_is_optimal(self, rng):
         centers = np.sort(rng.normal(0, 1, 4))

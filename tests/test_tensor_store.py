@@ -1,7 +1,10 @@
 import gc
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
 import zlib
@@ -218,10 +221,11 @@ class TestArtifactRoundTrip:
                     reader(bad)
                 assert "re-quantize" in str(info.value)
 
-    def test_write_is_all_or_nothing(self, tmp_path):
+    def test_write_is_all_or_nothing(self, tmp_path, monkeypatch):
         """A write that fails, on a bad layer, a record count other than the one
         announced or an unwritable path, leaves no temporary file and an earlier
-        file at the path as it was."""
+        file at the path as it was. The same holds for .bvw and .bva: each of the
+        three writers replaces its path only once the whole file is in."""
         from binq.errors import IoError, ValidationError
         from binq.tensor_store import _layer_record, _write_records
 
@@ -247,6 +251,30 @@ class TestArtifactRoundTrip:
         assert all(layers_equal(a, b) for a, b in zip(layers, read_artifact(path)))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bvq"]
 
+        scores = AttentionTensor(0, np.full((2, 4), 0.25, np.float32),
+                                 np.full((2, 3), 0.125, np.float32), (1, 3, 1, 1))
+        writers = {"m.bvq": lambda p: write_artifact(layers, p),
+                   "t.bvw": lambda p: write_tensor(gaussian_matrix(0, shape=(4, 4)), p),
+                   "a.bva": lambda p: write_attention([scores, scores], p)}
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        for name, write in writers.items():
+            (tmp_path / name).write_bytes(b"an earlier file")
+            with monkeypatch.context() as patch:  # every chunk is in; the replace fails
+                patch.setattr(os, "replace", fail)
+                with pytest.raises(IoError, match=f"cannot write .*{name}: .*No space left"):
+                    write(tmp_path / name)
+            with pytest.raises(IoError, match="cannot write"):  # a file where a folder must be
+                write(tmp_path / "m.bvq" / name)
+            assert (tmp_path / name).read_bytes() == b"an earlier file"
+        bad = AttentionTensor(1, scores.group_sums, scores.image_scores, (1, 2, 1, 1))
+        with pytest.raises(ValidationError, match="layer 1: group size 2"):  # after layer 0
+            write_attention([scores, bad], tmp_path / "a.bva")
+        assert (tmp_path / "a.bva").read_bytes() == b"an earlier file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bva", "m.bvq", "t.bvw"]
+
     def test_degenerate_constant_layer(self, tmp_path):
         mat = WeightMatrix("c", Role.LANGUAGE, np.full((6, 6), 2.0, np.float32))
         layer = quantize_layer(mat)
@@ -254,6 +282,43 @@ class TestArtifactRoundTrip:
         write_artifact([layer], path)
         (back,) = read_artifact(path)
         assert layers_equal(layer, back)
+
+
+@pytest.mark.parametrize("name", ["t.bvw", "a.bva", "m.bvq"])
+def test_write_past_a_file_size_limit_keeps_the_earlier_file(tmp_path, name):
+    """A write that the file system stops midway raises IoError, keeps the earlier
+    file byte for byte and leaves no temporary file. The stop is a 1 KB RLIMIT_FSIZE
+    set in a child process only, with SIGXFSZ ignored so that the write fails with
+    EFBIG; each file is larger than that (an in-place write left a 1 KB fragment)."""
+    path = tmp_path / name
+    path.write_bytes(b"an earlier file")
+    script = f"""if True:
+        import resource, signal
+        import numpy as np
+        import binq
+        from binq.tensor_store import AttentionTensor
+        data = np.random.default_rng(0).standard_normal((64, 64)).astype(np.float32)
+        matrix = binq.WeightMatrix("w", "language", data)
+        write, what = {{"t.bvw": (binq.write_tensor, matrix),
+                       "a.bva": (binq.write_attention,
+                                 [AttentionTensor(0, data[:, :4], data[:, 4:], (0, 60, 0, 0))]),
+                       "m.bvq": (binq.write_artifact, [binq.quantize_layer(matrix)])}}[{name!r}]
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, hard))
+        try:
+            write(what, {str(path)!r})
+        except binq.IoError as exc:
+            print("IoError:", exc)
+    """
+    src = os.path.dirname(os.path.dirname(tensor_store.__file__))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out.startswith(f"IoError: cannot write {path}: ") and "File too large" in out
+    assert path.read_bytes() == b"an earlier file"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def reseal(raw):
