@@ -101,14 +101,11 @@ def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
     """The quantized layer and, if `score`, its J (else None); a failure names the layer.
 
     J is the search's best evaluation, or one evaluation at the pinned share made
-    before the layer is built, which then takes the groups it fitted; an all-zero
-    layer, whose J is 0/0, gets 0. The groups are fitted on `_threads(matrix, cores)`
-    threads; the Gaussian fit refuses a non-finite weight.
+    before the layer is built, which then takes the groups it fitted. The groups are
+    fitted on `_threads(matrix, cores)` threads; a non-finite weight fails the fit.
     """
     config = config or QuantConfig()
     try:
-        if matrix.m < 1 or matrix.n < 1:
-            raise DomainError("empty matrix")
         cap = config.resolve_p_sal_max(matrix.role, cap_override)
         cfg = replace(config, p_sal_max=cap)
         fit = fit_gaussian(matrix)
@@ -123,8 +120,8 @@ def _quantize(matrix: WeightMatrix, config: QuantConfig | None,
             p_used, j = best.p_sal, best.j
         else:
             p_used = objective.p_cap
-        if score and j is None:  # mu = sigma = 0 only for an all-zero layer
-            j = objective(p_used).j if fit.mu or fit.sigma else 0.0
+        if score and j is None:
+            j = objective(p_used).j
         return objective.layer(p_used), j
     except (BinqError, ValueError) as exc:
         raise type(exc)(f"layer {matrix.name!r}: {exc}") from exc
@@ -134,8 +131,8 @@ def quantize_layer(matrix: WeightMatrix, config: QuantConfig | None = None) -> Q
     """Quantize one layer: fit, saliency search, and the layer built at the share found.
 
     With optimize_saliency off the salient share is pinned to the resolved
-    cap. All-zero and constant layers degenerate to a single binarized group
-    without error.
+    cap. A one-weight, constant or all-zero layer fits sigma = 0 and is one
+    binarized shell at share 0, without error; an all-zero one has J = 0.
     """
     return _quantize(matrix, config, None, score=False)[0]
 

@@ -114,7 +114,8 @@ class LayerObjective:
     never scored (a pinned share) `layer` picks each shell's mean and size
     from the labels and gathers only the salient window: no shell residual,
     no ||W||^2. To score a pinned share, call the objective before `layer`.
-    ||W||^2 is taken at the first score.
+    ||W||^2 is taken at the first score. An all-zero layer, whose residual is
+    0 as well, scores J = 0 rather than 0/0.
 
     Both fit their groups as jobs on `threads` threads, the salient group
     first as the largest. A job reads |w| and its own window and writes only
@@ -137,10 +138,7 @@ class LayerObjective:
 
     @cached_property
     def denom(self) -> float:
-        denom = self.matrix.squared_norm()
-        if denom == 0.0:
-            raise DomainError("objective undefined for an all-zero matrix")
-        return denom
+        return self.matrix.squared_norm()
 
     def _cutoffs(self, p_sal: float) -> np.ndarray:
         """The float64 cutoffs -inf, t_0(p), ..., t_{n_uns-1}(p), inf."""
@@ -195,7 +193,8 @@ class LayerObjective:
         salient, *shells = _run([partial(self._group, k, bounds) for k in (n_uns, *range(n_uns))],
                                 self.threads)
         self.scored[p_sal] = [*shells, salient]
-        return ObjectiveEval(p_sal, (salient.residual + sum(g.residual for g in shells)) / denom)
+        residual = salient.residual + sum(g.residual for g in shells)
+        return ObjectiveEval(p_sal, residual / denom if denom else 0.0)
 
     def layer(self, p_sal: float) -> QuantizedLayer:
         """The quantized layer at p, whose residual is J(p). |w| is labelled in two

@@ -78,7 +78,9 @@ def _as_role(role) -> Role:
 
 @dataclass
 class WeightMatrix:
-    """One layer's weights: an (m, n) float32 array plus metadata."""
+    """One layer's weights: an (m, n) float32 array plus metadata. This is the one place
+    an empty matrix is refused (`ValueError`); every command takes one-weight, constant
+    and all-zero layers."""
 
     name: str
     role: Role
@@ -87,8 +89,8 @@ class WeightMatrix:
     def __post_init__(self):
         self.role = _as_role(self.role)
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.data.ndim != 2:
-            raise ValueError(f"weight data must be 2-D, got shape {self.data.shape}")
+        if self.data.ndim != 2 or not self.data.size:
+            raise ValueError(f"weight data must be 2-D and not empty, got shape {self.data.shape}")
 
     @property
     def m(self) -> int:
@@ -244,8 +246,6 @@ def _check_magic(reader: _Reader, magic: bytes, version: int, remedy: str = ""):
 
 def write_tensor(matrix: WeightMatrix, path):
     """Write a weight matrix as a .bvw file; rereading yields an equal matrix."""
-    if matrix.m < 1 or matrix.n < 1:
-        raise FormatError(f"cannot write degenerate tensor of shape {matrix.m}x{matrix.n}")
     matrix.require_finite()
     _write(path, TENSOR_MAGIC, TENSOR_VERSION, [
         struct.pack("<BBIQQ", _DTYPE_F32, _ROLE_CODES[matrix.role], 2, matrix.m, matrix.n),

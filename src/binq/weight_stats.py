@@ -24,9 +24,11 @@ class GaussianFit:
     sigma: float
 
     def cdf(self, x: float) -> float:
-        """Normal CDF of the fitted distribution at x (step function if sigma=0)."""
+        """Normal CDF of the fitted distribution at x. At sigma = 0 it is P(X < x), which is
+        not a true CDF: the point mass at mu counts only past mu, as a histogram's [a, b)
+        bins count mu in the bin that starts at it."""
         if self.sigma == 0.0:
-            return 0.0 if x < self.mu else 1.0
+            return 0.0 if x <= self.mu else 1.0
         return normal_cdf((x - self.mu) / self.sigma)
 
 
@@ -56,10 +58,9 @@ def probit(p: float) -> float:
 def fit_gaussian(matrix) -> GaussianFit:
     """Fit mu (sample mean) and sigma (population standard deviation), with no float64 copy.
     A float64 sum of finite float32 values cannot overflow, so a non-finite mean means a
-    non-finite weight: `ValueError`, as `WeightMatrix.require_finite` raises."""
+    non-finite weight: `ValueError`, as `WeightMatrix.require_finite` raises. A one-weight
+    or constant layer fits sigma = 0; `WeightMatrix` holds no empty one."""
     data = matrix.data
-    if data.size < 2:
-        raise DomainError("gaussian fit needs at least 2 samples")
     with np.errstate(invalid="ignore"):  # inf - inf
         mu = float(np.mean(data, dtype=np.float64))
     if not math.isfinite(mu):
@@ -83,25 +84,23 @@ def squared_deviation_sum(data: np.ndarray, mu: float = 0.0, buf=None) -> float:
 
 
 def default_bin_count(m: int, n: int) -> int:
-    """Histogram resolution scaled to the layer size, capped at 512 bins."""
-    return min(512, int(math.ceil(math.sqrt(m * n))))
+    """Histogram resolution scaled to the layer size: at least 2 bins, at most 512."""
+    return max(2, min(512, int(math.ceil(math.sqrt(m * n)))))
 
 
 def histogram(matrix, bins: int) -> Histogram:
     """Equal-width histogram over [min, max] counting every element once.
 
-    Constant data gets its degenerate range padded by a machine-epsilon step
-    so the edges stay strictly increasing.
+    Constant data gets its degenerate range padded by 4 * bins machine-epsilon
+    steps, so the edges stay strictly increasing at any bin count.
     """
     if bins < 2:
         raise DomainError(f"need at least 2 bins, got {bins}")
     data = np.asarray(matrix.data, dtype=np.float64).ravel()
-    if data.size == 0:
-        raise DomainError("cannot histogram an empty matrix")
     lo = float(data.min())
     hi = float(data.max())
     if lo == hi:
-        pad = np.spacing(max(abs(lo), 1.0))
+        pad = 4 * bins * np.spacing(max(abs(lo), 1.0))
         lo, hi = lo - pad, hi + pad
     counts, edges = np.histogram(data, bins=bins, range=(lo, hi))
     return Histogram(edges=edges, counts=counts, total=int(counts.sum()))
@@ -119,7 +118,8 @@ def kl_divergence(observed: Histogram, fit: GaussianFit) -> float:
     """KL divergence of the observed bin masses against the fitted Gaussian.
 
     Gaussian bin masses come from CDF differences over the histogram edges,
-    which is exact for the fitted model even with wide bins.
+    which is exact for the fitted model even with wide bins. At sigma = 0 it is
+    a point mass in the bin that holds mu (`GaussianFit.cdf`), so a constant layer scores 0.
     """
     if observed.total <= 0:
         raise DomainError("histogram has no samples")
@@ -129,8 +129,6 @@ def kl_divergence(observed: Histogram, fit: GaussianFit) -> float:
 
 
 def outlier_fraction(matrix, fit: GaussianFit) -> float:
-    """Fraction of entries beyond mu +/- 3 sigma."""
-    if fit.sigma == 0.0:
-        return 0.0
+    """Fraction of entries beyond mu +/- 3 sigma: 0 at sigma = 0, where none is beyond mu."""
     dev = np.abs(matrix.data.astype(np.float64) - fit.mu)
     return float(np.mean(dev > 3.0 * fit.sigma))

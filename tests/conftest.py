@@ -7,10 +7,17 @@ from binq import Role, WeightMatrix
 
 
 def pytest_report_header(config):
-    """Bitwise float64 sums follow numpy's summation, and timings the cores."""
+    """Bitwise float64 sums follow numpy's summation, and timings the cores; the size of
+    src/binq is the line budget the project tracks."""
+    from pathlib import Path
+
+    import binq
     from binq.pipeline import _usable
 
-    return f"numpy {np.__version__}, {_usable()[0]} usable cores"
+    modules = sorted(Path(binq.__file__).parent.glob("*.py"))
+    lines = sum(len(m.read_text().splitlines()) for m in modules)
+    return [f"numpy {np.__version__}, {_usable()[0]} usable cores",
+            f"binq: {lines} lines in {len(modules)} modules"]
 
 
 def gaussian_matrix(seed, shape=(64, 64), sigma=1.0, mu=0.0,

@@ -283,6 +283,12 @@ class TestPackUnpack:
         with pytest.raises(DomainError):
             pack_stream([0, 2], book)
 
+    def test_solo_stream_with_a_foreign_symbol(self):
+        # A solo code packs to nothing, so a symbol of another group would be lost.
+        book = CodeBook.from_frequencies([0, 7, 0])
+        with pytest.raises(DomainError, match="group with no code"):
+            pack_stream([1, 0, 1], book)
+
     def test_symbol_without_code(self):
         book = CodeBook.from_frequencies([5, 5, 0])
         with pytest.raises(DomainError):

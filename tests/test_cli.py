@@ -248,6 +248,46 @@ def test_overflowing_scales_refused_at_quantize(tmp_path, capsys):
         assert not (tmp_path / "x.bvq").exists()
 
 
+@pytest.mark.parametrize("search", [True, False], ids=["search", "pinned"])
+def test_degenerate_layers_through_every_command(tmp_path, capsys, search):
+    """One-weight, constant and all-zero layers fit sigma = 0 and go through quantize,
+    report, sweep and analyze beside an ordinary layer: each is one exact shell, the
+    all-zero one scores J = 0 (not 0/0), and each constant one fits with KL 0."""
+    manifest = make_manifest(tmp_path, [
+        ("gauss", "language", gaussian_matrix(0, (32, 32), sigma=0.02)),
+        ("one", "vision", binq.WeightMatrix("one", "vision", np.full((1, 1), -0.75))),
+        ("flat", "adaptor", binq.WeightMatrix("flat", "adaptor", np.full((4, 4), 1.5))),
+        ("zero", "language", binq.WeightMatrix("zero", "language", np.zeros((64, 64))))])
+    artifact, errors = tmp_path / "m.bvq", tmp_path / "m.csv"
+    flags = [] if search else ["--no-optimize"]
+    assert main(["quantize", manifest, "-o", str(artifact), *flags]) == 0
+    rows = {r["layer"]: r for r in read_csv(errors)}
+    assert [rows[name]["J"] for name in ("one", "flat", "zero")] == ["0", "0", "0"]
+    assert all(rows[name]["p_sal_used"] == "0" for name in ("one", "flat", "zero"))
+    layers = binq.read_artifact(artifact)
+    assert [(l.name, l.m, l.n) for l in layers] == [
+        ("gauss", 32, 32), ("one", 1, 1), ("flat", 4, 4), ("zero", 64, 64)]
+    for layer, value in zip(layers[1:], (-0.75, 1.5, 0.0)):
+        assert np.array_equal(layer.dense(), np.full((layer.m, layer.n), value))
+    report = tmp_path / "report.csv"
+    assert main(["report", str(artifact), "--csv", "-o", str(report)]) == 0
+    assert [r["layer"] for r in read_csv(report)] == ["gauss", "one", "flat", "zero", "TOTAL"]
+
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", manifest, "--thresholds", "0.01,0.05", "-o", str(sweep)]) == 0
+    js = {(r["layer"], r["threshold"]): r["J"] for r in read_csv(sweep)}
+    assert len(js) == 8 and js["zero", "0.01"] == js["zero", "0.05"] == "0"
+
+    stats = tmp_path / "stats.csv"
+    assert main(["analyze", manifest, "-o", str(stats)]) == 0
+    got = {r["name"]: r for r in read_csv(stats)}
+    for name, mu in (("one", "-0.75"), ("flat", "1.5"), ("zero", "0")):
+        assert (got[name]["mu"], got[name]["sigma"], got[name]["kl_nats"],
+                got[name]["outlier_frac_3sigma"]) == (mu, "0", "0", "0")
+    assert float(got["gauss"]["kl_nats"]) > 0
+    assert capsys.readouterr().err == ""
+
+
 def test_report_decodes_no_stream(tmp_path, monkeypatch):
     """The report of the golden layers' file decodes no stream and prints the
     frozen CSV in tests/data."""

@@ -486,6 +486,38 @@ class TestWorkerPool:
         assert built is None or built == []
         assert multiprocessing.active_children() == []
 
+    def test_window_bounds_the_layers_in_flight(self, tmp_path, monkeypatch, capsys):
+        """Two workers at one layer each: a window of 2 over five layers, so the parent
+        waits on a full window three times; the bytes are the serial run's."""
+        import concurrent.futures.process as process
+
+        manifest = mixed_manifest(tmp_path)
+        serial = quantize_files(manifest, tmp_path, True)
+        built = force_pool(monkeypatch)
+        monkeypatch.setattr(pipeline, "WINDOW_PER_WORKER", 1)
+        submitted, written, in_flight = [], [], []
+        real_submit, real_write = process.ProcessPoolExecutor.submit, pipeline._write_records
+
+        def submit(pool, fn, entry, *args):
+            submitted.append(entry.name)
+            in_flight.append(len(submitted) - len(written))
+            return real_submit(pool, fn, entry, *args)
+
+        def write_records(path, count, records):
+            def counted():
+                for record in records:
+                    yield record
+                    written.append(record)  # asked for the next: this one is written
+            real_write(path, count, counted())
+
+        monkeypatch.setattr(process.ProcessPoolExecutor, "submit", submit)
+        monkeypatch.setattr(pipeline, "_write_records", write_records)
+        assert quantize_files(manifest, tmp_path, True) == serial
+        assert [args[0] for args in built] == [2]
+        assert len(submitted) == len(written) == 5
+        assert in_flight == [1, 2, 2, 2, 2]  # at most the window, and the window is reached
+        assert multiprocessing.active_children() == []
+
     def test_one_core_or_one_layer_builds_no_pool(self, tmp_path, monkeypatch):
         manifest = read_manifest(mixed_manifest(tmp_path))
         built = force_pool(monkeypatch, cores=(0,))

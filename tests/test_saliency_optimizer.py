@@ -118,10 +118,11 @@ class TestEvaluateObjective:
         j0, j1 = objective(0.0).j, objective(0.01).j
         assert j1 < j0
 
-    def test_all_zero_matrix_rejected(self):
+    def test_all_zero_matrix_scores_zero(self):
+        # ||W||^2 = 0 and so is the residual: J is 0 at every share, not 0/0.
         mat = WeightMatrix("t", Role.LANGUAGE, np.zeros((4, 4), np.float32))
-        with pytest.raises(DomainError):
-            LayerObjective(mat, fit_gaussian(mat), QuantConfig())(0.0)
+        objective = LayerObjective(mat, fit_gaussian(mat), QuantConfig())
+        assert [objective(p).j for p in (0.0, 0.005, objective.p_cap)] == [0.0, 0.0, 0.0]
 
     def test_share_outside_cap_rejected(self):
         mat = gaussian_matrix(3)

@@ -107,10 +107,11 @@ class TestTensorRoundTrip:
         with pytest.raises(ValueError):
             read_tensor(path)
 
-    def test_zero_row_matrix_rejected(self, tmp_path):
-        mat = WeightMatrix("z", Role.VISION, np.zeros((0, 4), np.float32))
-        with pytest.raises(FormatError):
-            write_tensor(mat, tmp_path / "z.bvw")
+    def test_zero_row_matrix_rejected(self):
+        # WeightMatrix is the one emptiness check, so no writer or stage sees one.
+        for shape in [(0, 4), (4, 0), (0, 0)]:
+            with pytest.raises(ValueError, match="not empty"):
+                WeightMatrix("z", Role.VISION, np.zeros(shape, np.float32))
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.bvw"
@@ -692,6 +693,88 @@ def test_zero_layer_artifact_refused(tmp_path, capsys):
         assert str(info.value) == f"{empty}: artifact holds no layers"
     assert main(["report", str(empty)]) == 2
     assert capsys.readouterr().err == f"error: {empty}: artifact holds no layers\n"
+
+
+def test_one_trailing_byte_refused(tmp_path, capsys):
+    """A byte after the last field of a .bvw, .bva or .bvq is refused by its reader, and
+    by the command that reads it (exit 2): `report`, `prune-scores`, `analyze`."""
+    bvq, bvw, bva = tmp_path / "a.bvq", tmp_path / "w.bvw", tmp_path / "s.bva"
+    write_artifact([quantize_layer(gaussian_matrix(0, shape=(8, 8)))], bvq)
+    write_tensor(gaussian_matrix(0, shape=(2, 2)), bvw)
+    write_attention([AttentionTensor(0, np.full((1, 4), 0.25), np.full((1, 2), 0.125),
+                                     (1, 2, 1, 0))], bva)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"name": "w", "path": "w.bvw", "role": "vision"}]))
+    for path, reads, argv in [
+            (bvq, (read_artifact, read_layer_headers), ["report", str(bvq)]),
+            (bva, (read_attention,), ["prune-scores", str(bva), "--ratio", "0.5"]),
+            (bvw, (read_tensor, read_manifest), ["analyze", str(manifest)])]:
+        path.write_bytes(path.read_bytes() + b"\0")
+        for read in reads:
+            with pytest.raises(FormatError):
+                read(manifest if read is read_manifest else path)
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(FormatError, match="1 trailing bytes"):
+        read_tensor(bvw)
+
+
+@pytest.mark.parametrize("dims", [(0, 3), (3, 0), (0, 0)])
+def test_zero_dimension_tensor_refused(tmp_path, capsys, dims):
+    """A .bvw header with a zero dimension is a FormatError in `read_tensor` and in
+    `read_manifest`, before any payload is sized from it; `binq analyze` exits 2."""
+    path = tmp_path / "w.bvw"
+    write_tensor(gaussian_matrix(0, shape=(2, 2)), path)
+    path.write_bytes(path.read_bytes()[:12] + struct.pack("<QQ", *dims))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"name": "w", "path": "w.bvw", "role": "vision"}]))
+    for read, arg in [(read_tensor, path), (read_manifest, manifest)]:
+        with pytest.raises(FormatError, match="degenerate dims"):
+            read(arg)
+    assert main(["analyze", str(manifest)]) == 2
+    assert "degenerate dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [1, -1])
+def test_stream_length_prefix_checked_against_the_counts(tmp_path, capsys, change):
+    """A sign stream one byte longer or shorter than the counts make it, with its length
+    prefix and the CRC to match, is refused by both readers from the header alone: the
+    check that bounds m x n by the file size before any decode allocates."""
+    layer = quantize_layer(outlier_matrix(1, shape=(16, 16), frac=0.02, magnitude=6.0))
+    path = tmp_path / "m.bvq"
+    write_artifact([layer], path)
+    raw = bytearray(path.read_bytes())
+    signs = len(layer.sign_bits)
+    at = len(raw) - 4 - signs - 8  # the sign stream's length prefix, before it and the CRC
+    assert struct.unpack_from("<Q", raw, at) == (signs,)
+    raw[at:at + 8] = struct.pack("<Q", signs + change)
+    if change > 0:
+        raw[-4:-4] = b"\0"
+    else:
+        del raw[-5]
+    reseal(raw)
+    path.write_bytes(bytes(raw))
+    for read in (read_artifact, read_layer_headers):
+        with pytest.raises(FormatError, match="stream lengths disagree with the group counts"):
+            read(path)
+    assert main(["report", str(path)]) == 2
+    assert "stream lengths disagree" in capsys.readouterr().err
+
+
+def test_labels_that_disagree_with_the_counts_refused_on_write(tmp_path):
+    """Two shells whose codes differ in length swap their counts: the counts still add
+    up, but the labels packed with the code of the swapped counts take
+    (c_i - c_j)(l_j - l_i) more bits, so the writer refuses the layer and leaves no file."""
+    layer = quantize_layer(outlier_matrix(1, shape=(16, 16), frac=0.02, magnitude=6.0))
+    lengths, counts = layer.codebook.lengths, layer.counts.copy()
+    extra = {(i, j): abs(int(counts[i] - counts[j]) * (lengths[i] - lengths[j]))
+             for i in range(layer.config.n_uns) for j in range(i)}
+    i, j = max(extra, key=extra.get)
+    assert extra[i, j] >= 8  # bits: the stream changes by a byte or more
+    counts[[i, j]] = counts[[j, i]]
+    with pytest.raises(ValidationError, match="labels disagree with the group counts"):
+        write_artifact([replace(layer, counts=counts)], tmp_path / "m.bvq")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_held_layer_bytes_per_weight(tmp_path):

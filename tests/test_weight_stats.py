@@ -59,9 +59,8 @@ class TestFitGaussian:
         assert abs(fit.mu - 0.2) < 0.002
         assert abs(fit.sigma - 0.5) < 0.002
 
-    def test_too_few_samples(self):
-        with pytest.raises(DomainError):
-            fit_gaussian(matrix_of([3.0]))
+    def test_one_weight_fits_zero_sigma(self):
+        assert fit_gaussian(matrix_of([3.0])) == GaussianFit(mu=3.0, sigma=0.0)
 
     @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
                              ids=["nan", "inf", "-inf", "both_infinities"])
@@ -174,6 +173,7 @@ class TestHistogram:
             histogram(matrix_of([1.0, 2.0]), bins=1)
 
     def test_default_bin_count(self):
+        assert default_bin_count(1, 1) == 2
         assert default_bin_count(2, 2) == 2
         assert default_bin_count(10, 10) == 10
         assert default_bin_count(4096, 4096) == 512
@@ -211,6 +211,20 @@ class TestKlDivergence:
             fit = fit_gaussian(mat)
             hist = histogram(mat, bins=16)
             assert kl_divergence(hist, fit) >= -1e-12
+
+    @pytest.mark.parametrize("value, shape", [
+        (0.25, (3, 3)), (0.25, (4, 4)), (0.0, (4, 4)), (0.0, (64, 64)), (3.0, (1, 1)),
+        (-1.5, (64, 64)), (3e38, (1024, 1024))],
+        ids=["3x3", "4x4", "zero_4x4", "zero_64x64", "1x1", "-1.5_64x64", "3e38_1024x1024"])
+    def test_constant_layer_scores_zero(self, value, shape):
+        """A constant layer fits exactly, a point mass at mu, so its KL is 0 at an even bin
+        count, where mu is an edge, at an odd one, and at any magnitude."""
+        mat = matrix_of(np.full(shape, value), shape)
+        fit = fit_gaussian(mat)
+        assert fit.sigma == 0.0
+        hist = histogram(mat, default_bin_count(*shape))
+        assert hist.counts.max() == hist.total == mat.data.size
+        assert kl_divergence(hist, fit) == 0.0
 
     def test_empty_histogram_rejected(self):
         from binq.weight_stats import Histogram
