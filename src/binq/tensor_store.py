@@ -29,8 +29,10 @@ The manifest is a JSON array of {"name", "path", "role", "p_sal_max"?}.
 
 import json
 import os
+import stat
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from enum import Enum
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bit_packer
-from .bit_packer import INDEX_WIDTH, SCALE_WIDTH
+from .bit_packer import CHUNK, INDEX_WIDTH, SCALE_WIDTH
 from .config import QuantConfig
 from .errors import (DomainError, FormatError, IoError, TruncationError,
                      ValidationError)
@@ -100,8 +102,9 @@ class WeightMatrix:
     def n(self) -> int:
         return self.data.shape[1]
 
-    def require_finite(self):
-        if not np.all(np.isfinite(self.data)):
+    def require_finite(self):  # a chunk at a time: no layer-sized mask
+        flat = self.data.reshape(-1)
+        if not all(np.isfinite(flat[i:i + CHUNK]).all() for i in range(0, flat.size, CHUNK)):
             raise ValueError("tensor contains non-finite values")
 
     def squared_norm(self) -> float:
@@ -168,13 +171,6 @@ class ModelManifest:
     entries: list[ManifestEntry]
 
 
-def _read_bytes(path) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-
 def _write(path, magic: bytes, version: int, chunks):
     """Write magic, version (u16) and each byte chunk as it comes to a temporary sibling of
     `path`, replaced into place once every chunk is in (no fsync): a failure, in the writer
@@ -204,42 +200,60 @@ def _write(path, magic: bytes, version: int, chunks):
 
 
 class _Reader:
-    """Cursor over a byte buffer raising TruncationError on short reads; `take` returns views."""
+    """Cursor over an open file of `size` bytes: `take` checks a length against the bytes left
+    before it reads them into a fresh bytearray. While `crc` is set, a CRC32 runs over them."""
 
-    def __init__(self, buf, origin: str):
-        self.buf = memoryview(buf)
-        self.pos = 0
-        self.origin = origin
+    def __init__(self, file, origin: str, size: int):
+        self.file, self.origin, self.size, self.pos, self.crc = file, origin, size, 0, None
 
-    def take(self, size: int) -> memoryview:
-        if self.pos + size > len(self.buf):
+    def take(self, size: int) -> bytearray:
+        if self.pos + size > self.size:
             raise TruncationError(
                 f"{self.origin}: needed {size} bytes at offset {self.pos}, "
-                f"only {len(self.buf) - self.pos} left")
+                f"only {self.size - self.pos} left")
+        buf = bytearray(size)
+        if self.file.readinto(buf) != size:
+            raise TruncationError(f"{self.origin}: the file shrank while it was read")
         self.pos += size
-        return self.buf[self.pos - size:self.pos]
+        if self.crc is not None:
+            self.crc = zlib.crc32(buf, self.crc)
+        return buf
 
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
     def array(self, dtype, count: int) -> np.ndarray:
         dt = np.dtype(dtype).newbyteorder("<")
-        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
+        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt)
 
     def done(self):
-        if self.pos != len(self.buf):
-            raise FormatError(f"{self.origin}: {len(self.buf) - self.pos} trailing bytes")
+        if self.pos != self.size:
+            raise FormatError(f"{self.origin}: {self.size - self.pos} trailing bytes")
 
 
-def _check_magic(reader: _Reader, magic: bytes, version: int, remedy: str = ""):
-    """Check the magic and that the file is of `version`, the one the reader reads."""
-    got = bytes(reader.take(len(magic)))
-    if got != magic:
-        raise FormatError(f"{reader.origin}: bad magic {got!r}, expected {magic!r}")
-    (got,) = reader.unpack("H")
-    if got != version:
-        raise FormatError(f"{reader.origin}: unsupported version {got} "
-                          f"(binq reads version {version}){remedy}")
+@contextmanager
+def _reading(path, magic: bytes = b"", version: int = 0, remedy: str = ""):
+    """The read-side twin of `_write`: open `path`, check its magic and `version`, the one the
+    reader reads (a manifest has neither), yield a `_Reader` for the caller's fields, and require
+    that the file ends where they did. The file's own OSErrors raise IoError."""
+    try:
+        with open(path, "rb") as file:
+            info = os.fstat(file.fileno())
+            if not stat.S_ISREG(info.st_mode):  # a pipe or device has no size to bound reads by
+                raise FormatError(f"{path}: not a regular file")
+            reader = _Reader(file, str(path), info.st_size)
+            if magic:
+                got = bytes(reader.take(len(magic)))
+                if got != magic:
+                    raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+                (got,) = reader.unpack("H")
+                if got != version:
+                    raise FormatError(f"{path}: unsupported version {got} "
+                                      f"(binq reads version {version}){remedy}")
+            yield reader
+            reader.done()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 # --- weight tensors ---------------------------------------------------------
@@ -253,8 +267,7 @@ def write_tensor(matrix: WeightMatrix, path):
 
 
 def _tensor_header(reader: _Reader):
-    """Parse a .bvw header up to the payload; returns (role, m, n)."""
-    _check_magic(reader, TENSOR_MAGIC, TENSOR_VERSION)
+    """Parse a .bvw header from after the version up to the payload; returns (role, m, n)."""
     dtype_code, role_code, rank = reader.unpack("BBI")
     if dtype_code != _DTYPE_F32:
         raise FormatError(f"{reader.origin}: unsupported dtype code {dtype_code}")
@@ -270,10 +283,9 @@ def _tensor_header(reader: _Reader):
 
 def read_tensor(path) -> WeightMatrix:
     """Read a .bvw file; the layer name defaults to the file stem."""
-    reader = _Reader(_read_bytes(path), str(path))
-    role, m, n = _tensor_header(reader)
-    data = reader.array("f4", m * n).reshape(m, n)
-    reader.done()
+    with _reading(path, TENSOR_MAGIC, TENSOR_VERSION) as reader:
+        role, m, n = _tensor_header(reader)
+        data = reader.array("f4", m * n).reshape(m, n)
     matrix = WeightMatrix(name=Path(path).stem, role=role, data=data)
     matrix.require_finite()
     return matrix
@@ -283,7 +295,8 @@ def read_tensor(path) -> WeightMatrix:
 
 def read_manifest(path) -> ModelManifest:
     """Load and validate a JSON manifest; tensor paths resolve relative to it."""
-    raw = _read_bytes(path)
+    with _reading(path) as reader:
+        raw = reader.take(reader.size)
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # also non-UTF text, too deep nesting
@@ -315,16 +328,16 @@ def read_manifest(path) -> ModelManifest:
 
 
 def _validate_tensor_header(path):
-    """Check a referenced tensor parses: header fields plus exact file size."""
+    """Check a referenced tensor's header fields, and that its payload fills the file."""
     try:
-        size = Path(path).stat().st_size
-        with open(path, "rb") as fh:
-            head = fh.read(28)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise FormatError(f"manifest references unreadable tensor {path}: {exc}") from exc
-    _, m, n = _tensor_header(_Reader(head, str(path)))
-    if size != 28 + 4 * m * n:
-        raise FormatError(f"{path}: file size {size} does not match dims {m}x{n}")
+        with _reading(path, TENSOR_MAGIC, TENSOR_VERSION) as reader:
+            _, m, n = _tensor_header(reader)
+            if reader.size - reader.pos != 4 * m * n:
+                raise FormatError(f"{path}: file size {reader.size} does not match dims {m}x{n}")
+            reader.pos = reader.size  # the payload is not read
+    except (IoError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise FormatError(f"manifest references unreadable tensor {path}: "
+                          f"{exc.__cause__ or exc}") from exc
 
 
 # --- quantized artifacts ----------------------------------------------------
@@ -502,17 +515,16 @@ def write_artifact(layers, path):
     _write_records(path, len(layers), map(_layer_record, layers))
 
 
-def _parse_record(reader: _Reader):
-    """Parse one .bvq layer record into (header, decode).
+def _parse_record(reader: _Reader, decode: bool):
+    """Parse one .bvq layer record into its checked LayerHeader, or with `decode` into the
+    QuantizedLayer decoded from its streams, whose sign stream is the one buffer it keeps.
 
-    header is the record's checked LayerHeader; decode() makes the QuantizedLayer: it decodes
-    the index and code streams in place and copies the sign stream, so that the layer does
-    not pin the file's buffer. The CRC is checked first; then the counts must add up to
-    m x n, the levels pass `_check_levels`, the codebook must be the Huffman code of the
-    counts, each stream as long as the counts make it, and the decoded counts the stored
-    ones, so `QuantizedLayer.validate` holds.
+    The CRC, run over the record's bytes as the reader takes them, is checked first; then
+    the counts must add up to m x n, the levels pass `_check_levels`, the codebook must be
+    the Huffman code of the counts, each stream as long as the counts make it, and the
+    decoded counts the stored ones, so `QuantizedLayer.validate` holds.
     """
-    start, origin = reader.pos, reader.origin
+    origin, reader.crc = reader.origin, 0
     (name_len,) = reader.unpack("H")
     try:
         name = str(reader.take(name_len), "utf-8")
@@ -540,9 +552,9 @@ def _parse_record(reader: _Reader):
     solo = None if solo == 0xFF else solo
     # Stored as u64; a count from 2**63 on reads negative here and is refused.
     stored = reader.array("i8", n_uns + 1)
-    streams = [reader.take(*reader.unpack("Q")) for _ in range(3)]
-    (crc,) = reader.unpack("I")
-    if crc != zlib.crc32(reader.buf[start:reader.pos - 4]):
+    index, codes, signs = streams = [reader.take(*reader.unpack("Q")) for _ in range(3)]
+    crc, reader.crc = reader.crc, None
+    if reader.unpack("I") != (crc,):
         raise FormatError(f"{where}: CRC mismatch, the record is damaged")
 
     fields = dict(name=name, role=_ROLE_FROM_CODE[role_code], m=m, n=n,
@@ -561,38 +573,31 @@ def _parse_record(reader: _Reader):
     # bound m x n by the file size before decode makes (m, n) arrays.
     if [len(s) for s in streams] != list(bit_packer.stream_bytes(stored, book, n_bits)):
         raise FormatError(f"{where}: stream lengths disagree with the group counts")
-
-    def decode() -> QuantizedLayer:
-        index, codes, signs = streams
-        labels, counts = bit_packer.unpack_stream(index, book, m * n, return_counts=True)
-        labels = labels.reshape(m, n)
-        if not np.array_equal(counts, stored):
-            raise FormatError(f"{where}: decoded group counts differ from the stored ones")
-        salient_count = int(counts[-1])
-        salient = SalientQuant(scales=scales, centers=centers, mu_b=mu_b, sigma_b=sigma_b,
-                               codes=bit_packer.unpack_stream(
-                                   codes, bit_packer.CodeBook.fixed(n_bits), salient_count))
-        return QuantizedLayer(counts=counts, labels=labels, salient=salient, scalars=scalars,
-                              sign_bits=np.frombuffer(signs, dtype=np.uint8).copy(), **fields)
-
-    return header, decode
+    if not decode:
+        return header
+    labels, counts = bit_packer.unpack_stream(index, book, m * n, return_counts=True)
+    if not np.array_equal(counts, stored):
+        raise FormatError(f"{where}: decoded group counts differ from the stored ones")
+    salient = SalientQuant(scales=scales, centers=centers, mu_b=mu_b, sigma_b=sigma_b,
+                           codes=bit_packer.unpack_stream(
+                               codes, bit_packer.CodeBook.fixed(n_bits), int(counts[-1])))
+    return QuantizedLayer(counts=counts, labels=labels.reshape(m, n), salient=salient,
+                          scalars=scalars, sign_bits=np.frombuffer(signs, np.uint8), **fields)
 
 
-def _parsed_records(path) -> list:
-    """The (header, decode) pair of each layer record of a .bvq file."""
-    reader = _Reader(_read_bytes(path), str(path))
-    _check_magic(reader, ARTIFACT_MAGIC, ARTIFACT_VERSION, "; re-quantize the model")
-    (layer_count,) = reader.unpack("I")
-    if layer_count == 0:
-        raise FormatError(f"{path}: artifact holds no layers")
-    records = [_parse_record(reader) for _ in range(layer_count)]
-    reader.done()
-    return records
+def _records(path, decode: bool):
+    """Each layer record of a .bvq file, decoded or its header only, as it is parsed."""
+    with _reading(path, ARTIFACT_MAGIC, ARTIFACT_VERSION, "; re-quantize the model") as reader:
+        (layer_count,) = reader.unpack("I")
+        if layer_count == 0:
+            raise FormatError(f"{path}: artifact holds no layers")
+        for _ in range(layer_count):
+            yield _parse_record(reader, decode)
 
 
 def read_artifact(path) -> list[QuantizedLayer]:
     """Parse a .bvq file back into QuantizedLayer values, each checked as `_parse_record` says."""
-    return [decode() for _, decode in _parsed_records(path)]
+    return list(_records(path, decode=True))
 
 
 def read_layer_headers(path) -> list[LayerHeader]:
@@ -602,9 +607,9 @@ def read_layer_headers(path) -> list[LayerHeader]:
     values) and no stream is decoded. The CRC-covered counts are trusted:
     swapping the counts of two shells whose codes have one length, then
     recomputing the CRC, passes here and is refused only by `read_artifact`.
-    Damage cannot do that; an edit can.
+    Damage cannot do that; an edit can. One record is held at a time.
     """
-    return [header for header, _ in _parsed_records(path)]
+    return list(_records(path, decode=False))
 
 
 # --- attention tensors ------------------------------------------------------
@@ -623,20 +628,18 @@ def write_attention(tensors: list[AttentionTensor], path):
 
 
 def read_attention(path) -> list[AttentionTensor]:
-    reader = _Reader(_read_bytes(path), str(path))
-    _check_magic(reader, ATTENTION_MAGIC, ATTENTION_VERSION)
-    (count,) = reader.unpack("I")
     tensors = []
-    for _ in range(count):
-        layer_index, n_tokens, n_img, n_sys, n_img2, n_ins, n_out = reader.unpack(
-            "IIIIIII")
-        if n_img != n_img2:
-            raise FormatError(f"{path}: inconsistent image-token counts "
-                              f"({n_img} vs {n_img2}) in layer {layer_index}")
-        block = reader.array("f4", n_tokens * (4 + n_img)).reshape(n_tokens, 4 + n_img)
-        tensors.append(AttentionTensor(layer_index=layer_index,
-                                       group_sums=block[:, :4],
-                                       image_scores=block[:, 4:],
-                                       group_sizes=(n_sys, n_img, n_ins, n_out)))
-    reader.done()
+    with _reading(path, ATTENTION_MAGIC, ATTENTION_VERSION) as reader:
+        (count,) = reader.unpack("I")
+        for _ in range(count):
+            layer_index, n_tokens, n_img, n_sys, n_img2, n_ins, n_out = reader.unpack(
+                "IIIIIII")
+            if n_img != n_img2:
+                raise FormatError(f"{path}: inconsistent image-token counts "
+                                  f"({n_img} vs {n_img2}) in layer {layer_index}")
+            block = reader.array("f4", n_tokens * (4 + n_img)).reshape(n_tokens, 4 + n_img)
+            tensors.append(AttentionTensor(layer_index=layer_index,
+                                           group_sums=block[:, :4],
+                                           image_scores=block[:, 4:],
+                                           group_sizes=(n_sys, n_img, n_ins, n_out)))
     return tensors

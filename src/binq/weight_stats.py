@@ -92,17 +92,20 @@ def histogram(matrix, bins: int) -> Histogram:
     """Equal-width histogram over [min, max] counting every element once.
 
     Constant data gets its degenerate range padded by 4 * bins machine-epsilon
-    steps, so the edges stay strictly increasing at any bin count.
+    steps, so the edges stay strictly increasing at any bin count. Float64 bounds give
+    float64 edges, against which numpy bins the float32 data as it binned a float64 copy.
+    A bin depends only on the edges: each call bins CHUNK // 4 elements, in 0.7 MB.
     """
     if bins < 2:
         raise DomainError(f"need at least 2 bins, got {bins}")
-    data = np.asarray(matrix.data, dtype=np.float64).ravel()
-    lo = float(data.min())
-    hi = float(data.max())
+    flat, step = matrix.data.reshape(-1), CHUNK // 4
+    lo, hi = np.float64(flat.min()), np.float64(flat.max())
     if lo == hi:
         pad = 4 * bins * np.spacing(max(abs(lo), 1.0))
         lo, hi = lo - pad, hi + pad
-    counts, edges = np.histogram(data, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(flat[:step], bins=bins, range=(lo, hi))
+    for i in range(step, flat.size, step):
+        counts += np.histogram(flat[i:i + step], bins=bins, range=(lo, hi))[0]
     return Histogram(edges=edges, counts=counts, total=int(counts.sum()))
 
 
@@ -129,6 +132,8 @@ def kl_divergence(observed: Histogram, fit: GaussianFit) -> float:
 
 
 def outlier_fraction(matrix, fit: GaussianFit) -> float:
-    """Fraction of entries beyond mu +/- 3 sigma: 0 at sigma = 0, where none is beyond mu."""
-    dev = np.abs(matrix.data.astype(np.float64) - fit.mu)
-    return float(np.mean(dev > 3.0 * fit.sigma))
+    """Fraction of entries beyond mu +/- 3 sigma, in float64 a chunk at a time; 0 at sigma = 0."""
+    flat = matrix.data.reshape(-1)
+    beyond = sum(np.count_nonzero(np.abs(np.subtract(flat[i:i + CHUNK], fit.mu, dtype=np.float64))
+                                  > 3.0 * fit.sigma) for i in range(0, flat.size, CHUNK))
+    return beyond / flat.size
