@@ -47,6 +47,7 @@ def cmd_analyze(args) -> int:
         kl = weight_stats.kl_divergence(hist, fit)
         rows.append([entry.name, f"{fit.mu:.8g}", f"{fit.sigma:.8g}",
                      f"{kl:.8g}", f"{weight_stats.outlier_fraction(matrix, fit):.8g}"])
+        del matrix  # freed before the next layer is read: one layer at a time
     _write_rows(args.output, ["name", "mu", "sigma", "kl_nats", "outlier_frac_3sigma"],
                 rows)
     return 0
@@ -117,6 +118,7 @@ def cmd_sweep(args) -> int:
         fit = weight_stats.fit_gaussian(matrix)
         for ev in sweep_thresholds(matrix, fit, args.thresholds, QuantConfig()):
             rows.append([entry.name, f"{ev.p_sal:.8g}", f"{ev.j:.8g}"])
+        del matrix  # freed before the next layer is read: one layer at a time
     _write_rows(args.output, ["layer", "threshold", "J"], rows)
     return 0
 

@@ -6,18 +6,16 @@ Three container formats, all little-endian with fixed field widths:
     magic "BVW1", version u16, dtype u8 (0 = IEEE 754 binary32), role u8,
     rank u32 (always 2), dims as two u64, then the row-major f32 payload.
 
-``.bvq`` quantized artifact, version 2
+``.bvq`` quantized artifact, version 3
     magic "BVQ1", version u16, layer count u32, then per layer: name
-    (u16 length + UTF-8), role u8, m and n (u64), config echo (its scale
-    width always 16 and index width always 3; other values are refused),
-    salient level parameters and centers, salient row-scales and unsalient
-    scalars (binary16), the group codebook, the n_uns + 1 group counts (u64,
-    salient last), the three packed streams (group indices, salient codes,
-    sign bits), each length-prefixed, and a CRC32 (u32) of the record from
-    the name length to the end of the sign stream. The counts fix every
-    stream's length, so `read_layer_headers` checks a record without
-    decoding a stream, and its header is all a storage report needs.
-    Version 1, which stored neither counts nor CRC, is refused.
+    (u16 length + UTF-8), role u8, m and n (u64), config echo, salient level
+    parameters and centers, salient row-scales and unsalient scalars
+    (binary16), the n_uns + 1 group counts (u64, salient last), the three
+    packed streams (group indices, salient codes, sign bits) and a CRC32 (u32)
+    of the record from the name length on. A record stores nothing its reader
+    derives: the group code is the Huffman code of the counts, and the counts
+    fix each stream's length, so `read_layer_headers` checks a record without
+    decoding a stream. Versions 1 and 2 are refused.
 
 ``.bva`` attention scores, version 1
     magic "BVA1", version u16, layer count u32, then per layer: layer index
@@ -41,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bit_packer
-from .bit_packer import CHUNK, INDEX_WIDTH, SCALE_WIDTH
+from .bit_packer import CHUNK
 from .config import QuantConfig
 from .errors import (DomainError, FormatError, IoError, TruncationError,
                      ValidationError)
@@ -53,7 +51,7 @@ ARTIFACT_MAGIC = b"BVQ1"
 ATTENTION_MAGIC = b"BVA1"
 # The one version of each format that its writer stores and its reader reads.
 TENSOR_VERSION = 1
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 ATTENTION_VERSION = 1
 
 _DTYPE_F32 = 0
@@ -128,8 +126,8 @@ class AttentionTensor:
     group_sizes: tuple[int, int, int, int]  # (n_sys, n_img, n_ins, n_out)
 
     def __post_init__(self):
-        self.group_sums = np.ascontiguousarray(self.group_sums, dtype=np.float32)
-        self.image_scores = np.ascontiguousarray(self.image_scores, dtype=np.float32)
+        self.group_sums = np.asarray(self.group_sums, dtype=np.float32)  # views are kept, not copied
+        self.image_scores = np.asarray(self.image_scores, dtype=np.float32)
         if self.group_sums.ndim != 2 or self.group_sums.shape[1] != 4:
             raise ValueError("group_sums must have shape (n, 4)")
         if self.image_scores.ndim != 2:
@@ -314,6 +312,7 @@ def read_manifest(path) -> ModelManifest:
         name, p_cap = item["name"], item.get("p_sal_max")
         if not isinstance(name, str) or not isinstance(item["path"], str):
             raise FormatError(f"{path}: entry {i} 'name' and 'path' must be strings")
+        _name_bytes(name, FormatError)  # refused before any layer is quantized
         if name in seen:
             raise FormatError(f"{path}: duplicate layer name {name!r}")
         seen.add(name)
@@ -463,36 +462,43 @@ class QuantizedLayer(LayerHeader):
         return out
 
 
+def _name_bytes(name: str, error=ValidationError) -> bytes:
+    """A layer name as a .bvq record stores it: UTF-8 of at most 65,535 bytes (u16 length)."""
+    try:
+        raw = name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        raw = None
+    if raw is None or len(raw) > 0xFFFF:
+        raise error(f"layer name {name[:40]!r}: not UTF-8 text of at most 65535 bytes")
+    return raw
+
+
 def _layer_record(layer: QuantizedLayer) -> bytes:
     """One layer's .bvq record followed by its CRC32; the layer is validated first.
     The parts, the layer's sign stream among them, are joined once; the CRC runs over them."""
     if not isinstance(layer, QuantizedLayer):
         raise ValidationError("a .bvq record is written from a QuantizedLayer")
     layer.validate()
-    cfg, sal, book = layer.config, layer.salient, layer.codebook
-    index = bit_packer.pack_stream(layer.labels.ravel(), book)
-    if len(index) != bit_packer.stream_bytes(layer.counts, book, cfg.n_bits)[0]:
+    cfg, sal, name = layer.config, layer.salient, _name_bytes(layer.name)
+    index = bit_packer.pack_stream(layer.labels.ravel(), layer.codebook)
+    if len(index) != bit_packer.stream_bytes(layer.counts, layer.codebook, cfg.n_bits)[0]:
         raise ValidationError(f"layer {layer.name!r}: labels disagree with the group counts")
-    codes = bit_packer.pack_stream(sal.codes, bit_packer.CodeBook.fixed(cfg.n_bits))
-    name_bytes = layer.name.encode("utf-8")
     parts = [
-        struct.pack("<H", len(name_bytes)), name_bytes,
-        struct.pack("<BQQBBBBdHBdd", _ROLE_CODES[layer.role], layer.m, layer.n,
-                    cfg.n_uns, cfg.n_bits, SCALE_WIDTH, INDEX_WIDTH, cfg.alpha, cfg.iters,
-                    int(cfg.optimize_saliency), layer.p_sal_max, layer.p_sal_used),
+        struct.pack("<H", len(name)), name,
+        struct.pack("<BQQBBdHBdd", _ROLE_CODES[layer.role], layer.m, layer.n, cfg.n_uns,
+                    cfg.n_bits, cfg.alpha, cfg.iters, int(cfg.optimize_saliency),
+                    layer.p_sal_max, layer.p_sal_used),
         struct.pack("<dd", sal.mu_b, sal.sigma_b), sal.centers.astype("<f8").tobytes(),
         sal.scales.astype("<f2", copy=False).tobytes(),
-        layer.scalars.astype("<f2", copy=False).tobytes(),
-        bytes(book.lengths), struct.pack("<B", 0xFF if book.solo is None else book.solo),
-        layer.counts.astype("<u8").tobytes()]
-    for stream in (index, codes, np.ascontiguousarray(layer.sign_bits)):
-        parts += [struct.pack("<Q", len(stream)), stream]
+        layer.scalars.astype("<f2", copy=False).tobytes(), layer.counts.astype("<u8").tobytes(),
+        index, bit_packer.pack_stream(sal.codes, bit_packer.CodeBook.fixed(cfg.n_bits)),
+        np.ascontiguousarray(layer.sign_bits)]
     crc = reduce(lambda crc, part: zlib.crc32(part, crc), parts, 0)
     return b"".join(parts + [struct.pack("<I", crc)])
 
 
 def _write_records(path, count: int, records):
-    """Write a version 2 .bvq of `count` records as they come; 0 or another count is refused."""
+    """Write a version 3 .bvq of `count` records as they come; 0 or another count is refused."""
     if count == 0:
         raise ValidationError(f"{path}: a .bvq holds at least one layer")
 
@@ -511,7 +517,7 @@ def _write_records(path, count: int, records):
 
 
 def write_artifact(layers, path):
-    """Serialize quantized layers to a version 2 .bvq file (lossless round trip)."""
+    """Serialize quantized layers to a version 3 .bvq file (lossless round trip)."""
     _write_records(path, len(layers), map(_layer_record, layers))
 
 
@@ -519,10 +525,10 @@ def _parse_record(reader: _Reader, decode: bool):
     """Parse one .bvq layer record into its checked LayerHeader, or with `decode` into the
     QuantizedLayer decoded from its streams, whose sign stream is the one buffer it keeps.
 
-    The CRC, run over the record's bytes as the reader takes them, is checked first; then
-    the counts must add up to m x n, the levels pass `_check_levels`, the codebook must be
-    the Huffman code of the counts, each stream as long as the counts make it, and the
-    decoded counts the stored ones, so `QuantizedLayer.validate` holds.
+    The counts must add up to m x n and the levels pass `_check_levels`; each stream is
+    then taken at the length the counts give it under their Huffman code. The CRC, run over
+    the record's bytes as the reader takes them, is checked next, and the decoded counts
+    must equal the stored ones, so `QuantizedLayer.validate` holds.
     """
     origin, reader.crc = reader.origin, 0
     (name_len,) = reader.unpack("H")
@@ -531,13 +537,10 @@ def _parse_record(reader: _Reader, decode: bool):
     except UnicodeDecodeError as exc:
         raise FormatError(f"{origin}: layer name is not UTF-8: {exc}") from exc
     where = f"{origin}: layer {name!r}"
-    (role_code, m, n, n_uns, n_bits, scale_width, l_i_max, alpha, iters,
-     optimize, p_sal_max, p_sal_used) = reader.unpack("BQQBBBBdHBdd")
+    (role_code, m, n, n_uns, n_bits, alpha, iters, optimize, p_sal_max,
+     p_sal_used) = reader.unpack("BQQBBdHBdd")
     if role_code not in _ROLE_FROM_CODE:
         raise FormatError(f"{origin}: unknown role code {role_code}")
-    if (scale_width, l_i_max) != (SCALE_WIDTH, INDEX_WIDTH):
-        raise FormatError(f"{where}: scale width {scale_width} and index width {l_i_max}; "
-                          f"binq reads {SCALE_WIDTH} and {INDEX_WIDTH} only; re-quantize the model")
     try:
         cfg = QuantConfig(n_uns=n_uns, n_bits=n_bits, p_sal_max=p_sal_max, alpha=alpha,
                           iters=iters, optimize_saliency=bool(optimize))
@@ -547,16 +550,8 @@ def _parse_record(reader: _Reader, decode: bool):
     centers = reader.array("f8", 2 ** n_bits)
     scales = reader.array("f2", m)
     scalars = reader.array("f2", n_uns)
-    lengths = list(reader.take(n_uns + 1))
-    (solo,) = reader.unpack("B")
-    solo = None if solo == 0xFF else solo
     # Stored as u64; a count from 2**63 on reads negative here and is refused.
     stored = reader.array("i8", n_uns + 1)
-    index, codes, signs = streams = [reader.take(*reader.unpack("Q")) for _ in range(3)]
-    crc, reader.crc = reader.crc, None
-    if reader.unpack("I") != (crc,):
-        raise FormatError(f"{where}: CRC mismatch, the record is damaged")
-
     fields = dict(name=name, role=_ROLE_FROM_CODE[role_code], m=m, n=n,
                   p_sal_used=p_sal_used, config=cfg)
     header = LayerHeader(counts=stored, **fields)
@@ -566,13 +561,12 @@ def _parse_record(reader: _Reader, decode: bool):
         book = header.codebook
     except (ValidationError, DomainError) as exc:
         raise FormatError(f"{origin}: {exc}") from exc
-    if (book.lengths, book.solo) != (tuple(lengths), solo):
-        raise FormatError(f"{where}: group codebook is not the Huffman code of "
-                          f"the group counts")
-    # Each of the m x n weights has a bit in some stream, so these lengths
-    # bound m x n by the file size before decode makes (m, n) arrays.
-    if [len(s) for s in streams] != list(bit_packer.stream_bytes(stored, book, n_bits)):
-        raise FormatError(f"{where}: stream lengths disagree with the group counts")
+    # Each of the m x n weights has a bit in some stream, so `take` bounds m x n by the
+    # bytes left before decode makes (m, n) arrays.
+    index, codes, signs = map(reader.take, bit_packer.stream_bytes(stored, book, n_bits))
+    crc, reader.crc = reader.crc, None
+    if reader.unpack("I") != (crc,):
+        raise FormatError(f"{where}: CRC mismatch, the record is damaged")
     if not decode:
         return header
     labels, counts = bit_packer.unpack_stream(index, book, m * n, return_counts=True)
@@ -603,11 +597,11 @@ def read_artifact(path) -> list[QuantizedLayer]:
 def read_layer_headers(path) -> list[LayerHeader]:
     """Each layer's checked header from a .bvq file, for storage reports.
 
-    Each record is checked whole (CRC, counts, stream lengths and stored
-    values) and no stream is decoded. The CRC-covered counts are trusted:
-    swapping the counts of two shells whose codes have one length, then
-    recomputing the CRC, passes here and is refused only by `read_artifact`.
-    Damage cannot do that; an edit can. One record is held at a time.
+    Each record is checked whole (counts, stored values and CRC) and no
+    stream is decoded. The CRC-covered counts are trusted: swapping the
+    counts of two shells whose codes have one length, then recomputing the
+    CRC, passes here and is refused only by `read_artifact`. Damage cannot
+    do that; an edit can. One record is held at a time.
     """
     return list(_records(path, decode=False))
 
@@ -618,10 +612,13 @@ def write_attention(tensors: list[AttentionTensor], path):
     def chunks():
         yield struct.pack("<I", len(tensors))
         for t in tensors:
+            fields = (t.layer_index, t.n_tokens, t.n_img, *t.group_sizes)
+            if not all(0 <= field <= 0xFFFFFFFF for field in fields):
+                raise ValidationError(f"layer {t.layer_index}: a field of {fields} is outside u32")
             if t.group_sizes[1] != t.n_img:
                 raise ValidationError(f"layer {t.layer_index}: group size "
                                       f"{t.group_sizes[1]} != score columns {t.n_img}")
-            yield struct.pack("<7I", t.layer_index, t.n_tokens, t.n_img, *t.group_sizes)
+            yield struct.pack("<7I", *fields)
             yield np.concatenate([t.group_sums, t.image_scores], axis=1).astype("<f4", copy=False)
 
     _write(path, ATTENTION_MAGIC, ATTENTION_VERSION, chunks())

@@ -126,6 +126,34 @@ def golden_layers(tmp_path):
     return layers, rows
 
 
+# magic "BVQ1", version u16, layer count u32: the first record starts after them.
+BVQ_HEADER_BYTES = 10
+
+
+def record_layouts(layers, start=BVQ_HEADER_BYTES):
+    """Where each field of each layer's version 3 .bvq record lies, as written one after
+    another from byte `start` (a file's records; start=0 for a bare record): one dict per
+    layer of field -> slice. Sizes come from the format's closed form, not from binq's
+    structs: fixed fields, then arrays sized by m, n_uns and n_bits, then the three
+    streams, each as long as the group counts and the code of the counts make it."""
+    out = []
+    for layer in layers:
+        cfg, counts = layer.config, [int(c) for c in layer.counts]
+        salient, weights = counts[-1], sum(counts)
+        index_bits = sum(c * length for c, length in zip(counts, layer.codebook.lengths))
+        sizes = dict(name_len=2, name=len(layer.name.encode("utf-8")), role=1, m=8, n=8,
+                     n_uns=1, n_bits=1, alpha=8, iters=2, optimize=1, p_sal_max=8,
+                     p_sal_used=8, mu_b=8, sigma_b=8, centers=8 * 2 ** cfg.n_bits,
+                     scales=2 * layer.m, scalars=2 * cfg.n_uns, counts=8 * (cfg.n_uns + 1),
+                     index=-(-index_bits // 8), codes=-(-salient * cfg.n_bits // 8),
+                     signs=-(-(weights - salient) // 8), crc=4)
+        layout = {}
+        for field, size in sizes.items():
+            layout[field], start = slice(start, start + size), start + size
+        out.append(layout)
+    return out
+
+
 def relative_error(matrix, layer):
     """Frobenius error of a layer's reconstruction relative to the matrix norm."""
     from binq import reconstruction_error

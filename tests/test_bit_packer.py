@@ -12,7 +12,7 @@ from binq import (DomainError, FormatError, QuantConfig, TruncationError, bit_pa
                   read_artifact, write_artifact)
 from binq.bit_packer import (MAX_CODE_LEN, CodeBook, index_bits,
                              max_partitions, pack_stream, storage_budget, unpack_stream)
-from conftest import golden_layers
+from conftest import golden_layers, record_layouts
 
 
 def is_prefix_free(book):
@@ -553,10 +553,10 @@ def test_index_stream_mutations_rejected(tmp_path):
     raw = path.read_bytes()
     layer = layers[1]
     assert (layer.m, layer.n) == (32, 48)
-    index = pack_stream(layer.labels.ravel(), layer.codebook)
-    assert len(index) >= 117
-    start = raw.index(len(index).to_bytes(8, "little") + index) + 8
-    for pos in range(start, start + 117):
+    index = record_layouts(layers)[1]["index"]
+    assert raw[index] == pack_stream(layer.labels.ravel(), layer.codebook)
+    assert index.stop - index.start >= 117
+    for pos in range(index.start, index.start + 117):
         for flip in (0x01, 0x80, 0xFF):
             mutated = bytearray(raw)
             mutated[pos] ^= flip

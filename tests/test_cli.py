@@ -50,22 +50,29 @@ def test_analyze_peaks_below_one_and_a_half_tensor_files(tmp_path):
     """`binq analyze` makes no layer-sized float64 copy: the histogram bins the
     float32 data against float64 edges a chunk at a time, and the outlier count
     runs a chunk at a time. On a 1024x1024 Student-t layer its traced peak is
-    1.27 times the tensor file (5.0 with the copies; numpy 2.4)."""
+    1.27 times the tensor file (5.0 with the copies; numpy 2.4). It frees each
+    layer before it reads the next, so a manifest of two such layers peaks as
+    one does (2.0 times the file when the previous layer stayed alive)."""
     import tracemalloc
 
     rng = np.random.default_rng(0)
-    matrix = binq.WeightMatrix("t", "language", 0.02 * rng.standard_t(5, (1024, 1024)))
-    manifest = make_manifest(tmp_path, [("t", "language", matrix)])
-    out = tmp_path / "stats.csv"
-    tracemalloc.start()
-    try:
-        assert main(["analyze", manifest, "-o", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = (tmp_path / "t.bvw").stat().st_size
-    assert peak < 1.5 * size, peak / size
-    assert read_csv(out)[0]["name"] == "t"
+    layers = [(name, "language", binq.WeightMatrix(name, "language",
+                                                   0.02 * rng.standard_t(5, (1024, 1024))))
+              for name in ("t", "u")]
+    for count in (1, 2):
+        folder = tmp_path / str(count)
+        folder.mkdir()
+        manifest = make_manifest(folder, layers[:count])
+        out = folder / "stats.csv"
+        tracemalloc.start()
+        try:
+            assert main(["analyze", manifest, "-o", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (folder / "t.bvw").stat().st_size
+        assert peak < 1.5 * size, (count, peak / size)
+        assert [row["name"] for row in read_csv(out)] == ["t", "u"][:count]
 
 
 def test_quantize_report_roundtrip(tmp_path, capsys):

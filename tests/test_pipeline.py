@@ -872,17 +872,31 @@ def test_golden_artifact_and_objective(tmp_path):
     assert [r["p_sal_used"] for r in rows] == [0.02128, 0.01, 0.0]
     assert [r["J"] for r in rows] == [0.02965584063898835, 0.031770632309324004, 0.0]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "df83d9f630a76cfc80f4220cc1070e08480e9cb49af22790607bf66c533d3d38")
+        "497b0aee918659988fa406d20e304422681e7fd4791f84120f943f363aa225c2")
+
+
+def refused_as_an_old_version(path, version, capsys):
+    """Both readers and `binq report` (exit 2) refuse the file, name its version and
+    say to re-quantize."""
+    for reader in (read_artifact, read_layer_headers):
+        with pytest.raises(FormatError, match=rf"unsupported version {version} \(.*re-quantize"):
+            reader(path)
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"unsupported version {version} (" in err and "re-quantize" in err
 
 
 def test_version_1_artifact_refused(capsys):
     """tests/data/golden_v1.bvq holds the golden layers as format version 1
-    wrote them, with no group counts and no CRC. Both readers and `binq
-    report` refuse it, name the version and say to re-quantize."""
-    v1 = Path(__file__).with_name("data") / "golden_v1.bvq"
-    for reader in (read_artifact, read_layer_headers):
-        with pytest.raises(FormatError, match=r"unsupported version 1 \(.*re-quantize"):
-            reader(v1)
-    assert main(["report", str(v1)]) == 2
-    err = capsys.readouterr().err
-    assert "unsupported version 1 (" in err and "re-quantize" in err
+    wrote them, with no group counts and no CRC."""
+    refused_as_an_old_version(Path(__file__).with_name("data") / "golden_v1.bvq", 1, capsys)
+
+
+def test_version_2_artifact_refused(capsys):
+    """tests/data/golden_v2.bvq holds the golden layers as format version 2 wrote
+    them (the digest below), with the group code lengths, a solo byte, the scale and
+    index widths and a length before each stream, which version 3 derives instead."""
+    v2 = Path(__file__).with_name("data") / "golden_v2.bvq"
+    assert hashlib.sha256(v2.read_bytes()).hexdigest() == (
+        "df83d9f630a76cfc80f4220cc1070e08480e9cb49af22790607bf66c533d3d38")
+    refused_as_an_old_version(v2, 2, capsys)

@@ -7,7 +7,6 @@ and the storage report must agree with each other and with the file.
 """
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from binq import (DomainError, QuantConfig, Role, WeightMatrix, pipeline, read_a
                   read_tensor, write_artifact, write_tensor)
 from binq.bit_packer import SCALE_WIDTH, storage_report
 from binq.tensor_store import _layer_record
+from conftest import BVQ_HEADER_BYTES, record_layouts
 
 
 def _one_hot_columns(rng, m, n):
@@ -44,22 +44,6 @@ KINDS = {
     "small_integers": lambda rng, m, n: rng.integers(-3, 4, (m, n)).astype(float),
     "one_hot_columns": _one_hot_columns,
 }
-
-
-def stream_bytes_in(record: bytes, layer) -> list[int]:
-    """The lengths of a record's three streams (index, salient codes, signs), read
-    from their length prefixes after the fixed-size fields."""
-    cfg = layer.config
-    at = (2 + len(layer.name.encode()) + struct.calcsize("<BQQBBBBdHBdd") + 16
-          + 8 * 2 ** cfg.n_bits + 2 * (layer.m + cfg.n_uns) + (cfg.n_uns + 1) + 1
-          + 8 * (cfg.n_uns + 1))
-    lengths = []
-    for _ in range(3):
-        (size,) = struct.unpack_from("<Q", record, at)
-        lengths.append(size)
-        at += 8 + size
-    assert at + 4 == len(record)  # then the CRC
-    return lengths
 
 
 def quantize(matrix, config, threads):
@@ -91,7 +75,7 @@ def test_layer_path_round_trip(tmp_path_factory, kind, m, n, seed, n_uns, n_bits
     write_artifact([layer], folder / "m.bvq")
     (back,) = read_artifact(folder / "m.bvq")
     assert _layer_record(back) == record
-    assert (folder / "m.bvq").read_bytes()[10:] == record
+    assert (folder / "m.bvq").read_bytes()[BVQ_HEADER_BYTES:] == record
 
     dense = layer.dense()
     assert np.isfinite(dense).all() and np.array_equal(back.dense(), dense)
@@ -103,5 +87,9 @@ def test_layer_path_round_trip(tmp_path_factory, kind, m, n, seed, n_uns, n_bits
         assert math.isclose(j, float(np.sum(np.square(w - dense))) / norm, rel_tol=1e-6)
 
     assert np.array_equal(np.bincount(layer.labels.ravel(), minlength=n_uns + 1), layer.counts)
-    realized = SCALE_WIDTH * (m + n_uns) + 8 * sum(stream_bytes_in(record, layer))
-    assert storage_report(back).realized_total_bits == realized
+    (layout,) = record_layouts([layer], start=0)
+    assert layout["crc"].stop == len(record)  # the record's closed-form size
+    assert record[layout["counts"]] == layer.counts.astype("<u8").tobytes()
+    assert record[layout["signs"]] == layer.sign_bits.tobytes()
+    streams = layout["crc"].start - layout["index"].start  # index, codes and signs
+    assert storage_report(back).realized_total_bits == SCALE_WIDTH * (m + n_uns) + 8 * streams

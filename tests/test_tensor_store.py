@@ -26,7 +26,8 @@ from binq.cli import main
 from binq.saliency_optimizer import LayerObjective
 from binq.salient_quantizer import SalientQuant
 from binq.tensor_store import AttentionTensor, QuantizedLayer, _layer_record
-from conftest import gaussian_matrix, golden_layers, outlier_matrix
+from conftest import (BVQ_HEADER_BYTES, gaussian_matrix, golden_layers, outlier_matrix,
+                      record_layouts)
 
 DATA = Path(__file__).with_name("data")
 
@@ -202,17 +203,17 @@ class TestArtifactRoundTrip:
         assert layers_equal(layer, back)
 
     def test_version_mismatch(self, tmp_path):
-        """Both readers read version 2 and refuse versions 1 and 3: the written
-        file patched to each, and tests/data/golden_v1.bvq."""
+        """Both readers read version 3 and refuse versions 1, 2 and 4: the written
+        file patched to each, tests/data/golden_v1.bvq and tests/data/golden_v2.bvq."""
         mat = gaussian_matrix(0, shape=(8, 8))
         path = tmp_path / "v.bvq"
         write_artifact([quantize_layer(mat)], path)
         raw = path.read_bytes()
-        assert raw[4:6] == struct.pack("<H", 2)
+        assert raw[4:6] == struct.pack("<H", 3)
         read_artifact(path)
         read_layer_headers(path)
-        refused = [(DATA / "golden_v1.bvq", 1)]
-        for version in (1, 3):
+        refused = [(DATA / "golden_v1.bvq", 1), (DATA / "golden_v2.bvq", 2)]
+        for version in (1, 2, 4):
             patched = tmp_path / f"v{version}.bvq"
             patched.write_bytes(raw[:4] + struct.pack("<H", version) + raw[6:])
             refused.append((patched, version))
@@ -323,110 +324,65 @@ def test_write_past_a_file_size_limit_keeps_the_earlier_file(tmp_path, name):
 
 
 def reseal(raw):
-    """Recompute the CRC of a one-layer file's record, after the 10-byte file header."""
-    raw[-4:] = struct.pack("<I", zlib.crc32(raw[10:-4]))
+    """Recompute the CRC of a one-layer file's record, its last 4 bytes."""
+    raw[-4:] = struct.pack("<I", zlib.crc32(raw[BVQ_HEADER_BYTES:-4]))
 
 
-def _fields_offset(layer):
-    """Byte offset of the first layer's fixed fields (role, m, n, n_uns, ...)."""
-    return 4 + 2 + 4 + 2 + len(layer.name.encode())
-
-
-def _code_length_offset(layer):
-    """Byte offset of the first layer's group code lengths in a .bvq file."""
-    cfg = layer.config
-    return (_fields_offset(layer) + struct.calcsize("<BQQBBBBdHBdd") + 16
-            + 8 * 2 ** cfg.n_bits + 2 * (layer.m + cfg.n_uns))  # binary16 scales
-
-
-def _corrupt_length(byte):
+def _put(field, data: bytes):
+    """Damage: `data` written over the first record's `field`, from its first byte on."""
     def corrupt(raw, layer):
-        raw[_code_length_offset(layer)] = byte
-    return corrupt
-
-
-def _break_kraft(raw, layer):
-    # Every group one bit long: six one-bit codes cannot be prefix-free.
-    off = _code_length_offset(layer)
-    raw[off:off + layer.config.n_uns + 1] = bytes([1] * (layer.config.n_uns + 1))
-
-
-def _corrupt_solo(raw, layer):
-    raw[_code_length_offset(layer) + layer.config.n_uns + 1] = 9
-
-
-def _negative_scalar(raw, layer):
-    off = _code_length_offset(layer) - 2 * layer.config.n_uns
-    raw[off:off + 2] = np.array([-1.0], "<f2").tobytes()
-
-
-def _nan_scalar(raw, layer):
-    off = _code_length_offset(layer) - 2 * layer.config.n_uns
-    raw[off:off + 2] = np.array([np.nan], "<f2").tobytes()
-
-
-def _float_field(fields_before, value=np.nan):
-    """Damage: `value` in the float64 header field that follows `fields_before`."""
-    def corrupt(raw, layer):
-        off = _fields_offset(layer) + struct.calcsize("<" + fields_before)
-        raw[off:off + 8] = struct.pack("<d", value)
+        start = record_layouts([layer])[0][field].start
+        raw[start:start + len(data)] = data
     return corrupt
 
 
 def _count_off_by_one(raw, layer):
-    off = _code_length_offset(layer) + layer.config.n_uns + 2
-    (count,) = struct.unpack_from("<Q", raw, off)
-    struct.pack_into("<Q", raw, off, count + 1)
+    _put("counts", struct.pack("<Q", int(layer.counts[0]) + 1))(raw, layer)
 
 
-def _zero_shells(raw, layer):
-    raw[_fields_offset(layer) + struct.calcsize("<BQQ")] = 0
+def _huge_layer(raw, layer):
+    # n and the one live shell's count both made huge, so the counts still add up to
+    # m x n: the sign stream they size is more than the file holds, and `take` refuses
+    # it before anything of that size is allocated.
+    _put("n", struct.pack("<Q", 2 ** 37))(raw, layer)
+    shell = int(np.flatnonzero(layer.counts)[0])
+    _put("counts", bytes(8 * shell) + struct.pack("<Q", layer.m * 2 ** 37))(raw, layer)
 
 
-def _int8_overflow_shells(raw, layer):
-    # 130 shells fit 8-bit indices but not the int8 labels; binq reads index width 3 only.
-    off = _fields_offset(layer) + struct.calcsize("<BQQ")
-    raw[off] = 130
-    raw[off + 3] = 8
+NAN = struct.pack("<d", np.nan)
 
+NOT_FINITE = "salient scale, center or level parameter not finite"
 
-def _huge_columns(raw, layer):
-    # A solo-coded layer stores no index bits, so only the declared size
-    # says how many labels to materialize.
-    off = _fields_offset(layer) + struct.calcsize("<BQ")
-    raw[off:off + 8] = struct.pack("<Q", 2 ** 37)
-
-
-def _name_not_utf8(raw, layer):
-    raw[_fields_offset(layer) - 1] = 0xFF
-
-
-# (how the file is damaged, whether the layer is constant): a constant layer
-# stores all-zero code lengths and a solo group.
+# (how the file is damaged, whether the layer is constant, the refusal's message): a
+# constant layer has one live group, whose code is empty.
 MALFORMED = {
-    "code_length_60": (_corrupt_length(60), False),
-    "code_length_30": (_corrupt_length(30), False),
-    "kraft_violated": (_break_kraft, False),
-    "solo_out_of_range": (_corrupt_solo, True),
-    "negative_scalar": (_negative_scalar, False),
-    "nan_scalar": (_nan_scalar, False),
-    "nan_alpha": (_float_field("BQQBBBB"), False),
-    "nan_p_sal_max": (_float_field("BQQBBBBdHB"), False),
-    "p_sal_used_above_cap": (_float_field("BQQBBBBdHBd", 0.5), False),
-    "nan_mu_b": (_float_field("BQQBBBBdHBdd"), False),
-    "inf_sigma_b": (_float_field("BQQBBBBdHBddd", np.inf), False),
-    "counts_off_by_one": (_count_off_by_one, False),
-    "zero_shells": (_zero_shells, False),
-    "shells_beyond_int8": (_int8_overflow_shells, False),
-    "huge_columns": (_huge_columns, True),
-    "name_not_utf8": (_name_not_utf8, False),
+    "negative_scalar": (_put("scalars", np.array([-1.0], "<f2").tobytes()), False,
+                        "shell scalar negative or not finite"),
+    "nan_scalar": (_put("scalars", np.array([np.nan], "<f2").tobytes()), False,
+                   "shell scalar negative or not finite"),
+    "nan_alpha": (_put("alpha", NAN), False, "alpha must be positive and finite"),
+    "nan_p_sal_max": (_put("p_sal_max", NAN), False, "p_sal_max must lie in (0, 1)"),
+    "p_sal_used_above_cap": (_put("p_sal_used", struct.pack("<d", 0.5)), False,
+                             "p_sal_used outside [0, p_sal_max]"),
+    "nan_mu_b": (_put("mu_b", NAN), False, NOT_FINITE),
+    "inf_sigma_b": (_put("sigma_b", struct.pack("<d", np.inf)), False, NOT_FINITE),
+    "counts_off_by_one": (_count_off_by_one, False, "group counts do not add up"),
+    "zero_shells": (_put("n_uns", b"\0"), False, "n_uns must lie in [1, 5]"),
+    # 130 shells fit 8-bit indices but not the int8 labels.
+    "shells_beyond_int8": (_put("n_uns", bytes([130])), False, "n_uns must lie in [1, 5]"),
+    # A one-group layer stores no index bits, so only the declared size
+    # says how many labels to materialize.
+    "huge_columns": (_put("n", struct.pack("<Q", 2 ** 37)), True, "group counts do not add up"),
+    "huge_layer_counts_add_up": (_huge_layer, True, f"needed {2 ** 37} bytes at offset"),
+    "name_not_utf8": (_put("name", b"\xff"), False, "layer name is not UTF-8"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_artifact_rejected(tmp_path, capsys, case):
-    from binq.cli import main
-    corrupt, constant = MALFORMED[case]
+    """Each damage, with the CRC recomputed, is refused by the check named in its
+    message, by both readers and by `binq report` (exit 2)."""
+    corrupt, constant, message = MALFORMED[case]
     if constant:
         mat = WeightMatrix("c", Role.LANGUAGE, np.full((8, 8), 2.0, np.float32))
     else:
@@ -438,30 +394,20 @@ def test_malformed_artifact_rejected(tmp_path, capsys, case):
     corrupt(raw, layer)
     reseal(raw)  # so that the check under test meets the damage
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        read_artifact(path)
-    with pytest.raises(FormatError):
-        read_layer_headers(path)
+    for read in (read_artifact, read_layer_headers):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read(path)
     assert main(["report", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def _widths(scale_width, index_width, n_uns):
-    """Damage: the config echo's scale width, index width and shell count set to these."""
-    def corrupt(raw, layer):
-        off = _fields_offset(layer) + struct.calcsize("<BQQ")
-        raw[off:off + 4] = bytes([n_uns, layer.config.n_bits, scale_width, index_width])
-    return corrupt
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (_widths(32, 3, 5), "re-quantize"),
-    (_widths(16, 4, 6), "re-quantize"),
-    (_widths(16, 3, 6), "n_uns must lie in [1, 5]"),
-], ids=["scale_width_32", "index_width_4_n_uns_6", "n_uns_6"])
+    (_put("n_uns", bytes([6])), "n_uns must lie in [1, 5]"),
+    (_put("n_bits", bytes([9])), "n_bits must lie in [1, 8]"),
+], ids=["n_uns_6", "n_bits_9"])
 def test_other_widths_refused_before_decode(tmp_path, capsys, monkeypatch, corrupt, message):
-    """A record whose scales are not binary16, or whose index width is not 3
-    (and so may address more than five shells), is refused from its header."""
+    """A record whose shell count needs index codes wider than 3 bits, or whose salient
+    codes are wider than 8 bits, is refused from its header."""
     layer = quantize_layer(outlier_matrix(1, shape=(16, 16), frac=0.02, magnitude=6.0))
     path = tmp_path / "m.bvq"
     write_artifact([layer], path)
@@ -662,8 +608,8 @@ def test_each_refusal_closes_its_file(tmp_path):
     compared while the refusal's traceback, which holds the reader's frames and so
     its file object, is alive: the reader closed the file, not the garbage collector."""
     bvq, bvw, bva = tmp_path / "a.bvq", tmp_path / "w.bvw", tmp_path / "s.bva"
-    write_artifact([quantize_layer(gaussian_matrix(i, shape=(8, 8), name=f"l{i}"))
-                    for i in range(2)], bvq)
+    layers = [quantize_layer(gaussian_matrix(i, shape=(8, 8), name=f"l{i}")) for i in range(2)]
+    write_artifact(layers, bvq)
     write_tensor(gaussian_matrix(0, shape=(2, 2)), bvw)
     write_attention([AttentionTensor(0, np.full((1, 4), 0.25), np.full((1, 2), 0.125),
                                      (1, 2, 1, 0))], bva)
@@ -674,7 +620,7 @@ def test_each_refusal_closes_its_file(tmp_path):
         damaged = [b"XV\x00Q" + raw[4:], raw[:-1], raw + b"\0"]
         if path is bvq:
             second = bytearray(raw)
-            second[-5] ^= 1  # the last sign byte of the second record, under its CRC
+            second[record_layouts(layers)[1]["signs"].stop - 1] ^= 1  # under the record's CRC
             damaged.append(bytes(second))
         for data in damaged:
             path.write_bytes(data)
@@ -740,7 +686,7 @@ def test_read_memory_is_flat_in_the_layer_count(tmp_path):
     raw = (tmp_path / "1.bvq").read_bytes()
     for count in (16, 48):  # the header, the layer count, then the one record repeated
         (tmp_path / f"{count}.bvq").write_bytes(raw[:6] + struct.pack("<I", count)
-                                                + raw[10:] * count)
+                                                + raw[BVQ_HEADER_BYTES:] * count)
     read_artifact(tmp_path / "1.bvq")  # warm: the decoder's first call sets up tables
 
     def traced(read, count):
@@ -770,6 +716,62 @@ def test_read_tensor_peaks_at_its_file_size(tmp_path):
     assert matrix.m == 1024 and peak <= 1.1 * path.stat().st_size, peak
 
 
+def test_read_attention_peaks_at_its_file_size(tmp_path):
+    """`read_attention` reads each tensor's rows as one block and keeps its two column
+    slices as float32 views of it: on a 1024 x (4 + 1024) tensor its traced peak is at
+    most 1.1 times the .bva (2.0 when the slices were copied out of the block)."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "a.bva"
+    write_attention([AttentionTensor(0, rng.random((1024, 4), np.float32),
+                                     rng.random((1024, 1024), np.float32), (1, 1024, 2, 1))],
+                    path)
+    (tensor,), peak = traced_peak(lambda: read_attention(path))
+    assert tensor.image_scores.base is tensor.group_sums.base is not None
+    assert peak <= 1.1 * path.stat().st_size, peak / path.stat().st_size
+
+
+def test_layer_names_no_bvq_can_hold_refused(tmp_path, capsys):
+    """A record stores a layer name as UTF-8 after a u16 length. A name of 65,536 UTF-8
+    bytes, or one with a lone surrogate, is refused: by `read_manifest` (FormatError,
+    so `binq quantize` and `binq analyze` exit 2) and by `write_artifact`
+    (ValidationError, no file). A name of 65,535 bytes is written and read back."""
+    write_tensor(gaussian_matrix(0, shape=(4, 4)), tmp_path / "a.bvw")
+    manifest, out = tmp_path / "m.json", tmp_path / "m.bvq"
+    layer = quantize_layer(gaussian_matrix(0, shape=(4, 4)))
+    longest = "\u00e9" * 32767 + "a"  # two bytes a character, one for the last
+    for name in ("\u00e9" * 32768, "a\ud800b"):
+        manifest.write_text(json.dumps([{"name": name, "path": "a.bvw", "role": "vision"}]))
+        with pytest.raises(FormatError, match="not UTF-8 text of at most 65535 bytes"):
+            read_manifest(manifest)
+        for argv in (["quantize", str(manifest), "-o", str(out)], ["analyze", str(manifest)]):
+            assert main(argv) == 2
+            assert "not UTF-8 text of at most 65535 bytes" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match="not UTF-8 text of at most 65535 bytes"):
+            write_artifact([replace(layer, name=name)], out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bvw", "m.json"]
+    assert len(longest.encode("utf-8")) == 65535
+    manifest.write_text(json.dumps([{"name": longest, "path": "a.bvw", "role": "vision"}]))
+    assert main(["quantize", str(manifest), "-o", str(out)]) == 0
+    assert [back.name for back in read_artifact(out)] == [longest]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", ["layer_index", "group_size"])
+@pytest.mark.parametrize("value", [-1, 2 ** 32])
+def test_attention_field_outside_u32_refused(tmp_path, field, value):
+    """`write_attention` refuses a layer index or group size that a u32 does not hold
+    with a ValidationError and keeps the earlier file."""
+    path = tmp_path / "a.bva"
+    path.write_bytes(b"an earlier file")
+    sizes = (value, 2, 1, 1) if field == "group_size" else (1, 2, 1, 1)
+    tensor = AttentionTensor(value if field == "layer_index" else 0,
+                             np.full((1, 4), 0.25), np.full((1, 2), 0.125), sizes)
+    with pytest.raises(ValidationError, match="outside u32"):
+        write_attention([tensor], path)
+    assert path.read_bytes() == b"an earlier file"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_bad_magic_and_version_messages(tmp_path):
     """Each reader names the file, shows the magic it found and the one it expects
     as bytes, and names a version it does not read."""
@@ -779,8 +781,8 @@ def test_bad_magic_and_version_messages(tmp_path):
     write_attention([AttentionTensor(0, np.full((1, 4), 0.25), np.full((1, 2), 0.125),
                                      (1, 2, 1, 0))], bva)
     for path, read, magic, version, remedy in [
-            (bvq, read_artifact, b"BVQ1", 2, "; re-quantize the model"),
-            (bvq, read_layer_headers, b"BVQ1", 2, "; re-quantize the model"),
+            (bvq, read_artifact, b"BVQ1", 3, "; re-quantize the model"),
+            (bvq, read_layer_headers, b"BVQ1", 3, "; re-quantize the model"),
             (bvw, read_tensor, b"BVW1", 1, ""), (bva, read_attention, b"BVA1", 1, "")]:
         raw = path.read_bytes()
         bad = tmp_path / f"bad{path.suffix}"
@@ -853,29 +855,29 @@ def test_zero_dimension_tensor_refused(tmp_path, capsys, dims):
 
 
 @pytest.mark.parametrize("change", [1, -1])
-def test_stream_length_prefix_checked_against_the_counts(tmp_path, capsys, change):
-    """A sign stream one byte longer or shorter than the counts make it, with its length
-    prefix and the CRC to match, is refused by both readers from the header alone: the
-    check that bounds m x n by the file size before any decode allocates."""
+def test_stream_one_byte_off_its_counts_refused(tmp_path, capsys, change):
+    """A sign stream one byte longer or shorter than the counts make it, with the CRC
+    recomputed over the record, is refused by both readers: each stream is taken at
+    the length the counts give it, so the reader meets a CRC that is not the record's,
+    or runs out of bytes before the CRC."""
     layer = quantize_layer(outlier_matrix(1, shape=(16, 16), frac=0.02, magnitude=6.0))
     path = tmp_path / "m.bvq"
     write_artifact([layer], path)
     raw = bytearray(path.read_bytes())
-    signs = len(layer.sign_bits)
-    at = len(raw) - 4 - signs - 8  # the sign stream's length prefix, before it and the CRC
-    assert struct.unpack_from("<Q", raw, at) == (signs,)
-    raw[at:at + 8] = struct.pack("<Q", signs + change)
+    end = record_layouts([layer])[0]["signs"].stop
+    assert end == len(raw) - 4
     if change > 0:
-        raw[-4:-4] = b"\0"
+        raw[end:end] = b"\0"
     else:
-        del raw[-5]
+        del raw[end - 1]
     reseal(raw)
     path.write_bytes(bytes(raw))
+    message = "CRC mismatch" if change > 0 else "needed 4 bytes at offset"
     for read in (read_artifact, read_layer_headers):
-        with pytest.raises(FormatError, match="stream lengths disagree with the group counts"):
+        with pytest.raises(FormatError, match=message):
             read(path)
     assert main(["report", str(path)]) == 2
-    assert "stream lengths disagree" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_labels_that_disagree_with_the_counts_refused_on_write(tmp_path):
@@ -916,10 +918,9 @@ def test_golden_layers_read_write_reproduce_bytes(tmp_path):
         path = tmp_path / f"{layer.name}.bvq"
         raw = path.read_bytes()
         (back,) = read_artifact(path)
-        signs = back.sign_bits.tobytes()
-        # The sign stream is the record's last blob: its u64 length, then its
-        # bytes, then the CRC.
-        assert raw[-12 - len(signs):-4] == struct.pack("<Q", len(signs)) + signs
+        (layout,) = record_layouts([layer])
+        assert layout["crc"].stop == len(raw)
+        assert raw[layout["signs"]] == back.sign_bits.tobytes()
         assert np.array_equal(back.sign_bits, layer.sign_bits)
         write_artifact([back], tmp_path / "again.bvq")
         assert (tmp_path / "again.bvq").read_bytes() == raw
@@ -942,9 +943,9 @@ def test_sign_stream_length_and_dtype_checked(tmp_path):
 
 def test_decoded_counts_must_match_stored(tmp_path):
     """Two shells with codes of one length swap their stored counts, and the
-    CRC is recomputed. The codebook and stream lengths still agree with the
-    counts, so the header reader, which decodes nothing, takes the record;
-    read_artifact decodes the index stream and refuses it."""
+    CRC is recomputed. The code of the swapped counts has the same lengths, so
+    the streams keep theirs and the header reader, which decodes nothing, takes
+    the record; read_artifact decodes the index stream and refuses it."""
     layer = quantize_layer(outlier_matrix(1, shape=(16, 16), frac=0.02, magnitude=6.0))
     path = tmp_path / "m.bvq"
     write_artifact([layer], path)
@@ -952,10 +953,9 @@ def test_decoded_counts_must_match_stored(tmp_path):
     lengths = layer.codebook.lengths
     i, j = next((i, j) for i in range(layer.config.n_uns) for j in range(i)
                 if lengths[i] == lengths[j] and layer.counts[i] != layer.counts[j])
-    off = _code_length_offset(layer) + layer.config.n_uns + 2
     counts = list(layer.counts)
     counts[i], counts[j] = counts[j], counts[i]
-    raw[off:off + 8 * len(counts)] = struct.pack(f"<{len(counts)}Q", *counts)
+    raw[record_layouts([layer])[0]["counts"]] = struct.pack(f"<{len(counts)}Q", *counts)
     reseal(raw)
     path.write_bytes(bytes(raw))
     read_layer_headers(path)
