@@ -6,16 +6,20 @@ Three container formats, all little-endian with fixed field widths:
     magic "BVW1", version u16, dtype u8 (0 = IEEE 754 binary32), role u8,
     rank u32 (always 2), dims as two u64, then the row-major f32 payload.
 
-``.bvq`` quantized artifact, version 3
+``.bvq`` quantized artifact, version 4
     magic "BVQ1", version u16, layer count u32, then per layer: name
     (u16 length + UTF-8), role u8, m and n (u64), config echo, salient level
     parameters and centers, salient row-scales and unsalient scalars
     (binary16), the n_uns + 1 group counts (u64, salient last), the three
     packed streams (group indices, salient codes, sign bits) and a CRC32 (u32)
     of the record from the name length on. A record stores nothing its reader
-    derives: the group code is the Huffman code of the counts, and the counts
-    fix each stream's length, so `read_layer_headers` checks a record without
-    decoding a stream. Versions 1 and 2 are refused.
+    derives: the index code follows from the counts and m x n
+    (`bit_packer.index_code`), and the counts fix each stream's length, so
+    `read_layer_headers` checks a record without decoding a stream. A
+    pair-coded index stream (a large layer's) is the exception: a u64 of its
+    length goes before it, and one decoder entry state byte per
+    `bit_packer.ENTRY_BLOCK` stream bytes after the first follows it.
+    Versions 1 to 3 are refused.
 
 ``.bva`` attention scores, version 1
     magic "BVA1", version u16, layer count u32, then per layer: layer index
@@ -31,7 +35,7 @@ import stat
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from enum import Enum
 from pathlib import Path
@@ -51,7 +55,7 @@ ARTIFACT_MAGIC = b"BVQ1"
 ATTENTION_MAGIC = b"BVA1"
 # The one version of each format that its writer stores and its reader reads.
 TENSOR_VERSION = 1
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 ATTENTION_VERSION = 1
 
 _DTYPE_F32 = 0
@@ -347,8 +351,10 @@ class LayerHeader:
 
     counts holds the number of elements of each group: the unsalient shells
     0..n_uns-1, then the salient group n_uns. With the config they fix the
-    length of every packed stream. The config holds the layer's cap, which
-    `p_sal_max` reads.
+    length of every packed stream but a pair-coded index stream, whose
+    record stores its length: the reader sets index_length, and a
+    QuantizedLayer counts it from its labels. The config holds the layer's
+    cap, which `p_sal_max` reads.
     """
 
     name: str
@@ -358,6 +364,7 @@ class LayerHeader:
     counts: np.ndarray
     p_sal_used: float
     config: QuantConfig
+    index_length: int | None = field(default=None, kw_only=True)
 
     @property
     def p_sal_max(self) -> float:
@@ -365,8 +372,14 @@ class LayerHeader:
 
     @cached_property
     def codebook(self) -> "bit_packer.CodeBook":
-        """Canonical Huffman codebook over the group counts, built once per header."""
-        return bit_packer.CodeBook.from_frequencies(self.counts)
+        """The index stream's canonical Huffman code, of label pairs or of single labels as
+        `bit_packer.index_code` picks from the counts and m x n, built once per header."""
+        return bit_packer.index_code(self.counts, self.m * self.n)
+
+    def stream_sizes(self) -> tuple[int, int, int]:
+        """Bytes of the index stream (entry states included), salient codes and signs."""
+        return bit_packer.stream_bytes(self.counts, self.codebook, self.config.n_bits,
+                                       self.index_length)
 
     def validate(self):
         # A Python-int sum: int64 counts cannot wrap around to m * n.
@@ -428,6 +441,12 @@ class QuantizedLayer(LayerHeader):
             raise ValidationError(f"layer {self.name!r}: sign stream length mismatch")
         _check_levels(self.name, self.scalars, sal.scales, sal.centers, sal.mu_b, sal.sigma_b)
 
+    def stream_sizes(self) -> tuple[int, int, int]:
+        """As `LayerHeader.stream_sizes`, a pair-coded index stream's length from the labels."""
+        book = self.codebook
+        index = bit_packer.pair_stream_bytes(self.labels, book) if book.span == 2 else None
+        return bit_packer.stream_bytes(self.counts, book, self.config.n_bits, index)
+
     def dense(self, dtype=np.float64) -> np.ndarray:
         """Reconstruction of the layer as `dtype`, in chunks of at most 64K elements.
 
@@ -480,9 +499,14 @@ def _layer_record(layer: QuantizedLayer) -> bytes:
         raise ValidationError("a .bvq record is written from a QuantizedLayer")
     layer.validate()
     cfg, sal, name = layer.config, layer.salient, _name_bytes(layer.name)
-    index = bit_packer.pack_stream(layer.labels.ravel(), layer.codebook)
-    if len(index) != bit_packer.stream_bytes(layer.counts, layer.codebook, cfg.n_bits)[0]:
-        raise ValidationError(f"layer {layer.name!r}: labels disagree with the group counts")
+    labels, book = layer.labels.ravel(), layer.codebook
+    if book.span == 2:  # the stream's length, which the counts do not fix, goes before it
+        index, entries = bit_packer.pack_stream(labels, book, entries=True)
+        length = struct.pack("<Q", len(index))
+    else:
+        index, entries, length = bit_packer.pack_stream(labels, book), b"", b""
+        if len(index) != layer.stream_sizes()[0]:
+            raise ValidationError(f"layer {layer.name!r}: labels disagree with the group counts")
     parts = [
         struct.pack("<H", len(name)), name,
         struct.pack("<BQQBBdHBdd", _ROLE_CODES[layer.role], layer.m, layer.n, cfg.n_uns,
@@ -491,14 +515,15 @@ def _layer_record(layer: QuantizedLayer) -> bytes:
         struct.pack("<dd", sal.mu_b, sal.sigma_b), sal.centers.astype("<f8").tobytes(),
         sal.scales.astype("<f2", copy=False).tobytes(),
         layer.scalars.astype("<f2", copy=False).tobytes(), layer.counts.astype("<u8").tobytes(),
-        index, bit_packer.pack_stream(sal.codes, bit_packer.CodeBook.fixed(cfg.n_bits)),
+        length, index, entries,
+        bit_packer.pack_stream(sal.codes, bit_packer.CodeBook.fixed(cfg.n_bits)),
         np.ascontiguousarray(layer.sign_bits)]
     crc = reduce(lambda crc, part: zlib.crc32(part, crc), parts, 0)
     return b"".join(parts + [struct.pack("<I", crc)])
 
 
 def _write_records(path, count: int, records):
-    """Write a version 3 .bvq of `count` records as they come; 0 or another count is refused."""
+    """Write a version 4 .bvq of `count` records as they come; 0 or another count is refused."""
     if count == 0:
         raise ValidationError(f"{path}: a .bvq holds at least one layer")
 
@@ -517,7 +542,7 @@ def _write_records(path, count: int, records):
 
 
 def write_artifact(layers, path):
-    """Serialize quantized layers to a version 3 .bvq file (lossless round trip)."""
+    """Serialize quantized layers to a version 4 .bvq file (lossless round trip)."""
     _write_records(path, len(layers), map(_layer_record, layers))
 
 
@@ -526,9 +551,11 @@ def _parse_record(reader: _Reader, decode: bool):
     QuantizedLayer decoded from its streams, whose sign stream is the one buffer it keeps.
 
     The counts must add up to m x n and the levels pass `_check_levels`; each stream is
-    then taken at the length the counts give it under their Huffman code. The CRC, run over
-    the record's bytes as the reader takes them, is checked next, and the decoded counts
-    must equal the stored ones, so `QuantizedLayer.validate` holds.
+    then taken at the length the counts give it under their Huffman code, a pair-coded index
+    stream at its stored length and its entry states at one per ENTRY_BLOCK bytes after the
+    first. The CRC, run over the record's bytes as the reader takes them, is checked next.
+    Decoding checks each pair-coded block's exit against the next block's entry, and the
+    decoded counts must equal the stored ones, so `QuantizedLayer.validate` holds.
     """
     origin, reader.crc = reader.origin, 0
     (name_len,) = reader.unpack("H")
@@ -561,15 +588,25 @@ def _parse_record(reader: _Reader, decode: bool):
         book = header.codebook
     except (ValidationError, DomainError) as exc:
         raise FormatError(f"{origin}: {exc}") from exc
+    pairs = book.span == 2
+    if pairs:
+        (header.index_length,) = reader.unpack("Q")
     # Each of the m x n weights has a bit in some stream, so `take` bounds m x n by the
     # bytes left before decode makes (m, n) arrays.
-    index, codes, signs = map(reader.take, bit_packer.stream_bytes(stored, book, n_bits))
+    index_bytes, code_bytes, sign_bytes = header.stream_sizes()
+    index = reader.take(header.index_length if pairs else index_bytes)
+    entries = reader.take(index_bytes - len(index))  # none for single labels
+    codes, signs = reader.take(code_bytes), reader.take(sign_bytes)
     crc, reader.crc = reader.crc, None
     if reader.unpack("I") != (crc,):
         raise FormatError(f"{where}: CRC mismatch, the record is damaged")
     if not decode:
         return header
-    labels, counts = bit_packer.unpack_stream(index, book, m * n, return_counts=True)
+    try:
+        labels, counts = bit_packer.unpack_stream(index, book, m * n, return_counts=True,
+                                                  entries=entries if pairs else None)
+    except FormatError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
     if not np.array_equal(counts, stored):
         raise FormatError(f"{where}: decoded group counts differ from the stored ones")
     salient = SalientQuant(scales=scales, centers=centers, mu_b=mu_b, sigma_b=sigma_b,
@@ -613,8 +650,10 @@ def write_attention(tensors: list[AttentionTensor], path):
         yield struct.pack("<I", len(tensors))
         for t in tensors:
             fields = (t.layer_index, t.n_tokens, t.n_img, *t.group_sizes)
-            if not all(0 <= field <= 0xFFFFFFFF for field in fields):
-                raise ValidationError(f"layer {t.layer_index}: a field of {fields} is outside u32")
+            if not all(isinstance(field, (int, np.integer)) and 0 <= field <= 0xFFFFFFFF
+                       for field in fields):
+                raise ValidationError(f"layer {t.layer_index}: a field of {fields} is not an "
+                                      f"integer or is outside u32")
             if t.group_sizes[1] != t.n_img:
                 raise ValidationError(f"layer {t.layer_index}: group size "
                                       f"{t.group_sizes[1]} != score columns {t.n_img}")

@@ -126,26 +126,42 @@ def golden_layers(tmp_path):
     return layers, rows
 
 
+# Six group counts of 2**19 weights whose label pair code would pass MAX_CODE_LEN bits:
+# two near-empty groups among unequal ones. A handful of salient weights among equal
+# shells gets pair codes of at most 10 bits.
+SKEWED_COUNTS = (310_333, 1, 1, 44_828, 166_176, 2_949)
+
 # magic "BVQ1", version u16, layer count u32: the first record starts after them.
 BVQ_HEADER_BYTES = 10
 
 
 def record_layouts(layers, start=BVQ_HEADER_BYTES):
-    """Where each field of each layer's version 3 .bvq record lies, as written one after
+    """Where each field of each layer's version 4 .bvq record lies, as written one after
     another from byte `start` (a file's records; start=0 for a bare record): one dict per
     layer of field -> slice. Sizes come from the format's closed form, not from binq's
     structs: fixed fields, then arrays sized by m, n_uns and n_bits, then the three
-    streams, each as long as the group counts and the code of the counts make it."""
+    streams, each as long as the group counts and the code of the counts make it. A
+    pair-coded index stream is as long as the codes of its label pairs (an odd count's
+    last label paired with itself) make it, after a u64 of that length, and one entry
+    state byte follows per 512 stream bytes after the first."""
     out = []
     for layer in layers:
-        cfg, counts = layer.config, [int(c) for c in layer.counts]
+        cfg, counts, book = layer.config, [int(c) for c in layer.counts], layer.codebook
         salient, weights = counts[-1], sum(counts)
-        index_bits = sum(c * length for c, length in zip(counts, layer.codebook.lengths))
+        if book.span == 2:
+            labels = layer.labels.ravel().astype(np.int64)
+            labels = np.append(labels, labels[-1:][:labels.size % 2])
+            symbols = labels[0::2] * (cfg.n_uns + 1) + labels[1::2]
+            index = -(-int(np.asarray(book.lengths)[symbols].sum()) // 8)
+            streams = dict(index_length=8, index=index, entries=max(0, -(-index // 512) - 1))
+        else:
+            index_bits = sum(c * length for c, length in zip(counts, book.lengths))
+            streams = dict(index=-(-index_bits // 8))
         sizes = dict(name_len=2, name=len(layer.name.encode("utf-8")), role=1, m=8, n=8,
                      n_uns=1, n_bits=1, alpha=8, iters=2, optimize=1, p_sal_max=8,
                      p_sal_used=8, mu_b=8, sigma_b=8, centers=8 * 2 ** cfg.n_bits,
                      scales=2 * layer.m, scalars=2 * cfg.n_uns, counts=8 * (cfg.n_uns + 1),
-                     index=-(-index_bits // 8), codes=-(-salient * cfg.n_bits // 8),
+                     **streams, codes=-(-salient * cfg.n_bits // 8),
                      signs=-(-(weights - salient) // 8), crc=4)
         layout = {}
         for field, size in sizes.items():

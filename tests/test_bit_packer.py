@@ -12,7 +12,7 @@ from binq import (DomainError, FormatError, QuantConfig, TruncationError, bit_pa
                   read_artifact, write_artifact)
 from binq.bit_packer import (MAX_CODE_LEN, CodeBook, index_bits,
                              max_partitions, pack_stream, storage_budget, unpack_stream)
-from conftest import golden_layers, record_layouts
+from conftest import SKEWED_COUNTS, golden_layers, record_layouts
 
 
 def is_prefix_free(book):
@@ -802,3 +802,116 @@ def test_widest_bvq_code_decodes_within_time_bound():
         seconds.append(time.perf_counter() - start)
     assert np.array_equal(out, symbols)
     assert min(seconds) / (len(data) / 2 ** 20) < 0.4
+
+
+def bit_serial_automaton(book):
+    """Reference: the decoder's byte tables, each cell's byte run through the code tree one
+    bit at a time (how they were built before they were composed from nibble tables)."""
+    bit_next, bit_sym = bit_packer._code_tree(book)
+    dead = len(bit_next) - 1
+    state, byte = np.divmod(np.arange((dead + 1) * 256), 256)
+    emitted = np.zeros(state.size, dtype=np.uint8)
+    slots = np.zeros((state.size, 8), dtype=np.uint8)
+    for shift in range(7, -1, -1):
+        bit = (byte >> shift) & 1
+        sym = bit_sym[state, bit]
+        hit = np.flatnonzero(sym >= 0)
+        slots[hit, emitted[hit]] = sym[hit]
+        emitted[hit] += 1
+        state = bit_next[state, bit]
+    width = 1 << (int(emitted.max()) - 1).bit_length()
+    used = np.arange(width) < emitted[:, None]
+    row = lambda a: np.ascontiguousarray(a[:, :width]).view(f"u{width}").ravel()
+    return dead * 256, state.astype(np.intp) * 256, row(used.view(np.uint8)), row(slots)
+
+
+def test_byte_automaton_matches_bit_serial_reference():
+    # Fixed widths 1-8, Huffman codes of 2-39 groups and two six-group pair codes.
+    rng = np.random.default_rng(30)
+    books = [CodeBook.fixed(width) for width in range(1, 9)]
+    while len(books) < 108:
+        freqs = rng.dirichlet(np.full(int(rng.integers(2, 40)), rng.uniform(0.2, 3.0)))
+        try:
+            books.append(CodeBook.from_frequencies(freqs))
+        except DomainError:  # a code past MAX_CODE_LEN bits
+            pass
+    books += [CodeBook.pairs(counts) for counts in ([5, 3, 2, 1, 1, 1], [25, 25, 20, 15, 14, 1])]
+    for book in books:
+        got, want = bit_packer._byte_automaton.__wrapped__(book), bit_serial_automaton(book)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def sequential_entry_states(data, book, block):
+    """Reference: the code tree's state at the start of each `block`-byte block after the
+    first, the stream run bit by bit from the root."""
+    bit_next = bit_packer._code_tree(book)[0].tolist()
+    states, state = [], 0
+    for i, bit in enumerate(np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()):
+        if i and i % (8 * block) == 0:
+            states.append(state)
+        state = bit_next[state][bit]
+    return bytes(states)
+
+
+@pytest.mark.parametrize("block", [1, 16, 512])
+def test_pair_stream_and_entry_states_match_references(block, monkeypatch):
+    """A pair-coded stream is the bitwise packing of its label pairs, an odd count's last
+    label paired with itself; its entry states are a sequential run's at each block edge;
+    it decodes from them, and without them, to its labels and their counts."""
+    monkeypatch.setattr(bit_packer, "ENTRY_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for groups in (2, 4, 6):
+        p = rng.dirichlet(np.ones(groups))
+        for size in (2, 3, 999, 5000, 40_001):
+            labels = rng.choice(groups, size, p=p).astype(np.uint8)
+            counts = np.bincount(labels, minlength=groups)
+            if np.count_nonzero(counts) < 2:
+                continue
+            book = CodeBook.pairs(counts)
+            padded = np.append(labels, labels[-1:][:size % 2]).astype(np.int64)
+            stream, entries = pack_stream(labels, book, entries=True)
+            assert stream == pack_stream(labels, book)
+            assert stream == bitwise_pack(padded[0::2] * groups + padded[1::2], book)
+            assert len(stream) == bit_packer.pair_stream_bytes(labels, book)
+            assert len(entries) == bit_packer.entry_count(len(stream))
+            assert entries == sequential_entry_states(stream, book, block)
+            got, got_counts = unpack_stream(stream, book, size, return_counts=True,
+                                            entries=entries)
+            assert np.array_equal(got, labels)
+            assert np.array_equal(got_counts, counts)  # the padding label dropped
+            assert np.array_equal(unpack_stream(stream, book, size), labels)
+
+
+def test_pair_stream_exit_check():
+    # Each damaged entry state, one naming no state (past the dead one) included, differs
+    # from the exit of the block before it.
+    labels = np.random.default_rng(3).choice(6, 20_000, p=[.3, .25, .2, .15, .09, .01])
+    book = CodeBook.pairs(np.bincount(labels, minlength=6))
+    stream, entries = pack_stream(labels, book, entries=True)
+    assert len(entries) == bit_packer.entry_count(len(stream)) > 2
+    for k in range(len(entries)):
+        for value in (entries[k] ^ 1, 0xFF):
+            damaged = entries[:k] + bytes([value]) + entries[k + 1:]
+            with pytest.raises(FormatError, match=f"block {k} exits in state"):
+                unpack_stream(stream, book, labels.size, entries=damaged)
+    with pytest.raises(DomainError, match="entry states"):
+        unpack_stream(stream, book, labels.size, entries=entries[:-1])
+
+
+def test_index_code_rule():
+    """Pairs from PAIR_WEIGHTS weights on, unless one group takes every weight or a pair's
+    code would pass MAX_CODE_LEN bits; else the group code of the counts."""
+    weights = bit_packer.PAIR_WEIGHTS
+    counts = [200_000, 150_000, 90_000, 50_000, 30_000, weights - 520_000]
+    few = [(weights - 3) // 5] * 4 + [weights - 3 - 4 * ((weights - 3) // 5), 3]
+    assert sum(counts) == sum(few) == sum(SKEWED_COUNTS) == weights
+    for pairs in (counts, few):
+        book = bit_packer.index_code(pairs, weights)
+        assert book == CodeBook.pairs(pairs) and (book.span, book.n_labels) == (2, 6)
+    assert CodeBook.pairs(few).max_length <= 10
+    for single, size in ((counts, weights - 1), (SKEWED_COUNTS, weights), ([0, weights], weights)):
+        assert bit_packer.index_code(single, size) == CodeBook.from_frequencies(single)
+    with pytest.raises(DomainError, match="code lengths exceed"):
+        CodeBook.pairs(SKEWED_COUNTS)

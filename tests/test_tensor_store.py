@@ -26,8 +26,8 @@ from binq.cli import main
 from binq.saliency_optimizer import LayerObjective
 from binq.salient_quantizer import SalientQuant
 from binq.tensor_store import AttentionTensor, QuantizedLayer, _layer_record
-from conftest import (BVQ_HEADER_BYTES, gaussian_matrix, golden_layers, outlier_matrix,
-                      record_layouts)
+from conftest import (BVQ_HEADER_BYTES, SKEWED_COUNTS, gaussian_matrix, golden_layers,
+                      outlier_matrix, record_layouts)
 
 DATA = Path(__file__).with_name("data")
 
@@ -203,17 +203,18 @@ class TestArtifactRoundTrip:
         assert layers_equal(layer, back)
 
     def test_version_mismatch(self, tmp_path):
-        """Both readers read version 3 and refuse versions 1, 2 and 4: the written
-        file patched to each, tests/data/golden_v1.bvq and tests/data/golden_v2.bvq."""
+        """Both readers read version 4 and refuse versions 1, 2, 3 and 5: the written
+        file patched to each, and tests/data/golden_v1.bvq, golden_v2.bvq and
+        golden_v3.bvq."""
         mat = gaussian_matrix(0, shape=(8, 8))
         path = tmp_path / "v.bvq"
         write_artifact([quantize_layer(mat)], path)
         raw = path.read_bytes()
-        assert raw[4:6] == struct.pack("<H", 3)
+        assert raw[4:6] == struct.pack("<H", 4)
         read_artifact(path)
         read_layer_headers(path)
-        refused = [(DATA / "golden_v1.bvq", 1), (DATA / "golden_v2.bvq", 2)]
-        for version in (1, 2, 4):
+        refused = [(DATA / f"golden_v{version}.bvq", version) for version in (1, 2, 3)]
+        for version in (1, 2, 3, 5):
             patched = tmp_path / f"v{version}.bvq"
             patched.write_bytes(raw[:4] + struct.pack("<H", version) + raw[6:])
             refused.append((patched, version))
@@ -541,8 +542,9 @@ def traced_peak(call):
 
 def test_load_memory_per_weight(tmp_path):
     # Traced on a 1024x1024 Student-t layer (numpy 2.4). read_artifact peaks at
-    # 4.93 bytes per weight, in the index decode, and keeps 1.18 (2.04 when
-    # it unpacked one bool per sign). dense(np.float32) peaks 0.77 beyond its
+    # 4.79 bytes per weight, in the index decode, and keeps 1.15 (2.04 when
+    # it unpacked one bool per sign; 1.26 when the decoder's tables for the
+    # layer's label pair code stayed in its cache). dense(np.float32) peaks 0.77 beyond its
     # output, its chunk's intp gather index included (0.86 with a layer-sized
     # salient mask and index; 3.07 as one whole-layer gather).
     rng = np.random.default_rng(5)
@@ -560,6 +562,94 @@ def test_load_memory_per_weight(tmp_path):
     out, peak = traced_peak(lambda: layer.dense(np.float32))
     assert np.array_equal(out, dense_whole_layer(layer, np.float32))
     assert (peak - out.nbytes) / weights < 0.85
+
+
+def pinned(name, data):
+    return quantize_layer(WeightMatrix(name, Role.LANGUAGE, data),
+                          QuantConfig(optimize_saliency=False))
+
+
+@pytest.fixture(scope="module")
+def pair_layers():
+    """A 1024x1024 Student-t layer, a biased Gaussian one and an odd 1023x1025 one."""
+    rng = np.random.default_rng(40)
+    return [pinned("t", 0.02 * rng.standard_t(5, (1024, 1024))),
+            pinned("biased", 0.02 * (0.5 + rng.standard_normal((1024, 1024)))),
+            pinned("odd", 0.02 * rng.standard_t(5, (1023, 1025)))]
+
+
+def test_pair_coded_layers_round_trip(tmp_path, pair_layers):
+    """Layers of PAIR_WEIGHTS weights or more store their index stream in label pairs, after
+    its length and before its entry states, as record_layouts places them, and read back
+    equal. The storage report of the layer, of the layer read back and of its header counts
+    the record's streams and entry states."""
+    path = tmp_path / "p.bvq"
+    write_artifact(pair_layers, path)
+    raw = path.read_bytes()
+    layouts = record_layouts(pair_layers)
+    assert len(raw) == layouts[-1]["crc"].stop
+    backs, headers = read_artifact(path), read_layer_headers(path)
+    for layer, back, header, layout in zip(pair_layers, backs, headers, layouts):
+        assert layer.m * layer.n >= bit_packer.PAIR_WEIGHTS and layer.codebook.span == 2
+        index = layout["index"]
+        assert raw[layout["index_length"]] == struct.pack("<Q", index.stop - index.start)
+        assert layers_equal(layer, back)
+        streams = sum(layout[f].stop - layout[f].start
+                      for f in ("index", "entries", "codes", "signs"))
+        realized = 16 * (layer.m + layer.config.n_uns) + 8 * streams
+        for each in (layer, back, header):
+            assert storage_report(each).realized_total_bits == realized
+    assert (pair_layers[2].m * pair_layers[2].n) % 2 == 1
+    assert storage_report(pair_layers[0]).l_i_realized < 2.43  # 2.50 in single labels
+
+
+def test_damaged_pair_stream_fields_refused(tmp_path):
+    """Each entry state byte of a pair-coded record, damaged with the record's CRC
+    recomputed, is refused by the decode's exit check; the header reader, which decodes
+    no stream, reads the record. A damaged stream length is refused by both readers."""
+    layer = pinned("e", 0.02 * np.random.default_rng(41).standard_t(5, (1024, 512)))
+    path = tmp_path / "e.bvq"
+    write_artifact([layer], path)
+    raw = path.read_bytes()
+    (layout,) = record_layouts([layer])
+    index, entries = layout["index"], layout["entries"]
+    assert entries.stop - entries.start > 200
+    for pos in range(entries.start, entries.stop):
+        bad = bytearray(raw)
+        bad[pos] ^= 1 if pos % 2 else 0xFF
+        bad[-4:] = struct.pack("<I", zlib.crc32(bad[BVQ_HEADER_BYTES:-4]))
+        path.write_bytes(bytes(bad))
+        with pytest.raises(FormatError, match=f"layer 'e': index stream block "
+                                              f"{pos - entries.start} exits in state"):
+            read_artifact(path)
+    assert read_layer_headers(path)[0].index_length == index.stop - index.start
+    length = index.stop - index.start
+    for damaged in (length - 1, length + 1, 0, 2 ** 64 - 1):
+        bad = bytearray(raw)
+        bad[layout["index_length"]] = struct.pack("<Q", damaged)
+        bad[-4:] = struct.pack("<I", zlib.crc32(bad[BVQ_HEADER_BYTES:-4]))
+        path.write_bytes(bytes(bad))
+        for reader in (read_artifact, read_layer_headers):
+            with pytest.raises(FormatError, match="CRC mismatch|needed .* bytes at offset"):
+                reader(path)
+
+
+def test_large_layer_whose_pair_code_is_too_long_stays_per_label(tmp_path):
+    """A 1024x512 layer relabeled to counts whose pair code would pass MAX_CODE_LEN bits
+    keeps the code of its groups and the record layout of a small layer."""
+    base = pinned("s", gaussian_matrix(0, shape=(1024, 512)).data)
+    labels = np.repeat(np.arange(6, dtype=np.uint8), SKEWED_COUNTS)
+    np.random.default_rng(1).shuffle(labels)
+    layer = replace(base, labels=labels.reshape(1024, 512), counts=np.array(SKEWED_COUNTS),
+                    salient=replace(base.salient, codes=np.zeros(SKEWED_COUNTS[-1], np.uint8)),
+                    sign_bits=np.zeros((sum(SKEWED_COUNTS[:-1]) + 7) // 8, np.uint8))
+    assert layer.codebook == bit_packer.CodeBook.from_frequencies(SKEWED_COUNTS)
+    path = tmp_path / "s.bvq"
+    write_artifact([layer], path)
+    (layout,) = record_layouts([layer])
+    assert "entries" not in layout and path.stat().st_size == layout["crc"].stop
+    (back,) = read_artifact(path)
+    assert layers_equal(layer, back)
 
 
 def test_record_memory_per_weight():
@@ -757,10 +847,10 @@ def test_layer_names_no_bvq_can_hold_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field", ["layer_index", "group_size"])
-@pytest.mark.parametrize("value", [-1, 2 ** 32])
+@pytest.mark.parametrize("value", [-1, 2 ** 32, 1.5, 2.0])
 def test_attention_field_outside_u32_refused(tmp_path, field, value):
-    """`write_attention` refuses a layer index or group size that a u32 does not hold
-    with a ValidationError and keeps the earlier file."""
+    """`write_attention` refuses a layer index or group size that a u32 does not hold,
+    or that is no integer, with a ValidationError and keeps the earlier file."""
     path = tmp_path / "a.bva"
     path.write_bytes(b"an earlier file")
     sizes = (value, 2, 1, 1) if field == "group_size" else (1, 2, 1, 1)
@@ -781,8 +871,8 @@ def test_bad_magic_and_version_messages(tmp_path):
     write_attention([AttentionTensor(0, np.full((1, 4), 0.25), np.full((1, 2), 0.125),
                                      (1, 2, 1, 0))], bva)
     for path, read, magic, version, remedy in [
-            (bvq, read_artifact, b"BVQ1", 3, "; re-quantize the model"),
-            (bvq, read_layer_headers, b"BVQ1", 3, "; re-quantize the model"),
+            (bvq, read_artifact, b"BVQ1", 4, "; re-quantize the model"),
+            (bvq, read_layer_headers, b"BVQ1", 4, "; re-quantize the model"),
             (bvw, read_tensor, b"BVW1", 1, ""), (bva, read_attention, b"BVA1", 1, "")]:
         raw = path.read_bytes()
         bad = tmp_path / f"bad{path.suffix}"
